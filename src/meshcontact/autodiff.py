@@ -71,12 +71,16 @@ class Tape:
     def record(self, op, inputs, out, backward_fn):
         ids = []
         for t in inputs:
-            if t.requires_grad:
-                if t._tape is not self and t._tape is not None:
-                    raise ContractError(f"op {op!r} mixes tensors from different tapes")
-                ids.append(t.node_id if t.node_id is not None else self.register_leaf(t))
-            else:
+            if not t.requires_grad:
                 ids.append(None)
+            elif t._tape is self:
+                ids.append(t.node_id)
+            elif t._tape is None or t._tape.leaves.get(t.node_id) is t:
+                # A new leaf, or a leaf of an earlier tape (a parameter
+                # reused across steps), which is re-registered here.
+                ids.append(self.register_leaf(t))
+            else:
+                raise ContractError(f"op {op!r} mixes tensors from different tapes")
         out.node_id = self.new_id()
         out._tape = self
         self.entries.append(TapeEntry(op, tuple(ids), out.node_id, backward_fn))

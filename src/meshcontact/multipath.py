@@ -79,8 +79,6 @@ def make_paths(features: Tensor, config: PathConfig, rng, forward) -> list:
     their fixed order, each drawing from its own derived RNG stream.
     """
     config.validate()
-    if config.n_paths < 1:
-        raise ContractError("at least one path is required")
     streams = rng.spawn(config.n_paths)
     out = []
     for i in range(config.n_paths):

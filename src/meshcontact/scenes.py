@@ -12,6 +12,17 @@ Images are flat-shaded orthographic renders from a fixed oblique camera;
 body segments are color-coded so pose (and hence contact structure) is
 visible, and the rasterizer's id buffers provide semantic and body-part
 masks at image and feature-grid resolution.
+
+Rasterizer contract: triangles are drawn in a fixed order (the ground, then
+each box, then the body faces).  A pixel centre is covered by a triangle
+when all three barycentric weights are >= 0; the triangle is drawn there
+when its interpolated depth is strictly greater than the depth already
+drawn, so on equal depth the earlier triangle keeps the pixel.  Triangles
+whose clipped bounding box is empty or whose |edge determinant| < 1e-12
+are skipped.  All triangles are rasterized with batched numpy, a batch of
+consecutive triangles covering at most `_CHUNK_PIXELS` bounding-box pixels
+(or a single larger triangle), and the result is bit-identical to drawing
+them one at a time.
 """
 
 from __future__ import annotations
@@ -22,8 +33,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, GenerationError
-from .mesh import MeshTemplate, pose_vertices
+from .errors import ConfigError, ContractError, DataError, GenerationError, NumericsError
+from .mesh import MeshTemplate, _rot_x, _rot_z, pose_vertices
 from .tensorio import read_tensor_table, write_tensor_table
 
 SAMPLE_MAGIC = b"GCSMP1\x00"
@@ -49,6 +60,15 @@ _PART_PALETTE = np.array([
 _CAM_TILT = 0.6
 _VIEW_X = (-13.0, 13.0)
 _VIEW_V = (-9.0, 17.0)
+
+_GROUND = np.array([
+    [-25.0, 0.0, -25.0], [25.0, 0.0, -25.0], [25.0, 0.0, 25.0], [-25.0, 0.0, 25.0],
+])
+_GROUND_FACES = np.array([[0, 1, 2], [0, 2, 3]])
+
+# Bounding-box pixels rasterized per batch of consecutive triangles (a
+# triangle whose clipped box is larger forms a batch alone).
+_CHUNK_PIXELS = 4096
 
 _BASE_POSES = np.array([
     [0.0] * 12,
@@ -143,16 +163,6 @@ def _rot_y(t):
     return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
 
 
-def _rot_z(t):
-    c, s = math.cos(t), math.sin(t)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
-def _rot_x(t):
-    c, s = math.cos(t), math.sin(t)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
-
-
 # ---------------------------------------------------------------------------
 # rasterizer
 
@@ -164,49 +174,6 @@ def _project(points: np.ndarray, image_size: int):
     px = (u - _VIEW_X[0]) / (_VIEW_X[1] - _VIEW_X[0]) * image_size
     py = (1.0 - (v - _VIEW_V[0]) / (_VIEW_V[1] - _VIEW_V[0])) * image_size
     return px, py, depth
-
-
-class _Raster:
-    def __init__(self, image_size):
-        self.size = image_size
-        self.rgb = np.tile(_BACKGROUND_COLOR[:, None, None], (1, image_size, image_size))
-        self.zbuf = np.full((image_size, image_size), -np.inf)
-        self.sem = np.zeros((image_size, image_size), dtype=np.int32)
-        self.bp = np.zeros((image_size, image_size), dtype=np.int32)
-
-    def triangle(self, px, py, depth, color, sem_id, bp_id):
-        n = self.size
-        x0 = max(int(math.floor(px.min())), 0)
-        x1 = min(int(math.ceil(px.max())), n - 1)
-        y0 = max(int(math.floor(py.min())), 0)
-        y1 = min(int(math.ceil(py.max())), n - 1)
-        if x0 > x1 or y0 > y1:
-            return
-        denom = (py[1] - py[2]) * (px[0] - px[2]) + (px[2] - px[1]) * (py[0] - py[2])
-        if abs(denom) < 1e-12:
-            return
-        ys, xs = np.mgrid[y0 : y1 + 1, x0 : x1 + 1]
-        cx = xs + 0.5
-        cy = ys + 0.5
-        w0 = ((py[1] - py[2]) * (cx - px[2]) + (px[2] - px[1]) * (cy - py[2])) / denom
-        w1 = ((py[2] - py[0]) * (cx - px[2]) + (px[0] - px[2]) * (cy - py[2])) / denom
-        w2 = 1.0 - w0 - w1
-        z = w0 * depth[0] + w1 * depth[1] + w2 * depth[2]
-        hit = (w0 >= 0) & (w1 >= 0) & (w2 >= 0) & (z > self.zbuf[y0 : y1 + 1, x0 : x1 + 1])
-        if not hit.any():
-            return
-        win = (slice(y0, y1 + 1), slice(x0, x1 + 1))
-        self.zbuf[win][hit] = z[hit]
-        for c in range(3):
-            plane = self.rgb[c][win]
-            plane[hit] = color[c]
-        self.sem[win][hit] = sem_id
-        self.bp[win][hit] = bp_id
-
-    def mesh(self, vertices, faces, colors, sem_ids, bp_ids):
-        px, py, depth = _project(vertices, self.size)
-        for f, color, sem_id, bp_id in zip(faces, colors, sem_ids, bp_ids):
-            self.triangle(px[f], py[f], depth[f], color, sem_id, bp_id)
 
 
 def _box_mesh(box):
@@ -228,34 +195,106 @@ def _box_mesh(box):
 
 def render(vertices, template, boxes, config: SceneConfig):
     """Rasterize scene + posed body; returns (image, sem_mask, bp_mask)."""
-    r = _Raster(config.image_size)
-    ground = np.array([
-        [-25.0, 0.0, -25.0], [25.0, 0.0, -25.0], [25.0, 0.0, 25.0], [-25.0, 0.0, 25.0],
-    ])
-    gfaces = np.array([[0, 1, 2], [0, 2, 3]])
-    r.mesh(ground, gfaces, [_GROUND_COLOR] * 2, [SEM_GROUND] * 2, [0] * 2)
-    for box in boxes:
-        corners, bfaces = _box_mesh(box)
-        r.mesh(corners, bfaces, [_BOX_COLOR] * len(bfaces), [SEM_BOX] * len(bfaces),
-               [0] * len(bfaces))
+    n = config.image_size
     face_seg = template.segment_ids[template.faces[:, 0]]
-    colors = _PART_PALETTE[face_seg % len(_PART_PALETTE)]
-    r.mesh(vertices, template.faces, colors, [SEM_BODY] * len(template.faces),
-           (face_seg + 1).tolist())
-    return np.clip(r.rgb, 0.0, 1.0), r.sem, r.bp
+    # (points, faces, color, semantic id, body-part id) per mesh, in draw order.
+    meshes = [(_GROUND, _GROUND_FACES, _GROUND_COLOR, SEM_GROUND, 0)]
+    meshes += [(*_box_mesh(box), _BOX_COLOR, SEM_BOX, 0) for box in boxes]
+    meshes.append((vertices, template.faces, _PART_PALETTE[face_seg % len(_PART_PALETTE)],
+                   SEM_BODY, face_seg + 1))
+    corners, colors, sem_ids, bp_ids = [], [], [], []
+    for points, faces, color, sem_id, bp_id in meshes:
+        px, py, depth = _project(points, n)
+        corners.append(np.stack([px[faces], py[faces], depth[faces]]))
+        colors.append(np.broadcast_to(color, (len(faces), 3)))
+        sem_ids.append(np.broadcast_to(sem_id, len(faces)))
+        bp_ids.append(np.broadcast_to(bp_id, len(faces)))
+
+    winner = _rasterize(*np.concatenate(corners, axis=1), n)
+    drawn = winner >= 0
+    hit = winner[drawn]
+    rgb = np.tile(_BACKGROUND_COLOR[:, None], (1, n * n))
+    rgb[:, drawn] = np.concatenate(colors)[hit].T
+    sem = np.zeros(n * n, dtype=np.int32)
+    sem[drawn] = np.concatenate(sem_ids)[hit]
+    bp = np.zeros(n * n, dtype=np.int32)
+    bp[drawn] = np.concatenate(bp_ids)[hit]
+    return np.clip(rgb.reshape(3, n, n), 0.0, 1.0), sem.reshape(n, n), bp.reshape(n, n)
+
+
+def _rasterize(px, py, depth, n):
+    """Index of the triangle drawn at each of the n*n pixels, -1 where none is.
+
+    `px`, `py`, `depth` are (T, 3) per-triangle vertex coordinates in draw
+    order; the depth rule is the one in the module docstring.
+    """
+    if not (np.isfinite(px).all() and np.isfinite(py).all()):
+        raise NumericsError("render needs finite projected vertices")
+    # Clipped to [0, n] and [-1, n - 1] so an off-screen box stays empty
+    # and every bound fits an int64.
+    x0 = np.clip(np.floor(px.min(axis=1)), 0, n).astype(np.int64)
+    x1 = np.clip(np.ceil(px.max(axis=1)), -1, n - 1).astype(np.int64)
+    y0 = np.clip(np.floor(py.min(axis=1)), 0, n).astype(np.int64)
+    y1 = np.clip(np.ceil(py.max(axis=1)), -1, n - 1).astype(np.int64)
+    a0 = py[:, 1] - py[:, 2]
+    b0 = px[:, 2] - px[:, 1]
+    a1 = py[:, 2] - py[:, 0]
+    b1 = px[:, 0] - px[:, 2]
+    denom = a0 * (px[:, 0] - px[:, 2]) + b0 * (py[:, 0] - py[:, 2])
+    keep = np.flatnonzero((x0 <= x1) & (y0 <= y1) & ~(np.abs(denom) < 1e-12))
+
+    zbuf = np.full(n * n, -np.inf)
+    winner = np.full(n * n, -1, dtype=np.int64)
+    width = x1[keep] - x0[keep] + 1
+    area = width * (y1[keep] - y0[keep] + 1)
+    ends = np.cumsum(area)
+    start = 0
+    while start < len(keep):
+        before = ends[start - 1] if start else 0
+        stop = max(int(np.searchsorted(ends, before + _CHUNK_PIXELS, side="right")), start + 1)
+        # Expand every bounding-box pixel of the chunk's triangles, row-major:
+        # pixel k of triangle `local` lies at (x0 + k % width, y0 + k // width).
+        counts = area[start:stop]
+        first_pixel = ends[start:stop] - counts - before
+        local = np.repeat(np.arange(stop - start), counts)
+        k = np.arange(ends[stop - 1] - before) - first_pixel[local]
+        t = keep[start:stop][local]
+        w = width[start:stop][local]
+        ys = y0[t] + k // w
+        xs = x0[t] + k % w
+        cx = xs + 0.5
+        cy = ys + 0.5
+        w0 = (a0[t] * (cx - px[t, 2]) + b0[t] * (cy - py[t, 2])) / denom[t]
+        w1 = (a1[t] * (cx - px[t, 2]) + b1[t] * (cy - py[t, 2])) / denom[t]
+        w2 = 1.0 - w0 - w1
+        z = w0 * depth[t, 0] + w1 * depth[t, 1] + w2 * depth[t, 2]
+        pix = ys * n + xs
+        hit = (w0 >= 0) & (w1 >= 0) & (w2 >= 0) & (z > zbuf[pix])
+        t, z, pix = t[hit], z[hit], pix[hit]
+        # Per pixel, the largest z wins; on a tie, the earliest-drawn triangle.
+        order = np.lexsort((t, -z, pix))
+        pix = pix[order]
+        first = np.ones(len(pix), dtype=bool)
+        first[1:] = pix[1:] != pix[:-1]
+        pix = pix[first]
+        zbuf[pix] = z[order][first]
+        winner[pix] = t[order][first]
+        start = stop
+    return winner
 
 
 def downsample_mask(mask: np.ndarray, grid_side: int) -> np.ndarray:
     """Majority class id per grid cell; ties break toward the lowest id."""
-    n = mask.shape[0]
-    cell = n // grid_side
-    out = np.zeros(grid_side * grid_side, dtype=np.int32)
-    for gy in range(grid_side):
-        for gx in range(grid_side):
-            block = mask[gy * cell : (gy + 1) * cell, gx * cell : (gx + 1) * cell]
-            counts = np.bincount(block.reshape(-1))
-            out[gy * grid_side + gx] = int(counts.argmax())
-    return out
+    cell = mask.shape[0] // grid_side
+    side = grid_side * cell
+    blocks = (mask[:side, :side].reshape(grid_side, cell, grid_side, cell)
+              .transpose(0, 2, 1, 3).reshape(grid_side * grid_side, -1))
+    if blocks.min() < 0:
+        raise ContractError(f"mask class ids must be >= 0, got {blocks.min()}")
+    k = int(blocks.max()) + 1
+    counts = np.bincount((np.arange(len(blocks))[:, None] * k + blocks).reshape(-1),
+                         minlength=len(blocks) * k)
+    return counts.reshape(len(blocks), k).argmax(axis=1).astype(np.int32)
 
 
 # ---------------------------------------------------------------------------

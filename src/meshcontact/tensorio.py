@@ -8,6 +8,7 @@ byte offset.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -55,22 +56,35 @@ def read_tensor_table(buf: bytes, offset: int = 0) -> tuple[dict, int]:
     for _ in range(count):
         need(4, "name length")
         (nlen,) = struct.unpack_from("<i", buf, offset)
+        if nlen < 0:
+            raise DataError(f"negative name length {nlen} at offset {offset}")
         offset += 4
         need(nlen, "name")
-        name = buf[offset : offset + nlen].decode("utf-8")
+        try:
+            name = buf[offset : offset + nlen].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"tensor name is not valid utf-8 at offset {offset}") from exc
         offset += nlen
         need(8, "dtype/rank")
         code, ndim = struct.unpack_from("<ii", buf, offset)
-        offset += 8
         if code not in _DTYPES:
-            raise DataError(f"unknown dtype code {code} for {name!r} at offset {offset - 8}")
+            raise DataError(f"unknown dtype code {code} for {name!r} at offset {offset}")
+        if ndim < 0:
+            raise DataError(f"negative rank {ndim} for {name!r} at offset {offset + 4}")
+        offset += 8
         need(4 * ndim, "extents")
         shape = struct.unpack_from(f"<{ndim}i", buf, offset)
+        if min(shape, default=0) < 0:
+            raise DataError(f"negative extent in {shape} for {name!r} at offset {offset}")
         offset += 4 * ndim
         dt = np.dtype(_DTYPES[code])
-        nbytes = int(np.prod(shape, dtype=np.int64)) * dt.itemsize if ndim else dt.itemsize
+        nbytes = math.prod(shape) * dt.itemsize
         need(nbytes, f"data of {name!r}")
-        arr = np.frombuffer(buf[offset : offset + nbytes], dtype=dt).reshape(shape).copy()
+        flat = np.frombuffer(buf[offset : offset + nbytes], dtype=dt)
+        try:
+            arr = flat.reshape(shape).copy()
+        except ValueError as exc:  # a zero-size shape numpy cannot represent
+            raise DataError(f"bad shape {shape} for {name!r} at offset {offset}: {exc}") from exc
         offset += nbytes
         out[name] = arr
     return out, offset

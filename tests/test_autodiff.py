@@ -170,6 +170,22 @@ class TestBackward:
         l2, g2 = run()
         assert np.array_equal(l1, l2) and np.array_equal(g1, g2)
 
+    def test_leaf_reused_on_a_later_tape(self):
+        x = ad.Tensor([1.0, 2.0], requires_grad=True, name="x")
+        for scale in (1.0, 3.0):
+            with ad.tape_scope():
+                loss = ad.sum_(ad.mul(ad.mul(x, x), ad.Tensor(scale)))
+                grads = ad.backward(loss)
+            assert np.array_equal(grads["x"].data, 2.0 * scale * x.data)
+
+    def test_intermediate_from_another_tape_rejected(self):
+        x = ad.Tensor([1.0, 2.0], requires_grad=True, name="x")
+        with ad.tape_scope():
+            y = ad.mul(x, x)
+        with ad.tape_scope():
+            with pytest.raises(ContractError, match="different tapes"):
+                ad.add(y, x)
+
 
 class TestGradientCheck:
     def test_sum_of_squares(self):
@@ -179,6 +195,19 @@ class TestGradientCheck:
         params = {"x": ad.Tensor(np.arange(1.0, 5.0), requires_grad=True, name="x")}
         report = ad.gradient_check(f, params)
         assert report.passed and report.max_error <= 1e-10
+
+    def test_twice_on_the_same_params(self):
+        def f(params):
+            return ad.sum_(ad.mul(params["x"], params["w"]))
+
+        params = {
+            "x": ad.Tensor([0.5, -1.0], requires_grad=True, name="x"),
+            "w": ad.Tensor([2.0, 3.0], requires_grad=True, name="w"),
+        }
+        first = ad.gradient_check(f, params)
+        second = ad.gradient_check(f, params)
+        assert first.passed and second.passed
+        assert first.per_param == second.per_param
 
     def test_hard_threshold_reports_non_differentiable(self):
         def f(params):

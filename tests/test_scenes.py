@@ -1,10 +1,50 @@
+import hashlib
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from meshcontact import mesh, scenes
-from meshcontact.errors import ConfigError, DataError
+from meshcontact.errors import ConfigError, ContractError, DataError, NumericsError
+
+# SHA-256 of the write_sample bytes of generate_dataset(SceneConfig(), the
+# rng_seed=7 template, 32, seed=2024), recorded from the per-triangle
+# rasterizer that the batched one replaced.
+DATASET_SHA256 = (
+    "5c1d5c9eba83d01577e7ca31e3db485bfe49e67f2f8ae6865e8d221be287a4e5",
+    "12ab3ebcda1cb27a950249e2d65f808fce9165e6100a6f9243f05e58ef2a336c",
+    "7543894896949c62c54bd45d6cc584a7f70f110e1f8dcc851ad192730d395b41",
+    "cd04e0c1d4bd3dd2687d2788b117fb1b972acf715062a75af3f6c32d84b29798",
+    "ebae2f5036a93f7ec10c7c6b973f7e47420047a2d332dc499b30ab1e473cd46e",
+    "8060fbb2bbe348ea90570e4aa9f2de9d5f0677ed5414a8f59fc968d06b4d09a8",
+    "4f841adb0243f206d85c723d04af5f9952f9b68974f94304047bc44c60ed34d7",
+    "2bd3b628bd3e368ff04139a9885066d8320a4446775ce4eb6a340d59915cb5e0",
+    "c969dbce939433f6452e78160bd07695ad2280c395ff2fb16ab4c9cf87d03e0c",
+    "7fd80892aadf7f04b15cbd30ea226e9af828fcf083b80033e1aa2a85a31b8778",
+    "6327bcb10e9eb04749ac152f6f5fd25b024d641a81c8bc6e81adedaead524e1b",
+    "1f17659b1a67681ab4304d5a61dc5d7e61041a6bd8ffd87b35d65904bc6d0bc9",
+    "c312b9c20a26aa36747121e6188614803ef0cb8048daf1c443cf171bea3c10ae",
+    "12ffe6b0fe2700364069281a92f308c47f0a9da7647efa18c5794746be89bee5",
+    "2991226ebc9c86b35db73902f92cc6cbedcad45f9702956b5cf07062e70e9ede",
+    "edcddd5517e918b0496a7d175afc55a694383ae03a98e5a56b78155dc35b0794",
+    "9c81f4c5b7859ab81756a3f9c15e9d2834801f6a841959ffce242473d09af871",
+    "6a3acf6681ed610f1e959dd79b187a2760011cb5977a707921ef80ddcafe7b80",
+    "100735406bfb993b9138578988ed99eb01172e500fea6cdce2b00646c3748c20",
+    "c34b2092d6115f3e445f1f8a4e012255d6705779c145b0868aea4674febf3e38",
+    "c39151c00992895bf95be68922dfe393e3ad6ee76908bbd8bb91233c8e41f067",
+    "21e2d2660d1c5e428f629b0aea94cc28730a60edc933a6e2dc03b828932a1ddc",
+    "5950a6c20aa03ffe3f97e41d7c3964a07ae057a4b342c2bfdbff0cf9aa8b67c1",
+    "b45537a0eac5833720926b7b8ead45b95892899ed18d620178760abc3069ae38",
+    "a8ee6bb68bb073c5c0e8df7ee29633fd5dea4ba6afc234134bf0c73ad7bcc0ca",
+    "d7f2ac5f518bd41d15b1187ec9714b7bd39d59d5c2379a75802283cbae22ed9c",
+    "1bb47eea5353077c3cb9a3e16ae94317ed66a927bf598c1af7ab84d6ef64d2cb",
+    "72b724cdf1c17093dbc6f63e54fc34386c2afb9ce2412237f3f1c2e6aee52cfb",
+    "4aa38ec2a90d9c33368bd8fb31678af67c7cf9fcf4d04fd5ea73c5b9baf141aa",
+    "48180eb49761ce226793a8a793a35bbe22bd6151f2989776f9d39949b344515a",
+    "c229b2d6961a2a352e6a648511a69c8025460c2eda0cc11b415bf4bb6f470538",
+    "92da2e93c39df8c3d0f42bc82d912770b223829d766e6f971f0b78940c16d6b2",
+)
 
 
 @pytest.fixture(scope="module")
@@ -31,6 +71,102 @@ def brute_force_distance(point, boxes):
             ))
         best = min(best, d)
     return best
+
+
+class ScalarRaster:
+    """Independent per-triangle rasterizer: one triangle at a time, in draw order."""
+
+    def __init__(self, image_size):
+        self.size = image_size
+        self.rgb = np.tile(scenes._BACKGROUND_COLOR[:, None, None], (1, image_size, image_size))
+        self.zbuf = np.full((image_size, image_size), -np.inf)
+        self.sem = np.zeros((image_size, image_size), dtype=np.int32)
+        self.bp = np.zeros((image_size, image_size), dtype=np.int32)
+
+    def triangle(self, px, py, depth, color, sem_id, bp_id):
+        n = self.size
+        x0 = max(int(math.floor(px.min())), 0)
+        x1 = min(int(math.ceil(px.max())), n - 1)
+        y0 = max(int(math.floor(py.min())), 0)
+        y1 = min(int(math.ceil(py.max())), n - 1)
+        if x0 > x1 or y0 > y1:
+            return
+        denom = (py[1] - py[2]) * (px[0] - px[2]) + (px[2] - px[1]) * (py[0] - py[2])
+        if abs(denom) < 1e-12:
+            return
+        ys, xs = np.mgrid[y0 : y1 + 1, x0 : x1 + 1]
+        cx = xs + 0.5
+        cy = ys + 0.5
+        w0 = ((py[1] - py[2]) * (cx - px[2]) + (px[2] - px[1]) * (cy - py[2])) / denom
+        w1 = ((py[2] - py[0]) * (cx - px[2]) + (px[0] - px[2]) * (cy - py[2])) / denom
+        w2 = 1.0 - w0 - w1
+        z = w0 * depth[0] + w1 * depth[1] + w2 * depth[2]
+        hit = (w0 >= 0) & (w1 >= 0) & (w2 >= 0) & (z > self.zbuf[y0 : y1 + 1, x0 : x1 + 1])
+        if not hit.any():
+            return
+        win = (slice(y0, y1 + 1), slice(x0, x1 + 1))
+        self.zbuf[win][hit] = z[hit]
+        for c in range(3):
+            plane = self.rgb[c][win]
+            plane[hit] = color[c]
+        self.sem[win][hit] = sem_id
+        self.bp[win][hit] = bp_id
+
+    def mesh(self, vertices, faces, colors, sem_ids, bp_ids):
+        px, py, depth = scenes._project(vertices, self.size)
+        for f, color, sem_id, bp_id in zip(faces, colors, sem_ids, bp_ids):
+            self.triangle(px[f], py[f], depth[f], color, sem_id, bp_id)
+
+
+def scalar_render(vertices, template, boxes, config):
+    """`scenes.render` drawn by `ScalarRaster`: ground, then boxes, then body."""
+    r = ScalarRaster(config.image_size)
+    r.mesh(scenes._GROUND, scenes._GROUND_FACES, [scenes._GROUND_COLOR] * 2,
+           [scenes.SEM_GROUND] * 2, [0] * 2)
+    for box in boxes:
+        corners, bfaces = scenes._box_mesh(box)
+        r.mesh(corners, bfaces, [scenes._BOX_COLOR] * len(bfaces),
+               [scenes.SEM_BOX] * len(bfaces), [0] * len(bfaces))
+    face_seg = template.segment_ids[template.faces[:, 0]]
+    colors = scenes._PART_PALETTE[face_seg % len(scenes._PART_PALETTE)]
+    r.mesh(vertices, template.faces, colors, [scenes.SEM_BODY] * len(template.faces),
+           (face_seg + 1).tolist())
+    return np.clip(r.rgb, 0.0, 1.0), r.sem, r.bp
+
+
+def loop_downsample(mask, grid_side):
+    """Per-cell bincount majority, one cell at a time."""
+    cell = mask.shape[0] // grid_side
+    out = np.zeros(grid_side * grid_side, dtype=np.int32)
+    for gy in range(grid_side):
+        for gx in range(grid_side):
+            block = mask[gy * cell : (gy + 1) * cell, gx * cell : (gx + 1) * cell]
+            out[gy * grid_side + gx] = np.bincount(block.reshape(-1)).argmax()
+    return out
+
+
+def world_from_pixels(px, py, depth, image_size=64):
+    """World points that `scenes._project` maps (up to rounding) to the given pixels."""
+    u = np.asarray(px, dtype=float) / image_size * 26.0 - 13.0
+    v = (1.0 - np.asarray(py, dtype=float) / image_size) * 26.0 - 9.0
+    cam = np.stack([u, v, np.asarray(depth, dtype=float)], axis=1)
+    return cam @ mesh._rot_x(scenes._CAM_TILT)
+
+
+def triangle_soup(triangles, segments):
+    """(vertices, template) drawing each (3, 3) world triangle as a body face."""
+    vertices = np.concatenate(triangles)
+    faces = np.arange(len(vertices)).reshape(-1, 3)
+    return vertices, SimpleNamespace(faces=faces, segment_ids=np.repeat(segments, 3))
+
+
+def assert_renders_match(vertices, template, boxes, config):
+    got = scenes.render(vertices, template, boxes, config)
+    want = scalar_render(vertices, template, boxes, config)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert np.array_equal(g, w)
+    return got
 
 
 class TestGenerateSample:
@@ -112,6 +248,20 @@ class TestDownsample:
         assert out[1] == 1
         assert out[2] == 0 and out[3] == 0
 
+    @pytest.mark.parametrize("grid_side", [1, 2, 4, 8])
+    def test_matches_loop(self, grid_side):
+        rng = np.random.default_rng(grid_side)
+        for _ in range(20):
+            mask = rng.integers(0, rng.integers(1, 10), size=(64, 64)).astype(np.int32)
+            assert np.array_equal(scenes.downsample_mask(mask, grid_side),
+                                  loop_downsample(mask, grid_side))
+
+    def test_negative_id_rejected(self):
+        mask = np.zeros((4, 4), dtype=np.int32)
+        mask[3, 3] = -1
+        with pytest.raises(ContractError):
+            scenes.downsample_mask(mask, 2)
+
 
 class TestDatasetIO:
     def test_round_trip_bit_exact(self, config, template, tmp_path):
@@ -159,3 +309,76 @@ class TestDatasetIO:
         scenes.write_dataset(b, tmp_path / "b", config_hash="h")
         for fa, fb in zip(sorted((tmp_path / "a").iterdir()), sorted((tmp_path / "b").iterdir())):
             assert fa.read_bytes() == fb.read_bytes()
+
+
+class TestRasterizer:
+    @pytest.mark.parametrize("chunk_pixels", [1, scenes._CHUNK_PIXELS])
+    def test_equal_depth_tie_keeps_the_earlier_triangle(self, config, chunk_pixels,
+                                                        monkeypatch):
+        monkeypatch.setattr(scenes, "_CHUNK_PIXELS", chunk_pixels)
+        tri = world_from_pixels([10, 40, 12], [10, 15, 45], [50, 50, 50])
+        coplanar = world_from_pixels([20, 50, 30], [20, 25, 55], [50, 50, 50])
+        vertices, template = triangle_soup([tri, tri.copy(), coplanar], [0, 1, 2])
+        _, sem, bp = assert_renders_match(vertices, template, np.zeros((0, 6)), config)
+        assert (bp == 1).any() and (bp == 3).any()
+        assert not (bp == 2).any()  # the identical later copy never wins a pixel
+        assert np.array_equal(sem == scenes.SEM_BODY, bp > 0)
+
+    def test_degenerate_triangles(self, config):
+        p, q = world_from_pixels([10, 40], [10, 30], [50, 50])
+        collinear = world_from_pixels([10, 20, 30], [10, 20, 30], [50, 50, 50])
+        vertices, template = triangle_soup([np.stack([q, p, p]), collinear], [0, 1])
+        _, _, bp = assert_renders_match(vertices, template, np.zeros((0, 6)), config)
+        assert not (bp == 1).any()  # exactly zero area: skipped
+
+    def test_off_screen_triangles(self, config):
+        partly = world_from_pixels([-30, 30, 0], [10, 20, 90], [50, 50, 50])
+        wholly = world_from_pixels([100, 120, 110], [10, 10, 30], [50, 50, 50])
+        left = world_from_pixels([-50, -40, -45], [10, 10, 30], [50, 50, 50])
+        far = np.array([[1e15, 0.0, 0.0], [1e15, 1e15, 0.0], [-1e15, 1e15, 1e15]])
+        vertices, template = triangle_soup([partly, wholly, left, far], [0, 1, 2, 3])
+        _, _, bp = assert_renders_match(vertices, template, np.zeros((0, 6)), config)
+        assert (bp == 1).any()
+        assert not np.isin(bp, [2, 3]).any()
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_vertex_rejected(self, config, bad):
+        tri = world_from_pixels([10, 40, 12], [10, 15, 45], [50, 50, 50])
+        tri[1, 0] = bad
+        vertices, template = triangle_soup([tri], [0])
+        with pytest.raises(NumericsError):
+            scenes.render(vertices, template, np.zeros((0, 6)), config)
+
+    @pytest.mark.parametrize("chunk_pixels", [1, 97, scenes._CHUNK_PIXELS])
+    def test_many_chunks(self, config, chunk_pixels, monkeypatch):
+        monkeypatch.setattr(scenes, "_CHUNK_PIXELS", chunk_pixels)
+        rng = np.random.default_rng(21)
+        centres = rng.uniform(-5.0, 69.0, size=(80, 1, 2))
+        corners = centres + rng.uniform(-15.0, 15.0, size=(80, 3, 2))
+        triangles = [world_from_pixels(c[:, 0], c[:, 1], rng.uniform(25.0, 60.0, 3))
+                     for c in corners]
+        vertices, template = triangle_soup(triangles, np.arange(80) % 8)
+        boxes = np.array([[-4.0, 0.0, -3.0, 6.0, 5.0, 4.0]])
+        assert_renders_match(vertices, template, boxes, config)
+
+    def test_triangle_larger_than_a_chunk(self, template):
+        big = scenes.SceneConfig(image_size=128)
+        assert 128 * 128 > scenes._CHUNK_PIXELS  # the ground plane forms a chunk alone
+        s = scenes.generate_sample(big, template, np.random.default_rng([2, 0]))
+        assert_renders_match(s.gt_vertices, template, s.boxes, big)
+
+    def test_generated_scenes_match_scalar_oracle(self, config, template):
+        for i in range(3):
+            s = scenes.generate_sample(config, template, np.random.default_rng([10, i]))
+            image, _, _ = assert_renders_match(s.gt_vertices, template, s.boxes, config)
+            assert np.array_equal(image, s.image)
+
+    def test_seeded_dataset_bytes_unchanged(self, config, template, tmp_path):
+        samples = scenes.generate_dataset(config, template, 32, seed=2024)
+        digests = []
+        for i, s in enumerate(samples):
+            scenes.write_sample(s, tmp_path / f"{i}.bin")
+            digests.append(hashlib.sha256((tmp_path / f"{i}.bin").read_bytes()).hexdigest())
+        assert tuple(digests) == DATASET_SHA256
+
