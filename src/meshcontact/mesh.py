@@ -16,16 +16,16 @@ distance comparisons against all-pairs oracles exact.
 from __future__ import annotations
 
 import heapq
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, ContractError, DataError, ShapeError
+from .tensorio import check_layout, read_tensor_file, write_tensor_file
 
-MESH_MAGIC = b"GCMESH1\x00"
+MESH_MAGIC = b"GCMESH2\x00"
 
 _LENGTH_QUANTUM = 2.0**-20
 
@@ -43,6 +43,8 @@ class MeshConfig:
     def validate(self):
         if self.joints < 2:
             raise ConfigError(f"need at least 2 joints, got {self.joints}")
+        if self.ring_size < 1 or self.coarse_rings < 1:
+            raise ConfigError(f"need ring_size >= 1 and a coarse ring, got {self}")
         if self.v_coarse >= self.v_full:
             raise ConfigError(f"v_coarse {self.v_coarse} must be < v_full {self.v_full}")
         for name, v in (("v_full", self.v_full), ("v_coarse", self.v_coarse)):
@@ -370,79 +372,42 @@ def coarse_adjacency(template: MeshTemplate) -> np.ndarray:
 # serialization
 
 
-def _write_array(fh, arr, dtype):
-    fh.write(np.ascontiguousarray(arr, dtype=dtype).tobytes())
-
-
-def _read_array(buf, offset, count, dtype):
-    dt = np.dtype(dtype)
-    end = offset + count * dt.itemsize
-    if end > len(buf):
-        raise DataError(f"template file truncated at byte {offset}")
-    return np.frombuffer(buf[offset:end], dtype=dt).copy(), end
+# (dtype kind, shape) of each tensor in a template file: the config's fields
+# as 0-d "config.<field>" tensors, then the template's fields; see check_layout.
+_TEMPLATE_LAYOUT = {
+    **{f"config.{f.name}": (np.asarray(f.default).dtype.kind, ()) for f in fields(MeshConfig)},
+    "seed": ("i", ()),
+    "upsample_residual": ("f", ()),
+    "rest_vertices": ("f", ("v_full", 3)),
+    "faces": ("i", ("n_faces", 3)),
+    "coarse_rest_vertices": ("f", ("v_coarse", 3)),
+    "coarse_faces": ("i", ("n_coarse_faces", 3)),
+    "upsample_matrix": ("f", ("v_full", "v_coarse")),
+    "joint_regressor": ("f", ("joints", "v_full")),
+    "edges": ("i", ("n_edges", 2)),
+    "edge_lengths": ("f", ("n_edges",)),
+    "segment_ids": ("i", ("v_full",)),
+    "rest_pivots": ("f", ("joints", 3)),
+}
 
 
 def write_template(template: MeshTemplate, path):
-    """Single self-describing binary file: magic, extents, then raw arrays."""
-    with open(path, "wb") as fh:
-        fh.write(MESH_MAGIC)
-        extents = (
-            template.v_full,
-            template.v_coarse,
-            template.n_joints,
-            template.faces.shape[0],
-            template.coarse_faces.shape[0],
-            template.edges.shape[0],
-            template.config.ring_size,
-            template.seed,
-        )
-        fh.write(struct.pack("<8i", *extents))
-        fh.write(struct.pack("<2d", template.config.height_cm, template.upsample_residual))
-        _write_array(fh, template.rest_vertices, "<f8")
-        _write_array(fh, template.faces, "<i4")
-        _write_array(fh, template.coarse_rest_vertices, "<f8")
-        _write_array(fh, template.coarse_faces, "<i4")
-        _write_array(fh, template.upsample_matrix, "<f8")
-        _write_array(fh, template.joint_regressor, "<f8")
-        _write_array(fh, template.edges, "<i4")
-        _write_array(fh, template.edge_lengths, "<f8")
-        _write_array(fh, template.segment_ids, "<i4")
-        _write_array(fh, template.rest_pivots, "<f8")
+    """One tensor file holding the config fields and the template's fields."""
+    tensors = {f"config.{f.name}": getattr(template.config, f.name) for f in fields(MeshConfig)}
+    tensors.update({name: getattr(template, name) for name in _TEMPLATE_LAYOUT
+                    if not name.startswith("config.")})
+    write_tensor_file(path, MESH_MAGIC, tensors)
 
 
 def read_template(path) -> MeshTemplate:
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    if buf[:8] != MESH_MAGIC:
-        raise DataError(f"{path}: not a template file (bad magic {buf[:8]!r})")
-    vf, vc, nj, nf, nfc, ne, ring, seed = struct.unpack_from("<8i", buf, 8)
-    height, residual = struct.unpack_from("<2d", buf, 40)
-    off = 56
-    rest, off = _read_array(buf, off, vf * 3, "<f8")
-    faces, off = _read_array(buf, off, nf * 3, "<i4")
-    coarse, off = _read_array(buf, off, vc * 3, "<f8")
-    cfaces, off = _read_array(buf, off, nfc * 3, "<i4")
-    ups, off = _read_array(buf, off, vf * vc, "<f8")
-    reg, off = _read_array(buf, off, nj * vf, "<f8")
-    edges, off = _read_array(buf, off, ne * 2, "<i4")
-    lengths, off = _read_array(buf, off, ne, "<f8")
-    segs, off = _read_array(buf, off, vf, "<i4")
-    pivots, off = _read_array(buf, off, nj * 3, "<f8")
-    if off != len(buf):
-        raise DataError(f"{path}: {len(buf) - off} trailing bytes after template payload")
-    config = MeshConfig(v_full=vf, v_coarse=vc, joints=nj, ring_size=ring, height_cm=height)
-    return MeshTemplate(
-        config=config,
-        seed=seed,
-        rest_vertices=rest.reshape(vf, 3),
-        faces=faces.reshape(nf, 3),
-        coarse_rest_vertices=coarse.reshape(vc, 3),
-        coarse_faces=cfaces.reshape(nfc, 3),
-        upsample_matrix=ups.reshape(vf, vc),
-        joint_regressor=reg.reshape(nj, vf),
-        edges=edges.reshape(ne, 2),
-        edge_lengths=lengths,
-        segment_ids=segs,
-        rest_pivots=pivots.reshape(nj, 3),
-        upsample_residual=residual,
-    )
+    tensors = read_tensor_file(path, MESH_MAGIC)
+    extents = check_layout(path, tensors, _TEMPLATE_LAYOUT)
+    values = {name: t.item() if t.ndim == 0 else t for name, t in tensors.items()}
+    config = MeshConfig(**{f.name: values.pop(f"config.{f.name}") for f in fields(MeshConfig)})
+    try:
+        config.validate()
+    except ConfigError as exc:
+        raise DataError(f"{path}: invalid template config: {exc}") from exc
+    if any(extents[name] != getattr(config, name) for name in ("v_full", "v_coarse", "joints")):
+        raise DataError(f"{path}: array extents {extents} do not follow from {config}")
+    return MeshTemplate(config=config, **values)

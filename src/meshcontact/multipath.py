@@ -31,7 +31,6 @@ class PathConfig:
     noise_sigma: float = 0.05
     mask_ratio: float = 0.15
     mask_value: float = 0.0
-    level: str = "feature"  # "feature" perturbs tokens, "image" perturbs pixels
 
     def validate(self):
         if not 1 <= self.n_paths <= len(PATH_KINDS):
@@ -41,8 +40,6 @@ class PathConfig:
                 raise ConfigError(f"{name} must be in [0, 1), got {v}")
         if self.noise_sigma < 0:
             raise ConfigError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
-        if self.level not in ("feature", "image"):
-            raise ConfigError(f"unknown perturbation level {self.level!r}")
 
 
 def perturb(features: Tensor, kind: str, config: PathConfig, rng) -> Tensor:

@@ -28,14 +28,16 @@ them one at a time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
+from .backbone import BackboneConfig
 from .errors import ConfigError, ContractError, DataError, GenerationError, NumericsError
 from .mesh import MeshTemplate, _rot_x, _rot_z, pose_vertices
-from .tensorio import read_tensor_table, write_tensor_table
+from .tensorio import check_layout, read_tensor_file, write_tensor_file
 
 SAMPLE_MAGIC = b"GCSMP1\x00"
 MANIFEST_NAME = "manifest.txt"
@@ -85,17 +87,24 @@ class SceneConfig:
     pose_params: int = 12
     contact_epsilon_cm: float = 1.0
     max_boxes: int = 2
-    image_size: int = 64
-    grid_side: int = 4
-    c_sem: int = 4
     c_bp: int = 9  # background + one class per body segment
     pose_jitter: float = 0.08
+    backbone: BackboneConfig = field(default_factory=BackboneConfig)  # image extents
+
+    c_sem: ClassVar[int] = 4  # background/ground/box/body
+
+    @property
+    def image_size(self) -> int:
+        return self.backbone.image_size
+
+    @property
+    def grid_side(self) -> int:
+        return self.backbone.grid_side
 
     def validate(self, template: MeshTemplate | None = None):
+        self.backbone.validate()
         if self.contact_epsilon_cm <= 0:
             raise ConfigError(f"contact epsilon must be > 0, got {self.contact_epsilon_cm}")
-        if self.c_sem != 4:
-            raise ConfigError("semantic classes are fixed: background/ground/box/body")
         if self.image_size % self.grid_side:
             raise ConfigError(
                 f"image size {self.image_size} not divisible by grid side {self.grid_side}"
@@ -120,6 +129,20 @@ class Sample:
     bp_grid: np.ndarray  # (grid_side**2,) int32
     pose: np.ndarray  # (pose_params,) stored for debugging
     boxes: np.ndarray  # (n_boxes, 6) min corner + sizes
+
+
+# (dtype kind, shape) of each Sample field in a sample file; see check_layout.
+_SAMPLE_LAYOUT = {
+    "image": ("f", (3, "H", "H")),
+    "gt_vertices": ("f", ("V", 3)),
+    "gt_contacts": ("u", ("V",)),
+    "sem_mask": ("i", ("H", "H")),
+    "bp_mask": ("i", ("H", "H")),
+    "sem_grid": ("i", ("G",)),
+    "bp_grid": ("i", ("G",)),
+    "pose": ("f", ("P",)),
+    "boxes": ("f", ("n_boxes", 6)),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -398,47 +421,14 @@ def generate_dataset(config: SceneConfig, template: MeshTemplate, count: int, se
 # dataset directory IO
 
 
-def _sample_tensors(s: Sample) -> dict:
-    return {
-        "image": s.image,
-        "gt_vertices": s.gt_vertices,
-        "gt_contacts": s.gt_contacts,
-        "sem_mask": s.sem_mask,
-        "bp_mask": s.bp_mask,
-        "sem_grid": s.sem_grid,
-        "bp_grid": s.bp_grid,
-        "pose": s.pose,
-        "boxes": s.boxes,
-    }
-
-
 def write_sample(s: Sample, path):
-    with open(path, "wb") as fh:
-        fh.write(SAMPLE_MAGIC)
-        write_tensor_table(fh, _sample_tensors(s))
+    write_tensor_file(path, SAMPLE_MAGIC, {f.name: getattr(s, f.name) for f in fields(Sample)})
 
 
 def read_sample(path) -> Sample:
-    buf = Path(path).read_bytes()
-    if buf[: len(SAMPLE_MAGIC)] != SAMPLE_MAGIC:
-        raise DataError(f"{path}: bad sample magic {buf[:7]!r}")
-    tensors, end = read_tensor_table(buf, len(SAMPLE_MAGIC))
-    if end != len(buf):
-        raise DataError(f"{path}: {len(buf) - end} trailing bytes after sample payload")
-    try:
-        return Sample(
-            image=tensors["image"],
-            gt_vertices=tensors["gt_vertices"],
-            gt_contacts=tensors["gt_contacts"],
-            sem_mask=tensors["sem_mask"],
-            bp_mask=tensors["bp_mask"],
-            sem_grid=tensors["sem_grid"],
-            bp_grid=tensors["bp_grid"],
-            pose=tensors["pose"],
-            boxes=tensors["boxes"],
-        )
-    except KeyError as exc:
-        raise DataError(f"{path}: sample blob is missing tensor {exc}") from exc
+    tensors = read_tensor_file(path, SAMPLE_MAGIC)
+    check_layout(path, tensors, _SAMPLE_LAYOUT)
+    return Sample(**tensors)
 
 
 def write_dataset(samples, path, config_hash: str):
@@ -474,7 +464,10 @@ def read_dataset(path, expected_hash: str | None = None):
             f"{path}: dataset config hash {meta.get('config_hash')} does not match "
             f"expected {expected_hash}"
         )
-    count = int(meta["count"])
+    try:
+        count = int(meta["count"])
+    except (KeyError, ValueError) as exc:
+        raise DataError(f"{path}: manifest has no integer count: {exc}") from exc
     files = sorted(path.glob("sample_*.bin"))
     if len(files) != count:
         raise DataError(f"{path}: manifest says {count} samples, found {len(files)} files")

@@ -1,21 +1,24 @@
-"""Named-tensor table serialization shared by sample blobs and checkpoints.
+"""The one binary file format: sample, template and checkpoint files.
 
-Layout (all little-endian): int32 entry count, then per entry a name
-(int32 length + utf-8 bytes), an int32 dtype code, an int32 rank, the
-int32 extents, and the raw array bytes.  Parse errors always report the
-byte offset.
+A file is a magic followed by one named-tensor table (all little-endian):
+int32 entry count, then per entry a name (int32 length + utf-8 bytes), an
+int32 dtype code, an int32 rank, the int32 extents, and the raw array
+bytes.  Every malformed file raises `DataError`, with the byte offset for
+table parse errors.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError
 
 _DTYPES = {0: "<f8", 1: "<i4", 2: "u1"}
+_INT32 = np.iinfo(np.int32)
 
 
 def _dtype_code(name, arr):
@@ -33,6 +36,9 @@ def write_tensor_table(fh, tensors: dict):
     for name, arr in tensors.items():
         arr = np.asarray(arr)
         code = _dtype_code(name, arr)
+        if code == 1 and arr.dtype != np.int32 and arr.size and (
+                arr.min() < _INT32.min or arr.max() > _INT32.max):
+            raise DataError(f"tensor {name!r} has values outside the int32 range")
         raw = name.encode("utf-8")
         fh.write(struct.pack("<i", len(raw)))
         fh.write(raw)
@@ -88,3 +94,40 @@ def read_tensor_table(buf: bytes, offset: int = 0) -> tuple[dict, int]:
         offset += nbytes
         out[name] = arr
     return out, offset
+
+
+def write_tensor_file(path, magic: bytes, tensors: dict):
+    with open(path, "wb") as fh:
+        fh.write(magic)
+        write_tensor_table(fh, tensors)
+
+
+def read_tensor_file(path, magic: bytes) -> dict:
+    """The tensor table of a file written by `write_tensor_file` with `magic`."""
+    buf = Path(path).read_bytes()
+    if buf[: len(magic)] != magic:
+        raise DataError(f"{path}: bad magic {buf[: len(magic)]!r}, expected {magic!r}")
+    tensors, end = read_tensor_table(buf, len(magic))
+    if end != len(buf):
+        raise DataError(f"{path}: {len(buf) - end} trailing bytes at offset {end}")
+    return tensors
+
+
+def check_layout(path, tensors: dict, layout: dict) -> dict:
+    """Check `tensors` against `layout` and return the extents it names.
+
+    `layout` maps every expected tensor name to (dtype kind, shape).  An
+    extent is an int, or a name bound by its first use that every later use
+    must equal.
+    """
+    if set(tensors) != set(layout):
+        raise DataError(f"{path}: expected tensors {sorted(layout)}, got {sorted(tensors)}")
+    extents = {}
+    for name, (kind, dims) in layout.items():
+        arr = tensors[name]
+        if arr.dtype.kind != kind or arr.ndim != len(dims) or any(
+                n != (extents.setdefault(dim, n) if isinstance(dim, str) else dim)
+                for dim, n in zip(dims, arr.shape)):
+            raise DataError(f"{path}: tensor {name!r} is {arr.dtype} of shape {arr.shape}, "
+                            f"expected dtype kind {kind!r} and shape {dims} with {extents}")
+    return extents

@@ -5,7 +5,8 @@ import pytest
 
 from meshcontact import autodiff as ad
 from meshcontact import mesh
-from meshcontact.errors import ConfigError, ContractError, ShapeError
+from meshcontact.errors import ConfigError, ContractError, DataError, ShapeError
+from meshcontact.tensorio import read_tensor_file, write_tensor_file
 
 
 @pytest.fixture(scope="module")
@@ -203,18 +204,42 @@ class TestSerialization:
         assert np.array_equal(back.rest_vertices, template.rest_vertices)
         assert np.array_equal(back.faces, template.faces)
         assert np.array_equal(back.coarse_rest_vertices, template.coarse_rest_vertices)
+        assert np.array_equal(back.coarse_faces, template.coarse_faces)
         assert np.array_equal(back.upsample_matrix, template.upsample_matrix)
         assert np.array_equal(back.joint_regressor, template.joint_regressor)
         assert np.array_equal(back.edges, template.edges)
         assert np.array_equal(back.edge_lengths, template.edge_lengths)
         assert np.array_equal(back.segment_ids, template.segment_ids)
+        assert np.array_equal(back.rest_pivots, template.rest_pivots)
         assert back.upsample_residual == template.upsample_residual
         assert back.config == template.config
+        assert back.seed == template.seed
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.mesh"
         path.write_bytes(b"NOTMESH0" + b"\x00" * 64)
         with pytest.raises(Exception, match="magic"):
+            mesh.read_template(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda t: t.update(seed=np.float64(7.0)), "'seed' is float64"),  # int code -> float
+        (lambda t: t.update({"config.height_cm": np.int32(16)}), "'config.height_cm' is int32"),
+        (lambda t: t.update(seed=np.array([7])), "'seed' is int32 of shape \\(1,\\)"),
+        (lambda t: t.update({"config.ring_size": np.int32(0)}), "invalid template config"),
+        (lambda t: t.update({"config.joints": np.int32(4)}), "do not follow from"),
+        (lambda t: t.update(upsample_matrix=t["upsample_matrix"].T), "'upsample_matrix'"),
+        (lambda t: t.update(segment_ids=t["segment_ids"][1:]), "'segment_ids'"),
+        (lambda t: t.pop("edges"), "expected tensors"),
+        (lambda t: t.update(extra=np.zeros(1)), "expected tensors"),
+    ], ids=["float_seed", "int_height", "seed_not_0d", "bad_config", "config_vs_arrays",
+            "transposed", "short_array", "missing", "extra"])
+    def test_malformed_table_rejected(self, template, tmp_path, edit, message):
+        path = tmp_path / "body.mesh"
+        mesh.write_template(template, path)
+        tensors = read_tensor_file(path, mesh.MESH_MAGIC)
+        edit(tensors)
+        write_tensor_file(path, mesh.MESH_MAGIC, tensors)
+        with pytest.raises(DataError, match=message):
             mesh.read_template(path)
 
 

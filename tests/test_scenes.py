@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from meshcontact import mesh, scenes
+from meshcontact.backbone import BackboneConfig
 from meshcontact.errors import ConfigError, ContractError, DataError, NumericsError
+from meshcontact.tensorio import read_tensor_file, write_tensor_file
 
 # SHA-256 of the write_sample bytes of generate_dataset(SceneConfig(), the
 # rng_seed=7 template, 32, seed=2024), recorded from the per-triangle
@@ -287,6 +289,38 @@ class TestDatasetIO:
         with pytest.raises(DataError, match="manifest says 2"):
             scenes.read_dataset(tmp_path / "ds")
 
+    @pytest.mark.parametrize("manifest", ["format=GCSET1\nconfig_hash=x\n",
+                                          "format=GCSET1\nconfig_hash=x\ncount=x\n"])
+    def test_manifest_without_integer_count(self, config, template, tmp_path, manifest):
+        samples = scenes.generate_dataset(config, template, 1, seed=12)
+        scenes.write_dataset(samples, tmp_path / "ds", config_hash="x")
+        (tmp_path / "ds" / scenes.MANIFEST_NAME).write_text(manifest)
+        with pytest.raises(DataError, match="count"):
+            scenes.read_dataset(tmp_path / "ds")
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda t: t.update({k: np.zeros(2) for k in t}), "'image' is float64 of shape"),
+        (lambda t: t.update(image=t["image"][0]), "'image'"),
+        (lambda t: t.update(sem_mask=t["sem_mask"][:, 1:]), "'sem_mask'"),
+        (lambda t: t.update(bp_mask=t["bp_mask"].astype(np.float64)), "'bp_mask' is float64"),
+        (lambda t: t.update(gt_contacts=t["gt_contacts"][1:]), "'gt_contacts'"),
+        (lambda t: t.update(gt_contacts=t["gt_contacts"].astype(np.int32)), "'gt_contacts'"),
+        (lambda t: t.update(bp_grid=t["bp_grid"][1:]), "'bp_grid'"),
+        (lambda t: t.update(pose=t["pose"][None]), "'pose'"),
+        (lambda t: t.update(boxes=np.zeros((1, 5))), "'boxes'"),
+        (lambda t: t.pop("pose"), "expected tensors"),
+    ], ids=["all_float_pairs", "image_rank", "mask_extent", "float_mask", "contacts_extent",
+            "int_contacts", "grid_extent", "pose_rank", "box_width", "missing"])
+    def test_malformed_sample_rejected(self, config, template, tmp_path, edit, message):
+        path = tmp_path / "sample.bin"
+        scenes.write_sample(scenes.generate_sample(config, template, np.random.default_rng(0)),
+                            path)
+        tensors = read_tensor_file(path, scenes.SAMPLE_MAGIC)
+        edit(tensors)
+        write_tensor_file(path, scenes.SAMPLE_MAGIC, tensors)
+        with pytest.raises(DataError, match=message):
+            scenes.read_sample(path)
+
     def test_hash_mismatch_when_strict(self, config, template, tmp_path):
         samples = scenes.generate_dataset(config, template, 1, seed=13)
         scenes.write_dataset(samples, tmp_path / "ds", config_hash="right")
@@ -363,7 +397,7 @@ class TestRasterizer:
         assert_renders_match(vertices, template, boxes, config)
 
     def test_triangle_larger_than_a_chunk(self, template):
-        big = scenes.SceneConfig(image_size=128)
+        big = scenes.SceneConfig(backbone=BackboneConfig(image_size=128))
         assert 128 * 128 > scenes._CHUNK_PIXELS  # the ground plane forms a chunk alone
         s = scenes.generate_sample(big, template, np.random.default_rng([2, 0]))
         assert_renders_match(s.gt_vertices, template, s.boxes, big)

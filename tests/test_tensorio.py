@@ -63,6 +63,13 @@ class TestMalformedTable:
             read_tensor_table(blob)
         assert "offset" in str(info.value)
 
+    @pytest.mark.parametrize("values", [[2**40 + 5, -2**33], [2**31], [-2**31 - 1]])
+    def test_int_out_of_range_rejected(self, values):
+        with pytest.raises(DataError, match="'x'.*int32 range"):
+            table_bytes({"x": np.array(values, dtype=np.int64)})
+        edges = np.array([-2**31, 2**31 - 1], dtype=np.int64)  # the int32 range itself
+        assert np.array_equal(read_tensor_table(table_bytes({"x": edges}))[0]["x"], edges)
+
     def test_round_trip(self):
         tensors = {
             "f": np.arange(6.0).reshape(2, 3),
@@ -102,22 +109,31 @@ class TestFuzzedTables:
             pass
 
 
-@pytest.fixture(scope="module")
-def sample_blob(tmp_path_factory):
-    template = mesh.build_template(mesh.MeshConfig(), rng_seed=7)
-    s = scenes.generate_sample(scenes.SceneConfig(), template, np.random.default_rng([1, 0]))
-    path = tmp_path_factory.mktemp("blob") / "sample.bin"
-    scenes.write_sample(s, path)
+# (write, read, magic, object to write from the template) per file format.
+_FORMATS = {
+    "sample": (scenes.write_sample, scenes.read_sample, scenes.SAMPLE_MAGIC,
+               lambda template: scenes.generate_sample(scenes.SceneConfig(), template,
+                                                       np.random.default_rng([1, 0]))),
+    "template": (mesh.write_template, mesh.read_template, mesh.MESH_MAGIC,
+                 lambda template: template),
+}
+
+
+@pytest.fixture(scope="module", params=list(_FORMATS))
+def file_blob(request, tmp_path_factory):
+    write, read, magic, make = _FORMATS[request.param]
+    path = tmp_path_factory.mktemp("blob") / f"{request.param}.bin"
+    write(make(mesh.build_template(mesh.MeshConfig(), rng_seed=7)), path)
     blob = path.read_bytes()
-    return path, blob, header_offsets(blob, len(scenes.SAMPLE_MAGIC))
+    return read, path, blob, header_offsets(blob, len(magic))
 
 
 class TestFuzzedSamples:
     @settings(max_examples=200, deadline=None)
     @given(cut=st.integers(0, 2**20), flips=_flips, in_header=st.booleans(),
            truncate=st.booleans())
-    def test_only_data_error_escapes(self, sample_blob, cut, flips, in_header, truncate):
-        path, blob, headers = sample_blob
+    def test_only_data_error_escapes(self, file_blob, cut, flips, in_header, truncate):
+        read, path, blob, headers = file_blob
         if truncate:
             bad = blob[: cut % len(blob)]
         elif in_header:
@@ -126,6 +142,6 @@ class TestFuzzedSamples:
             bad = flip(blob, flips)
         path.write_bytes(bad)
         try:
-            scenes.read_sample(path)
+            read(path)
         except DataError:
             pass
