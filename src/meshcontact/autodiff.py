@@ -108,14 +108,13 @@ def tape_scope():
 class Tensor:
     """A dense n-dimensional float64 array, optionally tracked for gradients."""
 
-    __slots__ = ("data", "requires_grad", "node_id", "name", "grad", "_tape")
+    __slots__ = ("data", "requires_grad", "node_id", "name", "_tape")
 
     def __init__(self, data, requires_grad=False, name=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
         self.node_id = None
         self.name = name
-        self.grad = None
         self._tape = None
 
     @property
@@ -134,9 +133,6 @@ class Tensor:
         if self.data.size != 1:
             raise ContractError(f"item() on non-scalar tensor of shape {self.shape}")
         return float(self.data.reshape(-1)[0])
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
 
     def __repr__(self):
         tag = f", name={self.name!r}" if self.name else ""
@@ -565,8 +561,7 @@ def backward(loss: Tensor, params: dict | None = None) -> dict:
     """Reverse the active tape from `loss`, returning leaf gradients by name.
 
     Gradients accumulate by summation over fan-out paths.  Leaves listed in
-    `params` but untouched by the loss get explicit zero gradients.  Every
-    requires_grad leaf tensor also receives its gradient on `.grad`.
+    `params` but untouched by the loss get explicit zero gradients.
     """
     tape = active_tape()
     if tape is None:
@@ -592,15 +587,13 @@ def backward(loss: Tensor, params: dict | None = None) -> dict:
 
     out: dict[str, Tensor] = {}
     for nid, leaf in tape.leaves.items():
-        g = grads.get(nid)
-        leaf.grad = Tensor(g if g is not None else np.zeros_like(leaf.data))
         if leaf.name is not None:
-            out[leaf.name] = leaf.grad
+            g = grads.get(nid)
+            out[leaf.name] = Tensor(g if g is not None else np.zeros_like(leaf.data))
     if params:
         for name, p in params.items():
             if name not in out:
-                p.grad = Tensor(np.zeros_like(p.data))
-                out[name] = p.grad
+                out[name] = Tensor(np.zeros_like(p.data))
     return out
 
 

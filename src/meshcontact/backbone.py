@@ -73,18 +73,11 @@ class TokenLayout:
     def vertex_start(self) -> int:
         return self.n_image + self.n_joint
 
-    @property
-    def joint_start(self) -> int:
-        return self.n_image
-
 
 @dataclass
 class TokenSequence:
     tokens: Tensor  # (total, token_dim)
     layout: TokenLayout
-
-    def vertex_tokens(self) -> Tensor:
-        return ad.narrow(self.tokens, 0, self.layout.vertex_start, self.layout.n_vertex)
 
 
 def init_backbone_params(config: BackboneConfig, template: MeshTemplate, rng) -> dict:

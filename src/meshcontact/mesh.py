@@ -8,15 +8,15 @@ ring, provides the low-resolution vertex set the model regresses; a fixed
 convex-weight matrix lifts coarse vertices back to the full mesh.
 
 Units are centimeters throughout.  Edge lengths are quantized to 2^-20 cm
-at construction so that shortest-path sums are exact in double precision
-(any summation order yields the identical float), which keeps graph
-distance comparisons against all-pairs oracles exact.
+at construction, so they are dyadic and every shortest-path sum is exact in
+double precision (any summation order yields the identical float).  That
+keeps the geodesics, which come from scipy's Dijkstra over the edge graph,
+bit-identical to any all-pairs oracle.
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -82,7 +82,6 @@ class MeshTemplate:
     segment_ids: np.ndarray  # (v_full,) int32, body segment per vertex
     rest_pivots: np.ndarray  # (joints, 3) chain pivot points in rest pose
     upsample_residual: float  # max |U @ coarse_rest - rest| recorded at build
-    _adjacency: list | None = field(default=None, repr=False)
 
     @property
     def v_full(self) -> int:
@@ -95,16 +94,6 @@ class MeshTemplate:
     @property
     def n_joints(self) -> int:
         return self.joint_regressor.shape[0]
-
-    def neighbor_lists(self):
-        """Per-vertex [(neighbor, edge length)] lists, built once."""
-        if self._adjacency is None:
-            adj = [[] for _ in range(self.v_full)]
-            for (u, v), w in zip(self.edges, self.edge_lengths):
-                adj[u].append((int(v), float(w)))
-                adj[v].append((int(u), float(w)))
-            self._adjacency = adj
-        return self._adjacency
 
 
 def _ring_profile(config: MeshConfig, rng: np.random.Generator):
@@ -166,15 +155,10 @@ def _chain_mesh(heights, radii, ring_size):
     return verts, np.asarray(faces, dtype=np.int32)
 
 
-def _edges_from_faces(faces, vertices):
-    pairs = set()
-    for a, b, c in faces:
-        for u, v in ((a, b), (b, c), (a, c)):
-            pairs.add((min(u, v), max(u, v)))
-    edges = np.asarray(sorted(pairs), dtype=np.int32)
-    lengths = np.linalg.norm(vertices[edges[:, 0]] - vertices[edges[:, 1]], axis=1)
-    lengths = np.round(lengths / _LENGTH_QUANTUM) * _LENGTH_QUANTUM
-    return edges, lengths
+def _face_edges(faces) -> np.ndarray:
+    """Sorted unique int32 (u, v) pairs of the faces' sides, u < v for nondegenerate faces."""
+    pairs = np.sort(faces[:, [0, 1, 1, 2, 0, 2]].reshape(-1, 2), axis=1)
+    return np.unique(pairs, axis=0).astype(np.int32)
 
 
 def _nearest_interp_matrix(targets, anchors, k=4):
@@ -191,23 +175,6 @@ def _nearest_interp_matrix(targets, anchors, k=4):
     return mat
 
 
-def _check_connected(n_vertices, edges):
-    seen = np.zeros(n_vertices, dtype=bool)
-    adj = [[] for _ in range(n_vertices)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                stack.append(v)
-    return bool(seen.all())
-
-
 def build_template(config: MeshConfig, rng_seed: int) -> MeshTemplate:
     """Deterministically build the capsule-chain template for (config, seed)."""
     config.validate()
@@ -220,9 +187,9 @@ def build_template(config: MeshConfig, rng_seed: int) -> MeshTemplate:
         heights[::stride], radii[::stride], config.ring_size
     )
 
-    edges, edge_lengths = _edges_from_faces(faces, verts)
-    if not _check_connected(verts.shape[0], edges):
-        raise ConfigError("template construction produced a disconnected edge graph")
+    edges = _face_edges(faces)
+    edge_lengths = np.linalg.norm(verts[edges[:, 0]] - verts[edges[:, 1]], axis=1)
+    edge_lengths = np.round(edge_lengths / _LENGTH_QUANTUM) * _LENGTH_QUANTUM
 
     upsample = _nearest_interp_matrix(verts, coarse_verts)
     residual = float(np.abs(upsample @ coarse_verts - verts).max())
@@ -295,22 +262,14 @@ def geodesic_distances(template: MeshTemplate, sources) -> Tensor:
     for s in sources:
         if not 0 <= s < n:
             raise ContractError(f"source vertex {s} outside [0, {n})")
-    adj = template.neighbor_lists()
-    dist = np.full(n, np.inf)
-    heap = []
-    for s in sources:
-        dist[s] = 0.0
-        heapq.heappush(heap, (0.0, s))
-    while heap:
-        d, u = heapq.heappop(heap)
-        if d > dist[u]:
-            continue
-        for v, w in adj[u]:
-            nd = d + w
-            if nd < dist[v]:
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-    return Tensor(dist)
+    # Imported here, not at module level: importing scipy.sparse.csgraph adds ~10 MB
+    # of resident memory, which every process that never asks for a geodesic would pay.
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra
+
+    u, v = template.edges.T
+    graph = csr_matrix((template.edge_lengths, (u, v)), shape=(n, n))
+    return Tensor(dijkstra(graph, directed=False, indices=sources, min_only=True))
 
 
 # ---------------------------------------------------------------------------
@@ -359,12 +318,9 @@ def pose_vertices(template: MeshTemplate, pose_params) -> np.ndarray:
 
 def coarse_adjacency(template: MeshTemplate) -> np.ndarray:
     """Row-normalized coarse-mesh adjacency with self-loops, rows sum to 1."""
-    n = template.v_coarse
-    a = np.eye(n)
-    for f in template.coarse_faces:
-        for u, v in ((f[0], f[1]), (f[1], f[2]), (f[0], f[2])):
-            a[u, v] = 1.0
-            a[v, u] = 1.0
+    a = np.eye(template.v_coarse)
+    u, v = _face_edges(template.coarse_faces).T
+    a[u, v] = a[v, u] = 1.0
     return a / a.sum(axis=1, keepdims=True)
 
 

@@ -446,8 +446,12 @@ def read_manifest(path) -> dict:
     manifest = Path(path) / MANIFEST_NAME
     if not manifest.exists():
         raise DataError(f"no {MANIFEST_NAME} in {path}")
+    try:
+        text = manifest.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{manifest}: not valid utf-8: {exc}") from exc
     out = {}
-    for line in manifest.read_text().splitlines():
+    for line in text.splitlines():
         if line.strip():
             key, _, value = line.partition("=")
             out[key] = value

@@ -9,6 +9,7 @@ table parse errors.
 
 from __future__ import annotations
 
+import io
 import math
 import struct
 from pathlib import Path
@@ -97,9 +98,11 @@ def read_tensor_table(buf: bytes, offset: int = 0) -> tuple[dict, int]:
 
 
 def write_tensor_file(path, magic: bytes, tensors: dict):
-    with open(path, "wb") as fh:
-        fh.write(magic)
-        write_tensor_table(fh, tensors)
+    """Write `magic` and the table; a table that fails to serialize leaves `path` as it was."""
+    buf = io.BytesIO()
+    buf.write(magic)
+    write_tensor_table(buf, tensors)
+    Path(path).write_bytes(buf.getvalue())
 
 
 def read_tensor_file(path, magic: bytes) -> dict:

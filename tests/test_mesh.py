@@ -1,4 +1,10 @@
 import collections
+import dataclasses
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +36,17 @@ def bfs_reachable(n, edges):
     return len(seen) == n
 
 
+def coarse_adjacency_loop(template):
+    """Per-face loop oracle for `mesh.coarse_adjacency`."""
+    n = template.v_coarse
+    a = np.eye(n)
+    for f in template.coarse_faces:
+        for u, v in ((f[0], f[1]), (f[1], f[2]), (f[0], f[2])):
+            a[u, v] = 1.0
+            a[v, u] = 1.0
+    return a / a.sum(axis=1, keepdims=True)
+
+
 def floyd_warshall(n, edges, lengths):
     d = np.full((n, n), np.inf)
     np.fill_diagonal(d, 0.0)
@@ -58,8 +75,13 @@ class TestBuildTemplate:
         assert np.abs(template.upsample_matrix.sum(axis=1) - 1.0).max() <= 1e-9
         assert np.abs(template.joint_regressor.sum(axis=1) - 1.0).max() <= 1e-9
 
-    def test_connected_by_bfs_oracle(self, template):
-        assert bfs_reachable(template.v_full, template.edges)
+    @pytest.mark.parametrize("extents", [None, (26, 8, 4, 3), (10, 6, 2, 1), (98, 50, 4, 6)],
+                             ids=["default", "26-8-4-3", "10-6-2-1", "98-50-4-6"])
+    def test_connected_by_bfs_oracle(self, extents):
+        fields = ("v_full", "v_coarse", "joints", "ring_size")
+        config = mesh.MeshConfig(**dict(zip(fields, extents or ())))
+        built = mesh.build_template(config, rng_seed=7)
+        assert bfs_reachable(built.v_full, built.edges)
 
     def test_no_degenerate_faces(self, template):
         v = template.rest_vertices
@@ -149,6 +171,12 @@ class TestGeodesics:
         d = mesh.geodesic_distances(tiny, [0])
         assert np.array_equal(d.data, [0.0, 1.0, 2.0])
 
+    def test_zero_length_edge(self):
+        tiny = _path_template(4)
+        tiny.edge_lengths[1] = 0.0
+        assert np.array_equal(mesh.geodesic_distances(tiny, [0]).data, [0.0, 1.0, 1.0, 2.0])
+        assert np.array_equal(mesh.geodesic_distances(tiny, [2]).data, [1.0, 0.0, 0.0, 1.0])
+
     def test_empty_sources(self, template):
         with pytest.raises(ContractError):
             mesh.geodesic_distances(template, [])
@@ -195,6 +223,9 @@ class TestCoarseAdjacency:
         a = mesh.coarse_adjacency(template)
         assert np.array_equal(a > 0, (a > 0).T)
 
+    def test_matches_face_loop_oracle(self, template):
+        assert np.array_equal(mesh.coarse_adjacency(template), coarse_adjacency_loop(template))
+
 
 class TestSerialization:
     def test_round_trip_bit_exact(self, template, tmp_path):
@@ -214,6 +245,20 @@ class TestSerialization:
         assert back.upsample_residual == template.upsample_residual
         assert back.config == template.config
         assert back.seed == template.seed
+
+    def test_default_template_bytes_pinned(self, template, tmp_path):
+        path = tmp_path / "body.mesh"
+        mesh.write_template(template, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "0078fd4cf5f176db9f1302be3fac4aeb6e8080ec336da0ee77ac237ab2487c86")
+
+    def test_failed_write_keeps_the_old_file(self, template, tmp_path):
+        path = tmp_path / "body.mesh"
+        mesh.write_template(template, path)
+        good = path.read_bytes()
+        with pytest.raises(DataError, match="'seed'.*int32 range"):
+            mesh.write_template(dataclasses.replace(template, seed=2**31), path)
+        assert path.read_bytes() == good
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.mesh"
@@ -241,6 +286,27 @@ class TestSerialization:
         write_tensor_file(path, mesh.MESH_MAGIC, tensors)
         with pytest.raises(DataError, match=message):
             mesh.read_template(path)
+
+
+def test_package_does_not_load_csgraph():
+    """Geodesics import scipy.sparse.csgraph lazily: loading it adds ~10 MB of resident memory."""
+    script = """
+import importlib, pkgutil, sys
+import numpy as np
+import meshcontact
+from meshcontact import mesh, scenes
+for info in pkgutil.iter_modules(meshcontact.__path__):
+    importlib.import_module("meshcontact." + info.name)
+template = mesh.build_template(mesh.MeshConfig(), rng_seed=7)
+scenes.generate_sample(scenes.SceneConfig(), template, np.random.default_rng(0))
+print("scipy.sparse.csgraph" in sys.modules)
+"""
+    src = str(Path(mesh.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 def _path_template(n):

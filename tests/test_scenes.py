@@ -298,6 +298,13 @@ class TestDatasetIO:
         with pytest.raises(DataError, match="count"):
             scenes.read_dataset(tmp_path / "ds")
 
+    def test_manifest_not_utf8(self, config, template, tmp_path):
+        samples = scenes.generate_dataset(config, template, 1, seed=12)
+        scenes.write_dataset(samples, tmp_path / "ds", config_hash="x")
+        (tmp_path / "ds" / scenes.MANIFEST_NAME).write_bytes(b"format=GCSET1\n\xff\xfe\n")
+        with pytest.raises(DataError, match="utf-8"):
+            scenes.read_dataset(tmp_path / "ds")
+
     @pytest.mark.parametrize("edit, message", [
         (lambda t: t.update({k: np.zeros(2) for k in t}), "'image' is float64 of shape"),
         (lambda t: t.update(image=t["image"][0]), "'image'"),
