@@ -138,38 +138,6 @@ class Tensor:
         tag = f", name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}{tag})"
 
-    # Operator sugar; constants are wrapped as non-grad tensors.
-    def __add__(self, other):
-        return add(self, _wrap(other))
-
-    def __radd__(self, other):
-        return add(_wrap(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _wrap(other))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _wrap(other))
-
-    def __rmul__(self, other):
-        return mul(_wrap(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _wrap(other))
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, _wrap(other))
-
-
-def _wrap(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
 
 def _emit(op, inputs, out_data, backward_fn) -> Tensor:
     """Build the output tensor and record a tape entry when gradients flow."""
@@ -300,7 +268,7 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 
 def concat(tensors, axis=0) -> Tensor:
-    tensors = [_wrap(t) for t in tensors]
+    tensors = list(tensors)
     if not tensors:
         raise ContractError("concat of an empty tensor list")
     sizes = [t.shape[axis] for t in tensors]
@@ -337,6 +305,9 @@ def gather_rows(a: Tensor, indices) -> Tensor:
     idx = np.asarray(indices, dtype=np.int64)
     if a.ndim != 2 or idx.shape != (a.shape[0],):
         raise ShapeError(f"gather_rows needs [n x c] and n indices, got {a.shape}, {idx.shape}")
+    bad = (idx < 0) | (idx >= a.shape[1])
+    if bad.any():
+        raise ShapeError(f"gather_rows indices {np.unique(idx[bad])} outside [0, {a.shape[1]})")
     rows = np.arange(a.shape[0])
     shape = a.shape
 
@@ -508,8 +479,8 @@ def hard_threshold(x: Tensor, tau: float) -> Tensor:
 # convolution
 
 
-def conv2d(x: Tensor, w: Tensor, b=None, stride: int = 1) -> Tensor:
-    """Strided valid 2-D convolution of x [C,H,W] with w [O,C,kh,kw]."""
+def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
+    """Strided valid 2-D convolution of x [C,H,W] with w [O,C,kh,kw] plus bias b [O]."""
     if x.ndim != 3 or w.ndim != 4:
         raise ShapeError(f"conv2d needs x [C,H,W] and w [O,C,kh,kw], got {x.shape}, {w.shape}")
     c, h, wid = x.shape
@@ -527,11 +498,7 @@ def conv2d(x: Tensor, w: Tensor, b=None, stride: int = 1) -> Tensor:
     win = win[:, ::stride, ::stride]  # (C, ho, wo, kh, kw)
     cols = win.transpose(1, 2, 0, 3, 4).reshape(ho * wo, c * kh * kw)
     wflat = w.data.reshape(o, c * kh * kw)
-    out = cols @ wflat.T
-    if b is not None:
-        out = out + b.data
-    out = out.T.reshape(o, ho, wo)
-    inputs = (x, w) if b is None else (x, w, b)
+    out = (cols @ wflat.T + b.data).T.reshape(o, ho, wo)
 
     def bwd(g):
         gflat = g.reshape(o, ho * wo).T  # (ho*wo, O)
@@ -545,12 +512,10 @@ def conv2d(x: Tensor, w: Tensor, b=None, stride: int = 1) -> Tensor:
                     gx[:, di : di + stride * ho : stride, dj : dj + stride * wo : stride] += (
                         dcols[:, :, :, di, dj].transpose(2, 0, 1)
                     )
-        if b is None:
-            return (gx, gw)
         gb = g.sum(axis=(1, 2)) if b.requires_grad else None
         return (gx, gw, gb)
 
-    return _emit("conv2d", inputs, out, bwd)
+    return _emit("conv2d", (x, w, b), out, bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ Each block applies, in order: layer norm, multi-head self-attention with a
 residual connection, a graph-convolution residual over the mesh adjacency,
 a second layer norm, and an MLP with a residual connection.  Two
 independently initialized encoder stacks consume the same token sequence;
-their vertex-token outputs are fused with a fixed scalar weighting.
+their vertex-token outputs are fused with the fixed weights FUSION_WEIGHTS.
 """
 
 from __future__ import annotations
@@ -19,6 +19,9 @@ from .backbone import TokenLayout, TokenSequence
 from .errors import ConfigError, ContractError, ShapeError
 from .mesh import MeshTemplate, coarse_adjacency
 
+# The paper's fixed fusion of the two encoders' vertex tokens: 1.0 * m_a + 0.1 * m_b.
+FUSION_WEIGHTS = (1.0, 0.1)
+
 
 @dataclass(frozen=True)
 class EncoderConfig:
@@ -26,7 +29,6 @@ class EncoderConfig:
     heads: int = 4
     depth: int = 2
     mlp_hidden: int = 128
-    fusion_weights: tuple = (1.0, 0.1)
 
     def validate(self):
         if self.depth < 1:
@@ -132,7 +134,7 @@ def dual_encode(sequence: TokenSequence, adjacency: np.ndarray, params: dict,
     """Run both encoder stacks and fuse their vertex tokens.
 
     Returns (fused, m_a, m_b): the fixed-weight combination
-    fusion_weights[0]*m_a + fusion_weights[1]*m_b plus the individual
+    FUSION_WEIGHTS[0]*m_a + FUSION_WEIGHTS[1]*m_b plus the individual
     per-encoder vertex features, which the per-encoder losses consume.
     """
     layout = sequence.layout
@@ -144,6 +146,6 @@ def dual_encode(sequence: TokenSequence, adjacency: np.ndarray, params: dict,
     out_b = run_encoder(sequence.tokens, adjacency, params, "enc_b", config)
     m_a = ad.narrow(out_a, 0, layout.vertex_start, layout.n_vertex)
     m_b = ad.narrow(out_b, 0, layout.vertex_start, layout.n_vertex)
-    wa, wb = config.fusion_weights
+    wa, wb = FUSION_WEIGHTS
     fused = ad.add(ad.mul(Tensor(wa), m_a), ad.mul(Tensor(wb), m_b))
     return fused, m_a, m_b

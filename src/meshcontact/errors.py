@@ -35,7 +35,3 @@ class EvaluationError(NumericsError):
 
 class NonDifferentiableOpError(MeshContactError):
     """Backward pass reached an op with no defined gradient (e.g. hard thresholding)."""
-
-
-class AlignmentError(MeshContactError):
-    """Degenerate point sets make a similarity alignment ill-posed."""

@@ -9,7 +9,7 @@ classify the feature grid into scene-semantic and body-part classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -45,15 +45,6 @@ class LossBreakdown:
     l_sem: Tensor
     l_bp: Tensor
 
-    def components(self):
-        return {
-            "L_m": self.l_mesh,
-            "L_cls_A": self.l_cls_a,
-            "L_cls_B": self.l_cls_b,
-            "L_sem": self.l_sem,
-            "L_bp": self.l_bp,
-        }
-
 
 def init_head_params(token_dim: int, c_sem: int, c_bp: int, rng) -> dict:
     if c_sem < 2 or c_bp < 2:
@@ -80,9 +71,7 @@ def contact_head(features: Tensor, template: mesh.MeshTemplate, params: dict,
     """
     coarse_logits = ad.add(ad.matmul(features, params["heads.contact.w"]),
                            params["heads.contact.b"])
-    full_logits = ad.reshape(
-        ad.matmul(Tensor(template.upsample_matrix), coarse_logits), (template.v_full,)
-    )
+    full_logits = ad.reshape(mesh.upsample(coarse_logits, template), (template.v_full,))
     probs = ad.clip(ad.sigmoid(full_logits), PROB_CLAMP, 1.0 - PROB_CLAMP)
     return ContactPrediction(probs=probs, source=source, logits=full_logits)
 
@@ -132,21 +121,16 @@ def loss_segmentation(logits: Tensor, gt_mask) -> Tensor:
 
 
 def aggregate_losses(breakdown: LossBreakdown, weights: LossWeights) -> Tensor:
-    """Weighted sum of the five loss terms."""
-    terms = [
-        (weights.mesh, breakdown.l_mesh),
-        (weights.cls_a, breakdown.l_cls_a),
-        (weights.cls_b, breakdown.l_cls_b),
-        (weights.sem, breakdown.l_sem),
-        (weights.bp, breakdown.l_bp),
-    ]
+    """Weighted sum of the five loss terms, paired by field order of the two dataclasses."""
     total = None
-    for name, (w, term) in zip(breakdown.components(), terms):
+    for w_field, l_field in zip(fields(weights), fields(breakdown), strict=True):
+        name = l_field.name
+        term = getattr(breakdown, name)
         v = term.item()
         if not np.isfinite(v):
             raise NumericsError(f"loss component {name} is not finite: {v}")
         if v < 0:
             raise ContractError(f"loss component {name} is negative: {v}")
-        piece = ad.mul(Tensor(w), term)
+        piece = ad.mul(Tensor(getattr(weights, w_field.name)), term)
         total = piece if total is None else ad.add(total, piece)
     return total

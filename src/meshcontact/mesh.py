@@ -43,8 +43,8 @@ class MeshConfig:
     def validate(self):
         if self.joints < 2:
             raise ConfigError(f"need at least 2 joints, got {self.joints}")
-        if self.ring_size < 1 or self.coarse_rings < 1:
-            raise ConfigError(f"need ring_size >= 1 and a coarse ring, got {self}")
+        if self.ring_size < 3 or self.coarse_rings < 1:
+            raise ConfigError(f"need ring_size >= 3 and a coarse ring, got {self}")
         if self.v_coarse >= self.v_full:
             raise ConfigError(f"v_coarse {self.v_coarse} must be < v_full {self.v_full}")
         for name, v in (("v_full", self.v_full), ("v_coarse", self.v_coarse)):
@@ -231,13 +231,11 @@ def build_template(config: MeshConfig, rng_seed: int) -> MeshTemplate:
 # differentiable linear operators
 
 
-def upsample(coarse_vertices: Tensor, template: MeshTemplate) -> Tensor:
-    """Lift coarse vertices to the full mesh via the fixed convex-weight matrix."""
-    if coarse_vertices.shape != (template.v_coarse, 3):
-        raise ShapeError(
-            f"upsample expects {(template.v_coarse, 3)}, got {coarse_vertices.shape}"
-        )
-    return ad.matmul(Tensor(template.upsample_matrix), coarse_vertices)
+def upsample(coarse: Tensor, template: MeshTemplate) -> Tensor:
+    """Lift per-coarse-vertex rows (v_coarse, k) to the full mesh via the fixed convex weights."""
+    if coarse.ndim != 2 or coarse.shape[0] != template.v_coarse:
+        raise ShapeError(f"upsample expects ({template.v_coarse}, k), got {coarse.shape}")
+    return ad.matmul(Tensor(template.upsample_matrix), coarse)
 
 
 def regress_joints(full_vertices: Tensor, template: MeshTemplate) -> Tensor:
@@ -366,4 +364,13 @@ def read_template(path) -> MeshTemplate:
         raise DataError(f"{path}: invalid template config: {exc}") from exc
     if any(extents[name] != getattr(config, name) for name in ("v_full", "v_coarse", "joints")):
         raise DataError(f"{path}: array extents {extents} do not follow from {config}")
+    for name, end in (("faces", config.v_full), ("coarse_faces", config.v_coarse),
+                      ("segment_ids", config.joints)):
+        if ((values[name] < 0) | (values[name] >= end)).any():
+            raise DataError(f"{path}: {name!r} has entries outside [0, {end})")
+    if not np.array_equal(values["edges"], _face_edges(values["faces"])):
+        raise DataError(f"{path}: 'edges' are not the sorted unique sides of 'faces'")
+    lengths = values["edge_lengths"]
+    if not (np.isfinite(lengths).all() and (lengths >= 0).all()):
+        raise DataError(f"{path}: 'edge_lengths' has negative or non-finite entries")
     return MeshTemplate(config=config, **values)

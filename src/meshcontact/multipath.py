@@ -2,12 +2,13 @@
 
 During training the input is expanded into N inference paths: the first is
 always the unperturbed forward pass, the rest apply spatial dropout,
-additive embedding noise, and token masking, in that fixed order.  All
-paths share the same model parameters.  A routing module then fuses the
-per-path vertex features:each path gets a per-vertex attention score from a
-learned projection, scores are softmaxed across paths, and the fused
-feature is the score-weighted sum.  Inference always runs a single path,
-for which the routing is exactly the identity.
+additive embedding noise, and token masking (which zeroes a fixed fraction
+of the tokens), in that fixed order.  All paths share the same model
+parameters.  A routing module then fuses the per-path vertex features: each
+path gets a per-vertex attention score from a learned projection, scores
+are softmaxed across paths, and the fused feature is the score-weighted sum.
+Inference always runs a single path, for which the routing is exactly the
+identity.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ class PathConfig:
     dropout_rate: float = 0.1
     noise_sigma: float = 0.05
     mask_ratio: float = 0.15
-    mask_value: float = 0.0
 
     def validate(self):
         if not 1 <= self.n_paths <= len(PATH_KINDS):
@@ -62,10 +62,7 @@ def perturb(features: Tensor, kind: str, config: PathConfig, rng) -> Tensor:
         keep = np.ones(t)
         if n_mask:
             keep[rng.choice(t, size=n_mask, replace=False)] = 0.0
-        keep = keep[:, None]
-        return ad.add(
-            ad.mul(features, Tensor(keep)), Tensor((1.0 - keep) * config.mask_value)
-        )
+        return ad.mul(features, Tensor(keep[:, None]))
     raise ConfigError(f"unknown perturbation kind {kind!r}")
 
 
@@ -85,15 +82,11 @@ def make_paths(features: Tensor, config: PathConfig, rng, forward) -> list:
 
 @dataclass
 class RoutingParams:
-    """Score projection for path routing: w^T . phi(feature).
-
-    phi is a linear map followed by GELU when weights are present, the
-    identity otherwise (tests exercise the bare scoring rule that way).
-    """
+    """Score projection for path routing: w^T . phi(feature), phi(m) = GELU(m W + b)."""
 
     w: Tensor
-    phi_weight: Tensor | None = None
-    phi_bias: Tensor | None = None
+    phi_weight: Tensor
+    phi_bias: Tensor
 
     def validate(self):
         if self.w.size < 1:
@@ -117,12 +110,7 @@ def fuse_paths(paths: list, params: RoutingParams):
     w_col = ad.reshape(params.w, (params.w.size, 1))
     cols = []
     for p in paths:
-        phi = p
-        if params.phi_weight is not None:
-            phi = ad.matmul(phi, params.phi_weight)
-            if params.phi_bias is not None:
-                phi = ad.add(phi, params.phi_bias)
-            phi = ad.gelu(phi)
+        phi = ad.gelu(ad.add(ad.matmul(p, params.phi_weight), params.phi_bias))
         cols.append(ad.matmul(phi, w_col))
     alpha = ad.softmax(ad.concat(cols, axis=1), axis=1)
     fused = weighted_path_sum(paths, alpha)

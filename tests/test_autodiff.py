@@ -369,4 +369,5 @@ class TestConv2d:
 
     def test_stride_mismatch(self):
         with pytest.raises(ShapeError):
-            ad.conv2d(ad.Tensor(np.zeros((1, 5, 5))), ad.Tensor(np.zeros((1, 1, 2, 2))), stride=2)
+            ad.conv2d(ad.Tensor(np.zeros((1, 5, 5))), ad.Tensor(np.zeros((1, 1, 2, 2))),
+                      ad.Tensor(np.zeros(1)), stride=2)

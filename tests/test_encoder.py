@@ -163,7 +163,7 @@ class TestDualEncode:
         assert np.abs(fused.data - 1.1).max() <= 1e-12
 
     def test_paper_fusion_weights_default(self):
-        assert encoder.EncoderConfig().fusion_weights == (1.0, 0.1)
+        assert encoder.FUSION_WEIGHTS == (1.0, 0.1)
 
     def test_adjacency_layout_mismatch(self):
         rng = np.random.default_rng(10)

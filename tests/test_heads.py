@@ -5,7 +5,7 @@ import pytest
 
 from meshcontact import autodiff as ad
 from meshcontact import heads, mesh
-from meshcontact.errors import ConfigError, ContractError, NumericsError
+from meshcontact.errors import ConfigError, ContractError, NumericsError, ShapeError
 
 
 @pytest.fixture(scope="module")
@@ -149,6 +149,13 @@ class TestLosses:
         expected = -logp[np.arange(8), labels].mean()
         got = heads.loss_segmentation(ad.Tensor(logits), labels).item()
         assert got == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("label", [-1, 3])
+    def test_segmentation_label_outside_classes_rejected(self, label):
+        # Without the check numpy indexing scores -1 as the last class.
+        logits = ad.Tensor(np.random.default_rng(21).normal(size=(2, 3)))
+        with pytest.raises(ShapeError, match="outside \\[0, 3\\)"):
+            heads.loss_segmentation(logits, [0, label])
 
 
 class TestAggregate:

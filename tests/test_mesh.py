@@ -58,6 +58,25 @@ def floyd_warshall(n, edges, lengths):
     return d
 
 
+def set_entry(name, index, value):
+    """A table edit that replaces one entry of tensor `name` in a copy."""
+    def edit(tensors):
+        array = tensors[name].copy()
+        array[index] = value
+        tensors[name] = array
+    return edit
+
+
+# (v_full, v_coarse, joints, ring_size) of valid configs; None is the default config.
+VALID_EXTENTS = [None, (26, 8, 4, 3), (98, 50, 4, 6)]
+VALID_IDS = ["default", "26-8-4-3", "98-50-4-6"]
+
+
+def build(extents):
+    names = ("v_full", "v_coarse", "joints", "ring_size")
+    return mesh.build_template(mesh.MeshConfig(**dict(zip(names, extents or ()))), rng_seed=7)
+
+
 class TestBuildTemplate:
     def test_desk_extents(self, template):
         assert template.v_full == 386
@@ -75,21 +94,20 @@ class TestBuildTemplate:
         assert np.abs(template.upsample_matrix.sum(axis=1) - 1.0).max() <= 1e-9
         assert np.abs(template.joint_regressor.sum(axis=1) - 1.0).max() <= 1e-9
 
-    @pytest.mark.parametrize("extents", [None, (26, 8, 4, 3), (10, 6, 2, 1), (98, 50, 4, 6)],
-                             ids=["default", "26-8-4-3", "10-6-2-1", "98-50-4-6"])
+    @pytest.mark.parametrize("extents", VALID_EXTENTS, ids=VALID_IDS)
     def test_connected_by_bfs_oracle(self, extents):
-        fields = ("v_full", "v_coarse", "joints", "ring_size")
-        config = mesh.MeshConfig(**dict(zip(fields, extents or ())))
-        built = mesh.build_template(config, rng_seed=7)
+        built = build(extents)
         assert bfs_reachable(built.v_full, built.edges)
 
-    def test_no_degenerate_faces(self, template):
-        v = template.rest_vertices
-        f = template.faces
-        areas = 0.5 * np.linalg.norm(
-            np.cross(v[f[:, 1]] - v[f[:, 0]], v[f[:, 2]] - v[f[:, 0]]), axis=1
-        )
-        assert areas.min() > 1e-6
+    @pytest.mark.parametrize("extents", VALID_EXTENTS, ids=VALID_IDS)
+    def test_no_degenerate_faces(self, extents):
+        built = build(extents)
+        for v, f in ((built.rest_vertices, built.faces),
+                     (built.coarse_rest_vertices, built.coarse_faces)):
+            areas = 0.5 * np.linalg.norm(
+                np.cross(v[f[:, 1]] - v[f[:, 0]], v[f[:, 2]] - v[f[:, 0]]), axis=1
+            )
+            assert areas.min() > 1e-6
 
     def test_face_indices_in_range(self, template):
         assert template.faces.min() >= 0
@@ -102,6 +120,11 @@ class TestBuildTemplate:
             mesh.build_template(mesh.MeshConfig(v_full=387), rng_seed=0)
         with pytest.raises(ConfigError):
             mesh.build_template(mesh.MeshConfig(v_coarse=386), rng_seed=0)
+        # Ring sizes 1 and 2 build degenerate faces and self-loop edges.
+        with pytest.raises(ConfigError, match="ring_size >= 3"):
+            mesh.build_template(mesh.MeshConfig(10, 6, 2, 1), rng_seed=0)
+        with pytest.raises(ConfigError, match="ring_size >= 3"):
+            mesh.build_template(mesh.MeshConfig(18, 10, 2, 2), rng_seed=0)
 
 
 class TestUpsample:
@@ -276,8 +299,20 @@ class TestSerialization:
         (lambda t: t.update(segment_ids=t["segment_ids"][1:]), "'segment_ids'"),
         (lambda t: t.pop("edges"), "expected tensors"),
         (lambda t: t.update(extra=np.zeros(1)), "expected tensors"),
+        (set_entry("faces", (0, 0), 386), "'faces' has entries outside \\[0, 386\\)"),
+        (set_entry("faces", (0, 0), -1), "'faces' has entries outside"),
+        (set_entry("coarse_faces", (0, 1), 98), "'coarse_faces' has entries outside \\[0, 98\\)"),
+        (set_entry("segment_ids", 0, 8), "'segment_ids' has entries outside \\[0, 8\\)"),
+        (set_entry("edges", (0, 1), 5000), "'edges' are not"),
+        (lambda t: set_entry("edges", 1, t["edges"][0])(t), "'edges' are not"),
+        (set_entry("edge_lengths", 0, -1.0), "'edge_lengths' has negative"),
+        (set_entry("edge_lengths", 0, np.nan), "'edge_lengths' has negative or non-finite"),
+        (set_entry("edge_lengths", 0, np.inf), "'edge_lengths' has negative or non-finite"),
     ], ids=["float_seed", "int_height", "seed_not_0d", "bad_config", "config_vs_arrays",
-            "transposed", "short_array", "missing", "extra"])
+            "transposed", "short_array", "missing", "extra", "face_past_v_full",
+            "negative_face", "coarse_face_past_v_coarse", "segment_past_joints",
+            "edge_past_v_full", "duplicated_edge", "negative_length", "nan_length",
+            "inf_length"])
     def test_malformed_table_rejected(self, template, tmp_path, edit, message):
         path = tmp_path / "body.mesh"
         mesh.write_template(template, path)

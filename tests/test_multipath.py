@@ -12,6 +12,13 @@ def cfg(**kw):
     return mp.PathConfig(**kw)
 
 
+def routing(w, d, rng=None):
+    """Routing of d-wide features with score weights w; phi is the unit map unless rng draws it."""
+    phi_weight = np.eye(d) if rng is None else rng.normal(size=(d, d))
+    return mp.RoutingParams(w=ad.Tensor(w), phi_weight=ad.Tensor(phi_weight),
+                            phi_bias=ad.Tensor(np.zeros(d)))
+
+
 class TestPerturb:
     def test_identity_bit_identical(self):
         rng = np.random.default_rng(0)
@@ -52,9 +59,9 @@ class TestPerturb:
     def test_masking_replaces_ceil_fraction(self):
         rng = np.random.default_rng(6)
         x = ad.Tensor(rng.normal(size=(20, 3)) + 5.0)
-        c = cfg(mask_ratio=0.15, mask_value=-1.0)
+        c = cfg(mask_ratio=0.15)
         out = mp.perturb(x, "token_masking", c, np.random.default_rng(7))
-        masked = np.all(out.data == -1.0, axis=1)
+        masked = np.all(out.data == 0.0, axis=1)
         assert masked.sum() == math.ceil(0.15 * 20)
         assert np.array_equal(out.data[~masked], x.data[~masked])
 
@@ -115,7 +122,7 @@ class TestFusePaths:
     def test_single_path_bit_identical(self):
         rng = np.random.default_rng(15)
         m = ad.Tensor(rng.normal(size=(5, 3)))
-        params = mp.RoutingParams(w=ad.Tensor(np.ones(3)))
+        params = routing(np.ones(3), 3)
         fused, alpha = mp.fuse_paths([m], params)
         assert np.array_equal(fused.data, m.data)
         assert np.array_equal(alpha.data, np.ones((5, 1)))
@@ -123,28 +130,25 @@ class TestFusePaths:
     def test_identical_paths_uniform_weights(self):
         rng = np.random.default_rng(16)
         m = ad.Tensor(rng.normal(size=(4, 3)))
-        params = mp.RoutingParams(w=ad.Tensor(rng.normal(size=3)))
+        params = routing(rng.normal(size=3), 3)
         fused, alpha = mp.fuse_paths([m, m, m], params)
         assert np.abs(alpha.data - 1.0 / 3.0).max() <= 1e-12
         assert np.abs(fused.data - m.data).max() <= 1e-12
 
     def test_scalar_case_direct_evaluation(self):
-        # Scalar features 0 and ln 2 with identity transform and unit weight.
+        # Scalar features 0 and 1 with unit phi: GELU gives scores 0 and w * Phi(1) = ln 2.
         p0 = ad.Tensor([[0.0]])
-        p1 = ad.Tensor([[math.log(2.0)]])
-        params = mp.RoutingParams(w=ad.Tensor([1.0]))
+        p1 = ad.Tensor([[1.0]])
+        phi_of_1 = 0.5 * (1.0 + math.erf(1.0 / math.sqrt(2.0)))
+        params = routing([math.log(2.0) / phi_of_1], 1)
         fused, alpha = mp.fuse_paths([p0, p1], params)
         assert np.abs(alpha.data - [[1.0 / 3.0, 2.0 / 3.0]]).max() <= 1e-12
-        assert abs(fused.data[0, 0] - (2.0 / 3.0) * math.log(2.0)) <= 1e-12
+        assert abs(fused.data[0, 0] - 2.0 / 3.0) <= 1e-12
 
     def test_alpha_rows_sum_to_one_and_positive(self):
         rng = np.random.default_rng(17)
         paths = [ad.Tensor(rng.normal(size=(6, 4))) for _ in range(4)]
-        params = mp.RoutingParams(
-            w=ad.Tensor(rng.normal(size=4)),
-            phi_weight=ad.Tensor(rng.normal(size=(4, 4))),
-            phi_bias=ad.Tensor(np.zeros(4)),
-        )
+        params = routing(rng.normal(size=4), 4, rng)
         _, alpha = mp.fuse_paths(paths, params)
         assert np.abs(alpha.data.sum(axis=1) - 1.0).max() <= 1e-12
         assert (alpha.data > 0).all()
@@ -152,7 +156,7 @@ class TestFusePaths:
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(18)
         paths = [ad.Tensor(rng.normal(size=(5, 3))) for _ in range(3)]
-        params = mp.RoutingParams(w=ad.Tensor(rng.normal(size=3)))
+        params = routing(rng.normal(size=3), 3)
         fused, alpha = mp.fuse_paths(paths, params)
         perm = [2, 0, 1]
         fused_p, alpha_p = mp.fuse_paths([paths[i] for i in perm], params)
@@ -169,13 +173,13 @@ class TestFusePaths:
         assert np.abs(a1 - a2).max() <= 1e-12
 
     def test_shape_mismatch(self):
-        params = mp.RoutingParams(w=ad.Tensor(np.ones(3)))
+        params = routing(np.ones(3), 3)
         with pytest.raises(ShapeError):
             mp.fuse_paths([ad.Tensor(np.zeros((4, 3))), ad.Tensor(np.zeros((5, 3)))], params)
 
     def test_empty_paths(self):
         with pytest.raises(ContractError):
-            mp.fuse_paths([], mp.RoutingParams(w=ad.Tensor(np.ones(2))))
+            mp.fuse_paths([], routing(np.ones(2), 2))
 
     def test_gradient_through_routing(self):
         rng = np.random.default_rng(20)

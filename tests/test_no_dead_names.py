@@ -1,0 +1,35 @@
+"""Every function and class the package defines is used somewhere.
+
+A name that occurs only at its own definition, across the package, its tests
+and the benchmark, is dead code: delete it, or use it.
+"""
+
+import ast
+import collections
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "meshcontact"
+
+
+def defined_names(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not (node.name.startswith("__") and node.name.endswith("__")):
+                yield node.name
+
+
+def test_every_defined_name_is_used():
+    words = collections.Counter()
+    for top in ("src", "tests", "meshbench"):
+        for path in (ROOT / top).rglob("*.py"):
+            words.update(re.findall(r"\w+", path.read_text()))
+    dead = sorted(
+        f"{path.name}:{name}"
+        for path in PACKAGE.glob("*.py")
+        for name in defined_names(path)
+        if words[name] < 2
+    )
+    assert not dead, f"defined but never used: {dead}"
