@@ -597,19 +597,18 @@ def gradient_check(f, params: dict, h: float = 1e-4, tolerance: float = 1e-4) ->
 
     per_param = {}
     for name, p in params.items():
-        flat = p.data.reshape(-1)
-        numeric = np.zeros_like(flat)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
+        numeric = np.zeros(p.shape)
+        for i in np.ndindex(p.shape):  # in place: a reshape of a strided array is a copy
+            orig = p.data[i]
+            p.data[i] = orig + h
             fp = f(params).item()
-            flat[i] = orig - h
+            p.data[i] = orig - h
             fm = f(params).item()
-            flat[i] = orig
+            p.data[i] = orig
             if not (np.isfinite(fp) and np.isfinite(fm)):
                 raise EvaluationError(f"non-finite value while perturbing parameter {name!r}")
             numeric[i] = (fp - fm) / (2.0 * h)
-        a = analytic[name].data.reshape(-1)
+        a = analytic[name].data
         err = np.abs(a - numeric) / np.maximum(1.0, np.abs(a))
         per_param[name] = float(err.max()) if err.size else 0.0
     return GradCheckReport(per_param, tolerance)

@@ -29,6 +29,8 @@ class BackboneConfig:
     token_dim: int = 32
 
     def validate(self):
+        if not self.conv_channels or self.kernel < 1 or self.stride < 1:
+            raise ConfigError(f"need a conv layer and kernel, stride >= 1, got {self}")
         if self.conv_channels[-1] != self.token_dim:
             raise ConfigError(
                 f"last conv channel count {self.conv_channels[-1]} must equal "

@@ -28,6 +28,9 @@ from .tensorio import check_layout, read_tensor_file, write_tensor_file
 MESH_MAGIC = b"GCMESH2\x00"
 
 _LENGTH_QUANTUM = 2.0**-20
+# Row sums of a read template's convex weight tables may differ from 1 by
+# this much; built templates stay within 2.2e-16.
+_ROW_SUM_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -45,6 +48,8 @@ class MeshConfig:
             raise ConfigError(f"need at least 2 joints, got {self.joints}")
         if self.ring_size < 3 or self.coarse_rings < 1:
             raise ConfigError(f"need ring_size >= 3 and a coarse ring, got {self}")
+        if not 0.0 < self.height_cm < np.inf:
+            raise ConfigError(f"height_cm must be finite and > 0, got {self.height_cm}")
         if self.v_coarse >= self.v_full:
             raise ConfigError(f"v_coarse {self.v_coarse} must be < v_full {self.v_full}")
         for name, v in (("v_full", self.v_full), ("v_coarse", self.v_coarse)):
@@ -356,6 +361,9 @@ def write_template(template: MeshTemplate, path):
 def read_template(path) -> MeshTemplate:
     tensors = read_tensor_file(path, MESH_MAGIC)
     extents = check_layout(path, tensors, _TEMPLATE_LAYOUT)
+    for name, t in tensors.items():
+        if t.dtype.kind == "f" and not np.isfinite(t).all():
+            raise DataError(f"{path}: {name!r} has non-finite entries")
     values = {name: t.item() if t.ndim == 0 else t for name, t in tensors.items()}
     config = MeshConfig(**{f.name: values.pop(f"config.{f.name}") for f in fields(MeshConfig)})
     try:
@@ -370,7 +378,11 @@ def read_template(path) -> MeshTemplate:
             raise DataError(f"{path}: {name!r} has entries outside [0, {end})")
     if not np.array_equal(values["edges"], _face_edges(values["faces"])):
         raise DataError(f"{path}: 'edges' are not the sorted unique sides of 'faces'")
-    lengths = values["edge_lengths"]
-    if not (np.isfinite(lengths).all() and (lengths >= 0).all()):
-        raise DataError(f"{path}: 'edge_lengths' has negative or non-finite entries")
+    if (values["edge_lengths"] < 0).any():
+        raise DataError(f"{path}: 'edge_lengths' has negative entries")
+    for name in ("upsample_matrix", "joint_regressor"):
+        rows = values[name]
+        if (rows < 0).any() or np.abs(rows.sum(axis=1) - 1.0).max() > _ROW_SUM_TOLERANCE:
+            raise DataError(f"{path}: {name!r} rows must be >= 0 and sum to 1 "
+                            f"within {_ROW_SUM_TOLERANCE}")
     return MeshTemplate(config=config, **values)

@@ -38,8 +38,8 @@ class PathConfig:
         for name, v in (("dropout_rate", self.dropout_rate), ("mask_ratio", self.mask_ratio)):
             if not 0.0 <= v < 1.0:
                 raise ConfigError(f"{name} must be in [0, 1), got {v}")
-        if self.noise_sigma < 0:
-            raise ConfigError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if not 0.0 <= self.noise_sigma < math.inf:
+            raise ConfigError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
 
 
 def perturb(features: Tensor, kind: str, config: PathConfig, rng) -> Tensor:

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from pathlib import Path
 from typing import ClassVar
 
 import numpy as np
@@ -40,7 +39,7 @@ from .mesh import MeshTemplate, _rot_x, _rot_z, pose_vertices
 from .tensorio import check_layout, read_tensor_file, write_tensor_file
 
 SAMPLE_MAGIC = b"GCSMP1\x00"
-MANIFEST_NAME = "manifest.txt"
+DATASET_MAGIC = b"GCSET2\x00"
 
 SEM_BACKGROUND, SEM_GROUND, SEM_BOX, SEM_BODY = 0, 1, 2, 3
 
@@ -111,6 +110,8 @@ class SceneConfig:
             )
         if not 0 <= self.max_boxes <= 2:
             raise ConfigError(f"max_boxes must be 0..2, got {self.max_boxes}")
+        if self.pose_params < 0 or not 0.0 <= self.pose_jitter < math.inf:
+            raise ConfigError(f"need pose_params >= 0 and a finite pose_jitter >= 0, got {self}")
         if template is not None and self.c_bp != template.n_joints + 1:
             raise ConfigError(
                 f"c_bp={self.c_bp} must be template joints + background "
@@ -142,6 +143,13 @@ _SAMPLE_LAYOUT = {
     "bp_grid": ("i", ("G",)),
     "pose": ("f", ("P",)),
     "boxes": ("f", ("n_boxes", 6)),
+}
+
+# The same tensors with a leading "N" axis, boxes padded; see "sample and dataset files".
+_DATASET_LAYOUT = {
+    **{name: (kind, ("N", *dims)) for name, (kind, dims) in _SAMPLE_LAYOUT.items()},
+    "boxes": ("f", ("N", "max_boxes", 6)),
+    "n_boxes": ("i", ("N",)),
 }
 
 
@@ -418,7 +426,12 @@ def generate_dataset(config: SceneConfig, template: MeshTemplate, count: int, se
 
 
 # ---------------------------------------------------------------------------
-# dataset directory IO
+# sample and dataset files
+#
+# A sample file holds one Sample's tensors.  A dataset file holds N samples,
+# each tensor stacked on a leading N axis.  Box counts differ between
+# samples, so `boxes` is zero-padded to (N, max_boxes, 6), max_boxes being
+# the largest count, and the int32 `n_boxes` gives each sample's own count.
 
 
 def write_sample(s: Sample, path):
@@ -431,48 +444,25 @@ def read_sample(path) -> Sample:
     return Sample(**tensors)
 
 
-def write_dataset(samples, path, config_hash: str):
-    path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
-    for i, s in enumerate(samples):
-        write_sample(s, path / f"sample_{i:05d}.bin")
-    manifest = path / MANIFEST_NAME
-    manifest.write_text(
-        f"format=GCSET1\nconfig_hash={config_hash}\ncount={len(samples)}\n"
-    )
+def write_dataset(samples, path):
+    """One tensor file holding the samples in order (see `_DATASET_LAYOUT`)."""
+    if not samples:
+        raise ContractError("write_dataset needs at least one sample")
+    tensors = {f.name: np.stack([getattr(s, f.name) for s in samples])
+               for f in fields(Sample) if f.name != "boxes"}
+    n_boxes = np.array([len(s.boxes) for s in samples], dtype=np.int32)
+    boxes = np.zeros((len(samples), n_boxes.max(), 6))
+    for padded, s in zip(boxes, samples):
+        padded[: len(s.boxes)] = s.boxes
+    write_tensor_file(path, DATASET_MAGIC, {**tensors, "boxes": boxes, "n_boxes": n_boxes})
 
 
-def read_manifest(path) -> dict:
-    manifest = Path(path) / MANIFEST_NAME
-    if not manifest.exists():
-        raise DataError(f"no {MANIFEST_NAME} in {path}")
-    try:
-        text = manifest.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{manifest}: not valid utf-8: {exc}") from exc
-    out = {}
-    for line in text.splitlines():
-        if line.strip():
-            key, _, value = line.partition("=")
-            out[key] = value
-    if out.get("format") != "GCSET1":
-        raise DataError(f"{manifest}: unknown dataset format {out.get('format')!r}")
-    return out
-
-
-def read_dataset(path, expected_hash: str | None = None):
-    path = Path(path)
-    meta = read_manifest(path)
-    if expected_hash is not None and meta.get("config_hash") != expected_hash:
-        raise DataError(
-            f"{path}: dataset config hash {meta.get('config_hash')} does not match "
-            f"expected {expected_hash}"
-        )
-    try:
-        count = int(meta["count"])
-    except (KeyError, ValueError) as exc:
-        raise DataError(f"{path}: manifest has no integer count: {exc}") from exc
-    files = sorted(path.glob("sample_*.bin"))
-    if len(files) != count:
-        raise DataError(f"{path}: manifest says {count} samples, found {len(files)} files")
-    return [read_sample(f) for f in files]
+def read_dataset(path) -> list[Sample]:
+    tensors = read_tensor_file(path, DATASET_MAGIC)
+    max_boxes = check_layout(path, tensors, _DATASET_LAYOUT)["max_boxes"]
+    n_boxes = tensors.pop("n_boxes")
+    if ((n_boxes < 0) | (n_boxes > max_boxes)).any():
+        raise DataError(f"{path}: 'n_boxes' has entries outside [0, {max_boxes}]")
+    boxes = tensors.pop("boxes")
+    return [Sample(**{name: t[i] for name, t in tensors.items()}, boxes=boxes[i, :n])
+            for i, n in enumerate(n_boxes)]

@@ -1,4 +1,4 @@
-"""The one binary file format: sample, template and checkpoint files.
+"""The one binary file format: sample, dataset and template files.
 
 A file is a magic followed by one named-tensor table (all little-endian):
 int32 entry count, then per entry a name (int32 length + utf-8 bytes), an

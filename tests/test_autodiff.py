@@ -196,6 +196,16 @@ class TestGradientCheck:
         report = ad.gradient_check(f, params)
         assert report.passed and report.max_error <= 1e-10
 
+    def test_transposed_parameter(self):
+        def f(params):
+            return ad.sum_(ad.mul(params["x"], params["x"]))
+
+        x = ad.Tensor(np.arange(6.0).reshape(2, 3).T, requires_grad=True, name="x")
+        assert not x.data.flags.c_contiguous  # a reshape of it is a copy
+        report = ad.gradient_check(f, {"x": x})
+        assert report.passed and report.max_error <= 1e-10
+        assert np.array_equal(x.data, np.arange(6.0).reshape(2, 3).T)
+
     def test_twice_on_the_same_params(self):
         def f(params):
             return ad.sum_(ad.mul(params["x"], params["w"]))

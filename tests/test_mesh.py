@@ -125,6 +125,10 @@ class TestBuildTemplate:
             mesh.build_template(mesh.MeshConfig(10, 6, 2, 1), rng_seed=0)
         with pytest.raises(ConfigError, match="ring_size >= 3"):
             mesh.build_template(mesh.MeshConfig(18, 10, 2, 2), rng_seed=0)
+        # A NaN height builds NaN vertices, a zero height zero-length edges.
+        for height in (np.nan, np.inf, 0.0, -16.0):
+            with pytest.raises(ConfigError, match="height_cm must be finite and > 0"):
+                mesh.build_template(mesh.MeshConfig(height_cm=height), rng_seed=0)
 
 
 class TestUpsample:
@@ -306,13 +310,24 @@ class TestSerialization:
         (set_entry("edges", (0, 1), 5000), "'edges' are not"),
         (lambda t: set_entry("edges", 1, t["edges"][0])(t), "'edges' are not"),
         (set_entry("edge_lengths", 0, -1.0), "'edge_lengths' has negative"),
-        (set_entry("edge_lengths", 0, np.nan), "'edge_lengths' has negative or non-finite"),
-        (set_entry("edge_lengths", 0, np.inf), "'edge_lengths' has negative or non-finite"),
+        (set_entry("edge_lengths", 0, np.nan), "'edge_lengths' has non-finite"),
+        (set_entry("edge_lengths", 0, np.inf), "'edge_lengths' has non-finite"),
+        (set_entry("rest_vertices", (0, 0), np.nan), "'rest_vertices' has non-finite"),
+        (set_entry("coarse_rest_vertices", (0, 0), np.inf),
+         "'coarse_rest_vertices' has non-finite"),
+        (set_entry("upsample_matrix", (0, 0), np.nan), "'upsample_matrix' has non-finite"),
+        (set_entry("upsample_matrix", (0, 0), -0.5), "'upsample_matrix' rows must be >= 0"),
+        (lambda t: set_entry("joint_regressor", 0, t["joint_regressor"][0] * 5.98)(t),
+         "'joint_regressor' rows must be >= 0 and sum to 1 within 1e-09"),
+        (set_entry("rest_pivots", (0, 0), np.nan), "'rest_pivots' has non-finite"),
+        (lambda t: t.update(upsample_residual=np.float64(np.nan)),
+         "'upsample_residual' has non-finite"),
     ], ids=["float_seed", "int_height", "seed_not_0d", "bad_config", "config_vs_arrays",
             "transposed", "short_array", "missing", "extra", "face_past_v_full",
             "negative_face", "coarse_face_past_v_coarse", "segment_past_joints",
             "edge_past_v_full", "duplicated_edge", "negative_length", "nan_length",
-            "inf_length"])
+            "inf_length", "nan_vertex", "inf_coarse_vertex", "nan_upsample_weight",
+            "negative_upsample_weight", "regressor_row_sum", "nan_pivot", "nan_residual"])
     def test_malformed_table_rejected(self, template, tmp_path, edit, message):
         path = tmp_path / "body.mesh"
         mesh.write_template(template, path)

@@ -113,9 +113,11 @@ class TestMakePaths:
             assert np.array_equal(pa.data, pb.data)
 
     def test_zero_paths_rejected(self):
-        with pytest.raises(ConfigError):
-            mp.make_paths(ad.Tensor(np.zeros((2, 2))), cfg(n_paths=0),
-                          np.random.default_rng(0), lambda t: t)
+        # A NaN noise_sigma, unchecked, turned every token of the noise path into NaN.
+        for bad in (dict(n_paths=0), dict(noise_sigma=math.nan), dict(noise_sigma=math.inf)):
+            with pytest.raises(ConfigError):
+                mp.make_paths(ad.Tensor(np.zeros((2, 2))), cfg(**bad),
+                              np.random.default_rng(0), lambda t: t)
 
 
 class TestFusePaths:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 from types import SimpleNamespace
@@ -228,6 +229,11 @@ class TestGenerateSample:
             scenes.generate_sample(
                 scenes.SceneConfig(c_bp=4), template, np.random.default_rng(0)
             )
+        for bad in (dict(pose_jitter=-0.1), dict(pose_jitter=math.nan),
+                    dict(pose_jitter=math.inf), dict(pose_params=-1)):
+            with pytest.raises(ConfigError, match="pose_params >= 0 and a finite pose_jitter"):
+                scenes.generate_sample(scenes.SceneConfig(**bad), template,
+                                       np.random.default_rng(0))
 
 
 class TestContactPrevalence:
@@ -265,45 +271,54 @@ class TestDownsample:
             scenes.downsample_mask(mask, 2)
 
 
+def edit_dataset(edit):
+    """A corruption that rewrites a dataset file's tensor table after `edit`."""
+    def corrupt(path):
+        tensors = read_tensor_file(path, scenes.DATASET_MAGIC)
+        edit(tensors)
+        write_tensor_file(path, scenes.DATASET_MAGIC, tensors)
+    return corrupt
+
+
+def set_n_boxes(value):
+    """A corruption that sets the first sample's box count."""
+    def edit(tensors):
+        tensors["n_boxes"][0] = value
+    return edit_dataset(edit)
+
+
 class TestDatasetIO:
     def test_round_trip_bit_exact(self, config, template, tmp_path):
         samples = scenes.generate_dataset(config, template, 3, seed=11)
-        scenes.write_dataset(samples, tmp_path / "ds", config_hash="abc123")
-        back = scenes.read_dataset(tmp_path / "ds", expected_hash="abc123")
+        scenes.write_dataset(samples, tmp_path / "ds.bin")
+        back = scenes.read_dataset(tmp_path / "ds.bin")
         assert len(back) == 3
         for a, b in zip(samples, back):
-            assert np.array_equal(a.image, b.image)
-            assert np.array_equal(a.gt_vertices, b.gt_vertices)
-            assert np.array_equal(a.gt_contacts, b.gt_contacts)
-            assert np.array_equal(a.sem_mask, b.sem_mask)
-            assert np.array_equal(a.bp_mask, b.bp_mask)
-            assert np.array_equal(a.sem_grid, b.sem_grid)
-            assert np.array_equal(a.bp_grid, b.bp_grid)
-            assert np.array_equal(a.pose, b.pose)
-            assert np.array_equal(a.boxes, b.boxes)
+            for f in dataclasses.fields(scenes.Sample):
+                x, y = getattr(a, f.name), getattr(b, f.name)
+                assert x.dtype == y.dtype and np.array_equal(x, y), f.name
+        assert back[2].boxes.shape == (0, 6)  # the largest count is 2: this one is all padding
 
-    def test_manifest_count_checked(self, config, template, tmp_path):
-        samples = scenes.generate_dataset(config, template, 2, seed=12)
-        scenes.write_dataset(samples, tmp_path / "ds", config_hash="x")
-        (tmp_path / "ds" / "sample_00001.bin").unlink()
-        with pytest.raises(DataError, match="manifest says 2"):
-            scenes.read_dataset(tmp_path / "ds")
+    def test_empty_dataset_rejected(self, tmp_path):
+        with pytest.raises(ContractError, match="at least one sample"):
+            scenes.write_dataset([], tmp_path / "ds.bin")
+        assert not (tmp_path / "ds.bin").exists()
 
-    @pytest.mark.parametrize("manifest", ["format=GCSET1\nconfig_hash=x\n",
-                                          "format=GCSET1\nconfig_hash=x\ncount=x\n"])
-    def test_manifest_without_integer_count(self, config, template, tmp_path, manifest):
-        samples = scenes.generate_dataset(config, template, 1, seed=12)
-        scenes.write_dataset(samples, tmp_path / "ds", config_hash="x")
-        (tmp_path / "ds" / scenes.MANIFEST_NAME).write_text(manifest)
-        with pytest.raises(DataError, match="count"):
-            scenes.read_dataset(tmp_path / "ds")
-
-    def test_manifest_not_utf8(self, config, template, tmp_path):
-        samples = scenes.generate_dataset(config, template, 1, seed=12)
-        scenes.write_dataset(samples, tmp_path / "ds", config_hash="x")
-        (tmp_path / "ds" / scenes.MANIFEST_NAME).write_bytes(b"format=GCSET1\n\xff\xfe\n")
-        with pytest.raises(DataError, match="utf-8"):
-            scenes.read_dataset(tmp_path / "ds")
+    @pytest.mark.parametrize("corrupt, message", [
+        (set_n_boxes(-1), "'n_boxes' has entries outside \\[0, 2\\]"),
+        (set_n_boxes(3), "'n_boxes' has entries outside \\[0, 2\\]"),
+        (edit_dataset(lambda t: t.update(pose=t["pose"][:-1])), "'pose'"),
+        (edit_dataset(lambda t: t.update(sem_mask=t["sem_mask"][:, :, 1:])), "'sem_mask'"),
+        (edit_dataset(lambda t: t.pop("n_boxes")), "expected tensors"),
+        (lambda path: scenes.write_sample(scenes.read_dataset(path)[0], path), "bad magic"),
+    ], ids=["negative_count", "count_past_max_boxes", "sample_count_mismatch", "mask_extent",
+            "missing_counts", "sample_file"])
+    def test_malformed_dataset_rejected(self, config, template, tmp_path, corrupt, message):
+        path = tmp_path / "ds.bin"
+        scenes.write_dataset(scenes.generate_dataset(config, template, 3, seed=11), path)
+        corrupt(path)
+        with pytest.raises(DataError, match=message):
+            scenes.read_dataset(path)
 
     @pytest.mark.parametrize("edit, message", [
         (lambda t: t.update({k: np.zeros(2) for k in t}), "'image' is float64 of shape"),
@@ -328,28 +343,19 @@ class TestDatasetIO:
         with pytest.raises(DataError, match=message):
             scenes.read_sample(path)
 
-    def test_hash_mismatch_when_strict(self, config, template, tmp_path):
-        samples = scenes.generate_dataset(config, template, 1, seed=13)
-        scenes.write_dataset(samples, tmp_path / "ds", config_hash="right")
-        with pytest.raises(DataError, match="hash"):
-            scenes.read_dataset(tmp_path / "ds", expected_hash="wrong")
-        assert len(scenes.read_dataset(tmp_path / "ds")) == 1
-
     def test_truncated_sample_reports_offset(self, config, template, tmp_path):
-        samples = scenes.generate_dataset(config, template, 1, seed=14)
-        scenes.write_dataset(samples, tmp_path / "ds", config_hash="x")
-        blob = tmp_path / "ds" / "sample_00000.bin"
-        blob.write_bytes(blob.read_bytes()[:100])
+        path = tmp_path / "ds.bin"
+        scenes.write_dataset(scenes.generate_dataset(config, template, 1, seed=14), path)
+        path.write_bytes(path.read_bytes()[:100])
         with pytest.raises(DataError, match="offset"):
-            scenes.read_dataset(tmp_path / "ds")
+            scenes.read_dataset(path)
 
     def test_same_seed_identical_datasets(self, config, template, tmp_path):
         a = scenes.generate_dataset(config, template, 2, seed=77)
         b = scenes.generate_dataset(config, template, 2, seed=77)
-        scenes.write_dataset(a, tmp_path / "a", config_hash="h")
-        scenes.write_dataset(b, tmp_path / "b", config_hash="h")
-        for fa, fb in zip(sorted((tmp_path / "a").iterdir()), sorted((tmp_path / "b").iterdir())):
-            assert fa.read_bytes() == fb.read_bytes()
+        scenes.write_dataset(a, tmp_path / "a.bin")
+        scenes.write_dataset(b, tmp_path / "b.bin")
+        assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
 
 
 class TestRasterizer:
@@ -417,9 +423,11 @@ class TestRasterizer:
 
     def test_seeded_dataset_bytes_unchanged(self, config, template, tmp_path):
         samples = scenes.generate_dataset(config, template, 32, seed=2024)
-        digests = []
-        for i, s in enumerate(samples):
-            scenes.write_sample(s, tmp_path / f"{i}.bin")
-            digests.append(hashlib.sha256((tmp_path / f"{i}.bin").read_bytes()).hexdigest())
-        assert tuple(digests) == DATASET_SHA256
+        scenes.write_dataset(samples, tmp_path / "ds.bin")
+        for written in (samples, scenes.read_dataset(tmp_path / "ds.bin")):
+            digests = []
+            for i, s in enumerate(written):
+                scenes.write_sample(s, tmp_path / f"{i}.bin")
+                digests.append(hashlib.sha256((tmp_path / f"{i}.bin").read_bytes()).hexdigest())
+            assert tuple(digests) == DATASET_SHA256
 

@@ -1,4 +1,6 @@
+import importlib
 import io
+import pkgutil
 import struct
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import meshcontact
 from meshcontact import mesh, scenes
 from meshcontact.errors import DataError
 from meshcontact.tensorio import read_tensor_table, write_tensor_table
@@ -114,9 +117,24 @@ _FORMATS = {
     "sample": (scenes.write_sample, scenes.read_sample, scenes.SAMPLE_MAGIC,
                lambda template: scenes.generate_sample(scenes.SceneConfig(), template,
                                                        np.random.default_rng([1, 0]))),
+    "dataset": (scenes.write_dataset, scenes.read_dataset, scenes.DATASET_MAGIC,
+                lambda template: scenes.generate_dataset(scenes.SceneConfig(), template, 3,
+                                                         seed=11)),
     "template": (mesh.write_template, mesh.read_template, mesh.MESH_MAGIC,
                  lambda template: template),
 }
+
+
+def test_every_file_format_is_fuzzed():
+    """Each `*_MAGIC` of the package is distinct and has a `_FORMATS` entry."""
+    magics = {
+        (name, value)
+        for info in pkgutil.iter_modules(meshcontact.__path__)
+        for name, value in vars(importlib.import_module(f"meshcontact.{info.name}")).items()
+        if name.endswith("_MAGIC")
+    }
+    assert len({value for _, value in magics}) == len(magics), sorted(magics)
+    assert {value for _, value in magics} == {magic for _, _, magic, _ in _FORMATS.values()}
 
 
 @pytest.fixture(scope="module", params=list(_FORMATS))
