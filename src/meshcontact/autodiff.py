@@ -22,7 +22,6 @@ import numpy as np
 from scipy.special import erf
 
 from .errors import (
-    ConfigError,
     ContractError,
     EvaluationError,
     NonDifferentiableOpError,
@@ -32,6 +31,7 @@ from .errors import (
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
+LAYER_NORM_EPS = 1e-5  # added to the variance before the square root
 
 
 class TapeEntry:
@@ -283,7 +283,7 @@ def concat(tensors, axis=0) -> Tensor:
 
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     """Contiguous slice [start, start+length) along one axis."""
-    if not (0 <= start and start + length <= a.shape[axis]):
+    if not (0 <= start and 0 <= length and start + length <= a.shape[axis]):
         raise ShapeError(
             f"narrow [{start}:{start + length}) outside axis {axis} of shape {a.shape}"
         )
@@ -352,16 +352,21 @@ def mean(a: Tensor, axis=None, keepdims=False) -> Tensor:
 # nonlinearities
 
 
+def _check_softmax_input(op, x: Tensor, axis: int):
+    """Reject what `softmax` and `log_softmax` cannot normalize: no axis, or NaN."""
+    if x.shape == () or x.shape[axis] == 0:
+        raise ContractError(f"{op} along empty axis {axis} of shape {x.shape}")
+    if np.isnan(x.data).any():
+        raise NumericsError(f"{op} input contains NaN")
+
+
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Softmax along `axis`, stabilized by max subtraction.
 
     Outputs are positive and sum to one along the axis.  NaN input is
     rejected rather than silently propagated.
     """
-    if x.shape == () or x.shape[axis] == 0:
-        raise ContractError(f"softmax along empty axis {axis} of shape {x.shape}")
-    if np.isnan(x.data).any():
-        raise NumericsError("softmax input contains NaN")
+    _check_softmax_input("softmax", x, axis)
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     out = e / e.sum(axis=axis, keepdims=True)
@@ -374,8 +379,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    if np.isnan(x.data).any():
-        raise NumericsError("log_softmax input contains NaN")
+    _check_softmax_input("log_softmax", x, axis)
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     out = shifted - lse
@@ -387,16 +391,14 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _emit("log_softmax", (x,), out, bwd)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then apply gamma*x + beta."""
-    if eps <= 0:
-        raise ConfigError(f"layer_norm eps must be positive, got {eps}")
     n = x.shape[-1]
     if n < 2:
         raise ContractError(f"layer_norm axis extent must be >= 2, got shape {x.shape}")
     mu = x.data.mean(axis=-1, keepdims=True)
     var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = (x.data - mu) * inv
     out = gamma.data * xhat + beta.data
     gd = gamma.data
@@ -487,6 +489,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
     o, cw, kh, kw = w.shape
     if cw != c:
         raise ShapeError(f"conv2d channel mismatch: x {x.shape} vs w {w.shape}")
+    if stride < 1:
+        raise ContractError(f"conv2d stride must be >= 1, got {stride}")
     if (h - kh) % stride or (wid - kw) % stride:
         raise ShapeError(
             f"conv2d extents {x.shape} not divisible by stride {stride} with kernel {kh}x{kw}"

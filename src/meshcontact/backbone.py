@@ -1,11 +1,13 @@
 """Convolutional feature extractor and tokenizer.
 
-A small strided conv stack turns the color image into a square grid of
-feature tokens plus one pooled global vector.  The tokenizer then lays out
-the transformer input as contiguous segments: image tokens (grid features
-plus a learned positional embedding), joint query tokens, and coarse
-vertex query tokens, where each query is a learned embedding concatenated
-with the global vector and projected back to the token width.
+A small conv stack turns the color image into a square grid of feature
+tokens plus one pooled global vector.  Every layer is a PATCH x PATCH
+convolution with stride PATCH, so each one divides the side by PATCH.  The
+tokenizer then lays out the transformer input as contiguous segments: image
+tokens (grid features plus a learned positional embedding), joint query
+tokens, and coarse vertex query tokens, where each query is a learned
+embedding concatenated with the global vector and projected back to the
+token width.
 """
 
 from __future__ import annotations
@@ -19,40 +21,33 @@ from .autodiff import Tensor
 from .errors import ConfigError
 from .mesh import MeshTemplate
 
+PATCH = 4  # kernel side and stride of every conv layer
+
 
 @dataclass(frozen=True)
 class BackboneConfig:
     image_size: int = 64
     conv_channels: tuple = (16, 32)
-    kernel: int = 4
-    stride: int = 4
     token_dim: int = 32
 
     def validate(self):
-        if not self.conv_channels or self.kernel < 1 or self.stride < 1:
-            raise ConfigError(f"need a conv layer and kernel, stride >= 1, got {self}")
+        if not self.conv_channels:
+            raise ConfigError(f"need a conv layer, got {self}")
         if self.conv_channels[-1] != self.token_dim:
             raise ConfigError(
                 f"last conv channel count {self.conv_channels[-1]} must equal "
                 f"token_dim {self.token_dim}"
             )
-        side = self.image_size
-        for _ in self.conv_channels:
-            if (side - self.kernel) % self.stride:
-                raise ConfigError(
-                    f"extent {side} not divisible by stride {self.stride} "
-                    f"with kernel {self.kernel}"
-                )
-            side = (side - self.kernel) // self.stride + 1
-        if side < 1:
-            raise ConfigError("conv stack consumes the whole image")
+        cell = PATCH ** len(self.conv_channels)
+        if self.image_size < cell or self.image_size % cell:
+            raise ConfigError(
+                f"image size {self.image_size} must be a positive multiple of "
+                f"PATCH ** len(conv_channels) = {cell}"
+            )
 
     @property
     def grid_side(self) -> int:
-        side = self.image_size
-        for _ in self.conv_channels:
-            side = (side - self.kernel) // self.stride + 1
-        return side
+        return self.image_size // PATCH ** len(self.conv_channels)
 
     @property
     def n_grid_tokens(self) -> int:
@@ -88,9 +83,9 @@ def init_backbone_params(config: BackboneConfig, template: MeshTemplate, rng) ->
     params = {}
     c_in = 3
     for i, c_out in enumerate(config.conv_channels):
-        fan_in = c_in * config.kernel * config.kernel
+        fan_in = c_in * PATCH * PATCH
         params[f"backbone.conv{i}.w"] = rng.normal(
-            0.0, np.sqrt(2.0 / fan_in), size=(c_out, c_in, config.kernel, config.kernel)
+            0.0, np.sqrt(2.0 / fan_in), size=(c_out, c_in, PATCH, PATCH)
         )
         params[f"backbone.conv{i}.b"] = np.zeros(c_out)
         c_in = c_out
@@ -116,7 +111,7 @@ def extract_features(image: Tensor, params: dict, config: BackboneConfig):
     x = image
     for i in range(len(config.conv_channels)):
         x = ad.conv2d(x, params[f"backbone.conv{i}.w"], params[f"backbone.conv{i}.b"],
-                      stride=config.stride)
+                      stride=PATCH)
         x = ad.gelu(x)
     g = config.grid_side
     d = config.token_dim

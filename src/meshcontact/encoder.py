@@ -84,11 +84,11 @@ def mhsa(tokens: Tensor, params: dict, prefix: str, heads: int) -> Tensor:
     k = ad.add(ad.matmul(tokens, params[f"{prefix}.attn.wk"]), params[f"{prefix}.attn.bk"])
     v = ad.add(ad.matmul(tokens, params[f"{prefix}.attn.wv"]), params[f"{prefix}.attn.bv"])
 
-    def split(x):  # (T, D) -> (heads, T, dh)
-        return ad.transpose(ad.reshape(x, (t, heads, dh)), (1, 0, 2))
+    def split(x, axes=(1, 0, 2)):  # (T, D) -> (heads, T, dh), or (heads, dh, T) for K
+        return ad.transpose(ad.reshape(x, (t, heads, dh)), axes)
 
-    q3, k3, v3 = split(q), split(k), split(v)
-    scores = ad.mul(ad.matmul(q3, ad.transpose(k3, (0, 2, 1))), Tensor(1.0 / np.sqrt(dh)))
+    q3, kt3, v3 = split(q), split(k, (1, 2, 0)), split(v)
+    scores = ad.mul(ad.matmul(q3, kt3), Tensor(1.0 / np.sqrt(dh)))
     attn = ad.softmax(scores, axis=-1)
     ctx = ad.reshape(ad.transpose(ad.matmul(attn, v3), (1, 0, 2)), (t, d))
     return ad.add(ad.matmul(ctx, params[f"{prefix}.attn.wo"]), params[f"{prefix}.attn.bo"])

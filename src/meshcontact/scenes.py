@@ -1,12 +1,12 @@
 """Procedural scene/sample generator with exact contact ground truth.
 
 Each sample poses the template body (kinematic chain bends drawn from a
-small set of base poses plus jitter), orients it in one of three placement
-modes (standing, leaning, lying), and drops it onto the support envelope
-of a ground plane plus up to two axis-aligned boxes so that the closest
-vertex sits within the contact epsilon.  Contact labels are recomputable
-from the stored geometry: a vertex is in contact iff its unsigned
-distance to the nearest scene surface is at most epsilon.
+small set of base poses plus POSE_JITTER), orients it in one of three
+placement modes (standing, leaning, lying), and drops it onto the support
+envelope of a ground plane plus up to MAX_BOXES axis-aligned boxes so that
+the closest vertex sits within CONTACT_EPSILON_CM.  Contact labels are
+recomputable from the stored geometry: a vertex is in contact iff its
+unsigned distance to the nearest scene surface is at most that epsilon.
 
 Images are flat-shaded orthographic renders from a fixed oblique camera;
 body segments are color-coded so pose (and hence contact structure) is
@@ -42,6 +42,10 @@ SAMPLE_MAGIC = b"GCSMP1\x00"
 DATASET_MAGIC = b"GCSET2\x00"
 
 SEM_BACKGROUND, SEM_GROUND, SEM_BOX, SEM_BODY = 0, 1, 2, 3
+
+CONTACT_EPSILON_CM = 1.0  # a vertex this close to a scene surface is in contact
+MAX_BOXES = 2
+POSE_JITTER = 0.08  # std of the Gaussian added to each base-pose bend
 
 _GROUND_COLOR = np.array([0.32, 0.42, 0.28])
 _BOX_COLOR = np.array([0.62, 0.47, 0.25])
@@ -83,11 +87,7 @@ _MODES = ("standing", "leaning", "lying")
 
 @dataclass(frozen=True)
 class SceneConfig:
-    pose_params: int = 12
-    contact_epsilon_cm: float = 1.0
-    max_boxes: int = 2
     c_bp: int = 9  # background + one class per body segment
-    pose_jitter: float = 0.08
     backbone: BackboneConfig = field(default_factory=BackboneConfig)  # image extents
 
     c_sem: ClassVar[int] = 4  # background/ground/box/body
@@ -102,16 +102,6 @@ class SceneConfig:
 
     def validate(self, template: MeshTemplate | None = None):
         self.backbone.validate()
-        if self.contact_epsilon_cm <= 0:
-            raise ConfigError(f"contact epsilon must be > 0, got {self.contact_epsilon_cm}")
-        if self.image_size % self.grid_side:
-            raise ConfigError(
-                f"image size {self.image_size} not divisible by grid side {self.grid_side}"
-            )
-        if not 0 <= self.max_boxes <= 2:
-            raise ConfigError(f"max_boxes must be 0..2, got {self.max_boxes}")
-        if self.pose_params < 0 or not 0.0 <= self.pose_jitter < math.inf:
-            raise ConfigError(f"need pose_params >= 0 and a finite pose_jitter >= 0, got {self}")
         if template is not None and self.c_bp != template.n_joints + 1:
             raise ConfigError(
                 f"c_bp={self.c_bp} must be template joints + background "
@@ -128,7 +118,7 @@ class Sample:
     bp_mask: np.ndarray  # (H, W) int32 part ids (0 = background)
     sem_grid: np.ndarray  # (grid_side**2,) int32
     bp_grid: np.ndarray  # (grid_side**2,) int32
-    pose: np.ndarray  # (pose_params,) stored for debugging
+    pose: np.ndarray  # (12,) chain bends, a _BASE_POSES row plus jitter; for debugging
     boxes: np.ndarray  # (n_boxes, 6) min corner + sizes
 
 
@@ -150,6 +140,16 @@ _DATASET_LAYOUT = {
     **{name: (kind, ("N", *dims)) for name, (kind, dims) in _SAMPLE_LAYOUT.items()},
     "boxes": ("f", ("N", "max_boxes", 6)),
     "n_boxes": ("i", ("N",)),
+}
+
+# Closed range of the values a sample tensor may hold; every float tensor must be finite.
+_VALUE_RANGES = {
+    "image": (0.0, 1.0),
+    "gt_contacts": (0, 1),
+    "sem_mask": (0, SceneConfig.c_sem - 1),
+    "sem_grid": (0, SceneConfig.c_sem - 1),
+    "bp_mask": (0, np.inf),
+    "bp_grid": (0, np.inf),
 }
 
 
@@ -246,7 +246,7 @@ def render(vertices, template, boxes, config: SceneConfig):
     hit = winner[drawn]
     rgb = np.tile(_BACKGROUND_COLOR[:, None], (1, n * n))
     rgb[:, drawn] = np.concatenate(colors)[hit].T
-    sem = np.zeros(n * n, dtype=np.int32)
+    sem = np.full(n * n, SEM_BACKGROUND, dtype=np.int32)
     sem[drawn] = np.concatenate(sem_ids)[hit]
     bp = np.zeros(n * n, dtype=np.int32)
     bp[drawn] = np.concatenate(bp_ids)[hit]
@@ -368,12 +368,9 @@ def _sample_boxes(rng, n_boxes, body_xz_bounds):
 def generate_sample(config: SceneConfig, template: MeshTemplate, rng) -> Sample:
     """One fully labeled scene; deterministic given (config, template, rng state)."""
     config.validate(template)
-    eps = config.contact_epsilon_cm
 
-    base = _BASE_POSES[rng.integers(len(_BASE_POSES))][: config.pose_params]
-    pose = np.zeros(config.pose_params)
-    pose[: base.size] = base
-    pose += rng.normal(0.0, config.pose_jitter, size=config.pose_params)
+    base = _BASE_POSES[rng.integers(len(_BASE_POSES))]
+    pose = base + rng.normal(0.0, POSE_JITTER, size=base.size)
     posed = pose_vertices(template, pose)
 
     mode = _MODES[rng.integers(len(_MODES))]
@@ -391,15 +388,15 @@ def generate_sample(config: SceneConfig, template: MeshTemplate, rng) -> Sample:
     verts[:, 2] += rng.uniform(-3.0, 3.0)
 
     span = (verts[:, 0].min(), verts[:, 0].max(), verts[:, 2].min(), verts[:, 2].max())
-    n_boxes = int(rng.integers(0, config.max_boxes + 1))
+    n_boxes = int(rng.integers(0, MAX_BOXES + 1))
     boxes = _sample_boxes(rng, n_boxes, span)
 
     # Drop onto the support envelope so the closest vertex is within epsilon.
     support = _support_height(verts[:, 0], verts[:, 2], boxes)
     clearance = verts[:, 1] - support
-    verts[:, 1] -= clearance.min() - rng.uniform(0.15, 0.7) * eps
+    verts[:, 1] -= clearance.min() - rng.uniform(0.15, 0.7) * CONTACT_EPSILON_CM
 
-    contacts = contact_labels(verts, boxes, eps)
+    contacts = contact_labels(verts, boxes, CONTACT_EPSILON_CM)
     if not contacts.any():
         raise GenerationError("drop placement produced no contacts")
 
@@ -432,15 +429,26 @@ def generate_dataset(config: SceneConfig, template: MeshTemplate, count: int, se
 # each tensor stacked on a leading N axis.  Box counts differ between
 # samples, so `boxes` is zero-padded to (N, max_boxes, 6), max_boxes being
 # the largest count, and the int32 `n_boxes` gives each sample's own count.
+# Both readers check the values as well as the layout (see `_VALUE_RANGES`).
 
 
 def write_sample(s: Sample, path):
     write_tensor_file(path, SAMPLE_MAGIC, {f.name: getattr(s, f.name) for f in fields(Sample)})
 
 
+def _check_values(path, tensors):
+    for name, t in tensors.items():
+        if t.dtype.kind == "f" and not np.isfinite(t).all():
+            raise DataError(f"{path}: {name!r} has non-finite entries")
+    for name, (lo, hi) in _VALUE_RANGES.items():
+        if ((tensors[name] < lo) | (tensors[name] > hi)).any():
+            raise DataError(f"{path}: {name!r} has entries outside [{lo}, {hi}]")
+
+
 def read_sample(path) -> Sample:
     tensors = read_tensor_file(path, SAMPLE_MAGIC)
     check_layout(path, tensors, _SAMPLE_LAYOUT)
+    _check_values(path, tensors)
     return Sample(**tensors)
 
 
@@ -459,7 +467,11 @@ def write_dataset(samples, path):
 
 def read_dataset(path) -> list[Sample]:
     tensors = read_tensor_file(path, DATASET_MAGIC)
-    max_boxes = check_layout(path, tensors, _DATASET_LAYOUT)["max_boxes"]
+    extents = check_layout(path, tensors, _DATASET_LAYOUT)
+    if extents["N"] < 1:
+        raise DataError(f"{path}: a dataset holds at least one sample, got N = 0")
+    _check_values(path, tensors)
+    max_boxes = extents["max_boxes"]
     n_boxes = tensors.pop("n_boxes")
     if ((n_boxes < 0) | (n_boxes > max_boxes)).any():
         raise DataError(f"{path}: 'n_boxes' has entries outside [0, {max_boxes}]")

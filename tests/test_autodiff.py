@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from meshcontact import autodiff as ad
 from meshcontact.errors import (
-    ConfigError,
     ContractError,
     EvaluationError,
     NonDifferentiableOpError,
@@ -80,6 +79,18 @@ class TestSoftmax:
         with pytest.raises(NumericsError):
             ad.softmax(ad.Tensor([0.0, np.nan]), axis=-1)
 
+    @pytest.mark.parametrize("op", [ad.softmax, ad.log_softmax])
+    @pytest.mark.parametrize("x", [np.zeros((2, 0)), np.float64(1.0)], ids=["empty", "0-d"])
+    def test_no_axis_rejected(self, op, x):
+        with pytest.raises(ContractError, match="along empty axis"):
+            op(ad.Tensor(x), axis=-1)
+
+
+class TestNarrow:
+    def test_negative_length_rejected(self):
+        with pytest.raises(ShapeError, match=r"narrow \[2:1\)"):
+            ad.narrow(ad.Tensor(np.zeros((4, 3))), 0, 2, -1)
+
 
 class TestLayerNorm:
     def _gb(self, n):
@@ -98,17 +109,11 @@ class TestLayerNorm:
         assert np.abs(out.data.mean(axis=-1)).max() <= 1e-10
 
     def test_closed_form(self):
-        eps = 1e-5
         x = np.array([1.0, 2.0, 3.0])
         g, b = self._gb(3)
-        out = ad.layer_norm(ad.Tensor(x), g, b, eps=eps)
-        expected = (x - 2.0) / math.sqrt(2.0 / 3.0 + eps)
+        out = ad.layer_norm(ad.Tensor(x), g, b)
+        expected = (x - 2.0) / math.sqrt(2.0 / 3.0 + ad.LAYER_NORM_EPS)
         assert np.abs(out.data - expected).max() <= 1e-12
-
-    def test_bad_eps(self):
-        g, b = self._gb(3)
-        with pytest.raises(ConfigError):
-            ad.layer_norm(ad.Tensor([1.0, 2.0, 3.0]), g, b, eps=0.0)
 
     def test_short_axis(self):
         with pytest.raises(ContractError):
@@ -313,7 +318,7 @@ class TestEveryPrimitiveGradient:
         params = self._p((3, 6), (6,), (6,))
 
         def f(p):
-            out = ad.layer_norm(p["p0"], p["p1"], p["p2"], eps=1e-5)
+            out = ad.layer_norm(p["p0"], p["p1"], p["p2"])
             return ad.sum_(ad.mul(out, out))
 
         _check_primitive("layer_norm", f, params)
@@ -381,3 +386,9 @@ class TestConv2d:
         with pytest.raises(ShapeError):
             ad.conv2d(ad.Tensor(np.zeros((1, 5, 5))), ad.Tensor(np.zeros((1, 1, 2, 2))),
                       ad.Tensor(np.zeros(1)), stride=2)
+
+    @pytest.mark.parametrize("stride", [0, -1])
+    def test_stride_below_one_rejected(self, stride):
+        with pytest.raises(ContractError, match="stride must be >= 1"):
+            ad.conv2d(ad.Tensor(np.zeros((1, 4, 4))), ad.Tensor(np.zeros((1, 1, 2, 2))),
+                      ad.Tensor(np.zeros(1)), stride=stride)

@@ -45,12 +45,10 @@ class TestExtractFeatures:
     def test_indivisible_stride_rejected(self, template):
         with pytest.raises(ConfigError):
             backbone.BackboneConfig(image_size=50).validate()
-        # Unchecked, these raised IndexError, ZeroDivisionError, and
-        # ZeroDivisionError from the parameter init.
-        for bad in (dict(conv_channels=()), dict(stride=0), dict(kernel=0, stride=1)):
-            with pytest.raises(ConfigError, match="need a conv layer and kernel, stride >= 1"):
-                backbone.init_backbone_params(backbone.BackboneConfig(**bad), template,
-                                              np.random.default_rng(0))
+        # Unchecked, this raised IndexError from the parameter init.
+        with pytest.raises(ConfigError, match="need a conv layer"):
+            backbone.init_backbone_params(backbone.BackboneConfig(conv_channels=()), template,
+                                          np.random.default_rng(0))
 
     def test_gradient_through_conv_stack(self, template):
         cfg = backbone.BackboneConfig(image_size=16, conv_channels=(4, 8), token_dim=8)

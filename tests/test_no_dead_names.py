@@ -1,4 +1,4 @@
-"""Every function and class the package defines is used somewhere.
+"""Every function, class and module-level constant the package defines is used somewhere.
 
 A name that occurs only at its own definition, across the package, its tests
 and the benchmark, is dead code: delete it, or use it.
@@ -17,8 +17,12 @@ def defined_names(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            if not (node.name.startswith("__") and node.name.endswith("__")):
-                yield node.name
+            yield node.name
+    for node in tree.body:  # module-level assignments, including tuple unpacking
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                yield from (n.id for n in ast.walk(target) if isinstance(n, ast.Name))
 
 
 def test_every_defined_name_is_used():
@@ -30,6 +34,6 @@ def test_every_defined_name_is_used():
         f"{path.name}:{name}"
         for path in PACKAGE.glob("*.py")
         for name in defined_names(path)
-        if words[name] < 2
+        if words[name] < 2 and not (name.startswith("__") and name.endswith("__"))
     )
     assert not dead, f"defined but never used: {dead}"

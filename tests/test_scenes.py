@@ -185,17 +185,17 @@ class TestGenerateSample:
     def test_contacts_match_brute_force_oracle(self, config, template):
         for i in range(4):
             s = scenes.generate_sample(config, template, np.random.default_rng([4, i]))
-            eps = config.contact_epsilon_cm
             expected = np.array([
-                brute_force_distance(p, s.boxes) <= eps for p in s.gt_vertices
+                brute_force_distance(p, s.boxes) <= scenes.CONTACT_EPSILON_CM
+                for p in s.gt_vertices
             ], dtype=np.uint8)
             assert np.array_equal(s.gt_contacts, expected)
 
     def test_lifted_body_has_zero_contacts(self, config, template):
         s = scenes.generate_sample(config, template, np.random.default_rng([5, 0]))
         lifted = s.gt_vertices.copy()
-        lifted[:, 1] += 10.0 * config.contact_epsilon_cm + s.gt_vertices[:, 1].max()
-        assert scenes.contact_labels(lifted, s.boxes, config.contact_epsilon_cm).sum() == 0
+        lifted[:, 1] += 10.0 * scenes.CONTACT_EPSILON_CM + s.gt_vertices[:, 1].max()
+        assert scenes.contact_labels(lifted, s.boxes, scenes.CONTACT_EPSILON_CM).sum() == 0
 
     def test_at_least_one_contact(self, config, template):
         for i in range(8):
@@ -223,17 +223,8 @@ class TestGenerateSample:
     def test_bad_configs(self, template):
         with pytest.raises(ConfigError):
             scenes.generate_sample(
-                scenes.SceneConfig(contact_epsilon_cm=0.0), template, np.random.default_rng(0)
-            )
-        with pytest.raises(ConfigError):
-            scenes.generate_sample(
                 scenes.SceneConfig(c_bp=4), template, np.random.default_rng(0)
             )
-        for bad in (dict(pose_jitter=-0.1), dict(pose_jitter=math.nan),
-                    dict(pose_jitter=math.inf), dict(pose_params=-1)):
-            with pytest.raises(ConfigError, match="pose_params >= 0 and a finite pose_jitter"):
-                scenes.generate_sample(scenes.SceneConfig(**bad), template,
-                                       np.random.default_rng(0))
 
 
 class TestContactPrevalence:
@@ -280,11 +271,11 @@ def edit_dataset(edit):
     return corrupt
 
 
-def set_n_boxes(value):
-    """A corruption that sets the first sample's box count."""
+def set_first(name, value):
+    """An edit that sets the first entry of tensor `name`."""
     def edit(tensors):
-        tensors["n_boxes"][0] = value
-    return edit_dataset(edit)
+        tensors[name].flat[0] = value
+    return edit
 
 
 class TestDatasetIO:
@@ -305,14 +296,22 @@ class TestDatasetIO:
         assert not (tmp_path / "ds.bin").exists()
 
     @pytest.mark.parametrize("corrupt, message", [
-        (set_n_boxes(-1), "'n_boxes' has entries outside \\[0, 2\\]"),
-        (set_n_boxes(3), "'n_boxes' has entries outside \\[0, 2\\]"),
+        (edit_dataset(set_first("n_boxes", -1)), "'n_boxes' has entries outside \\[0, 2\\]"),
+        (edit_dataset(set_first("n_boxes", 3)), "'n_boxes' has entries outside \\[0, 2\\]"),
         (edit_dataset(lambda t: t.update(pose=t["pose"][:-1])), "'pose'"),
         (edit_dataset(lambda t: t.update(sem_mask=t["sem_mask"][:, :, 1:])), "'sem_mask'"),
         (edit_dataset(lambda t: t.pop("n_boxes")), "expected tensors"),
         (lambda path: scenes.write_sample(scenes.read_dataset(path)[0], path), "bad magic"),
+        (edit_dataset(lambda t: t.update({k: v[:0] for k, v in t.items()})),
+         "at least one sample"),
+        (edit_dataset(set_first("gt_vertices", np.nan)), "'gt_vertices' has non-finite"),
+        (edit_dataset(set_first("image", 7.0)), "'image' has entries outside"),
+        (edit_dataset(set_first("gt_contacts", 9)), "'gt_contacts' has entries outside"),
+        (edit_dataset(set_first("sem_mask", -4)), "'sem_mask' has entries outside"),
+        (edit_dataset(set_first("bp_grid", -1)), "'bp_grid' has entries outside"),
     ], ids=["negative_count", "count_past_max_boxes", "sample_count_mismatch", "mask_extent",
-            "missing_counts", "sample_file"])
+            "missing_counts", "sample_file", "no_samples", "nan_vertex", "image_above_one",
+            "contact_label_9", "negative_class", "negative_part"])
     def test_malformed_dataset_rejected(self, config, template, tmp_path, corrupt, message):
         path = tmp_path / "ds.bin"
         scenes.write_dataset(scenes.generate_dataset(config, template, 3, seed=11), path)
@@ -331,8 +330,14 @@ class TestDatasetIO:
         (lambda t: t.update(pose=t["pose"][None]), "'pose'"),
         (lambda t: t.update(boxes=np.zeros((1, 5))), "'boxes'"),
         (lambda t: t.pop("pose"), "expected tensors"),
+        (set_first("pose", np.inf), "'pose' has non-finite"),
+        (lambda t: t.update(boxes=np.full((1, 6), np.nan)), "'boxes' has non-finite"),
+        (set_first("image", -0.5), "'image' has entries outside"),
+        (set_first("sem_grid", scenes.SceneConfig.c_sem), "'sem_grid' has entries outside"),
+        (set_first("bp_mask", -1), "'bp_mask' has entries outside"),
     ], ids=["all_float_pairs", "image_rank", "mask_extent", "float_mask", "contacts_extent",
-            "int_contacts", "grid_extent", "pose_rank", "box_width", "missing"])
+            "int_contacts", "grid_extent", "pose_rank", "box_width", "missing", "inf_pose",
+            "nan_boxes", "negative_image", "class_past_c_sem", "negative_part"])
     def test_malformed_sample_rejected(self, config, template, tmp_path, edit, message):
         path = tmp_path / "sample.bin"
         scenes.write_sample(scenes.generate_sample(config, template, np.random.default_rng(0)),
