@@ -231,7 +231,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     2-D operands follow the usual [m x k] @ [k x n] contract; operands with
     more dimensions are treated as stacks of matrices with equal leading
-    extents (used by multi-head attention).
+    extents.
     """
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul needs >=2-D operands, got {a.shape} @ {b.shape}")
@@ -246,6 +246,66 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return (ga, gb)
 
     return _emit("matmul", (a, b), out, bwd)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine map x @ w + b of rows x [n x k] by w [k x m] and bias b [m], as one tape entry."""
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != (w.shape[1],):
+        raise ShapeError(
+            f"linear needs [n x k] @ [k x m] + [m], got {x.shape}, {w.shape}, {b.shape}"
+        )
+    xd, wd = x.data, w.data
+
+    def bwd(g):
+        return (
+            g @ wd.T if x.requires_grad else None,
+            xd.T @ g if w.requires_grad else None,
+            g.sum(axis=0) if b.requires_grad else None,
+        )
+
+    return _emit("linear", (x, w, b), xd @ wd + b.data, bwd)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention of [T x D] queries, keys and values.
+
+    Splits the width into `heads` heads of D / heads, takes the softmax of
+    the scaled scores per head and merges the heads' contexts back to
+    [T x D], as one tape entry.  The scores are turned into probabilities in
+    one buffer; the backward keeps only it and the head views of q, k, v.
+    """
+    if q.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
+        raise ShapeError(
+            f"attention needs equal [T x D] q, k, v, got {q.shape}, {k.shape}, {v.shape}"
+        )
+    t, d = q.shape
+    if heads < 1 or d % heads:
+        raise ShapeError(f"head count {heads} does not divide token width {d}")
+    dh = d // heads
+    scale = 1.0 / np.sqrt(dh)
+    qh = q.data.reshape(t, heads, dh).transpose(1, 0, 2)  # (heads, T, dh)
+    kt = k.data.reshape(t, heads, dh).transpose(1, 2, 0)  # (heads, dh, T)
+    vh = v.data.reshape(t, heads, dh).transpose(1, 0, 2)
+    p = qh @ kt
+    np.multiply(p, scale, out=p)
+    _softmax_array("attention", p, -1, out=p)
+    out = (p @ vh).transpose(1, 0, 2).reshape(t, d)
+
+    def bwd(g):
+        gc = g.reshape(t, heads, dh).transpose(1, 0, 2)
+        gv = np.swapaxes(p, -1, -2) @ gc if v.requires_grad else None
+        gp = gc @ np.swapaxes(vh, -1, -2)
+        gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True))
+        gs *= scale
+        gq = gs @ np.swapaxes(kt, -1, -2) if q.requires_grad else None
+        gk = np.swapaxes(qh, -1, -2) @ gs if k.requires_grad else None
+        return (
+            gq.transpose(1, 0, 2).reshape(t, d) if gq is not None else None,
+            gk.transpose(2, 0, 1).reshape(t, d) if gk is not None else None,
+            gv.transpose(1, 0, 2).reshape(t, d) if gv is not None else None,
+        )
+
+    return _emit("attention", (q, k, v), out, bwd)
 
 
 def transpose(a: Tensor, axes=None) -> Tensor:
@@ -352,12 +412,25 @@ def mean(a: Tensor, axis=None, keepdims=False) -> Tensor:
 # nonlinearities
 
 
-def _check_softmax_input(op, x: Tensor, axis: int):
-    """Reject what `softmax` and `log_softmax` cannot normalize: no axis, or NaN."""
+def _max_shift(op, x: np.ndarray, axis: int, out=None) -> np.ndarray:
+    """x minus its max along `axis`, into `out` (a new array if None).
+
+    Rejects what a softmax cannot normalize: no axis, or NaN, which the max
+    propagates, so one NaN anywhere in a row is caught without a second scan.
+    """
     if x.shape == () or x.shape[axis] == 0:
         raise ContractError(f"{op} along empty axis {axis} of shape {x.shape}")
-    if np.isnan(x.data).any():
+    m = x.max(axis=axis, keepdims=True)
+    if np.isnan(m).any():
         raise NumericsError(f"{op} input contains NaN")
+    return np.subtract(x, m, out=out)
+
+
+def _softmax_array(op, x: np.ndarray, axis: int, out=None) -> np.ndarray:
+    """Max-shifted softmax of x along `axis`, into `out` (a new array if None)."""
+    e = _max_shift(op, x, axis, out)
+    np.exp(e, out=e)
+    return np.divide(e, e.sum(axis=axis, keepdims=True), out=e)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -366,10 +439,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     Outputs are positive and sum to one along the axis.  NaN input is
     rejected rather than silently propagated.
     """
-    _check_softmax_input("softmax", x, axis)
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
+    out = _softmax_array("softmax", x.data, axis)
 
     def bwd(g):
         dot = (g * out).sum(axis=axis, keepdims=True)
@@ -379,10 +449,9 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    _check_softmax_input("log_softmax", x, axis)
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+    shifted = _max_shift("log_softmax", x.data, axis)
     lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out = shifted - lse
+    out = np.subtract(shifted, lse, out=shifted)
     soft = np.exp(out)
 
     def bwd(g):

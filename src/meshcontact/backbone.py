@@ -117,8 +117,8 @@ def extract_features(image: Tensor, params: dict, config: BackboneConfig):
     d = config.token_dim
     grid = ad.reshape(ad.transpose(x, (1, 2, 0)), (g * g, d))
     pooled = ad.reshape(ad.mean(grid, axis=0), (1, d))
-    global_vec = ad.add(
-        ad.matmul(pooled, params["backbone.global_proj.w"]), params["backbone.global_proj.b"]
+    global_vec = ad.linear(
+        pooled, params["backbone.global_proj.w"], params["backbone.global_proj.b"]
     )
     return grid, global_vec
 
@@ -126,7 +126,7 @@ def extract_features(image: Tensor, params: dict, config: BackboneConfig):
 def _project_queries(embed: Tensor, global_vec: Tensor, w: Tensor, b: Tensor) -> Tensor:
     n = embed.shape[0]
     tiled = ad.matmul(Tensor(np.ones((n, 1))), global_vec)
-    return ad.add(ad.matmul(ad.concat([embed, tiled], axis=1), w), b)
+    return ad.linear(ad.concat([embed, tiled], axis=1), w, b)
 
 
 def tokenize(grid_tokens: Tensor, global_vec: Tensor, template: MeshTemplate,

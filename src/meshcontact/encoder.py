@@ -33,9 +33,9 @@ class EncoderConfig:
     def validate(self):
         if self.depth < 1:
             raise ConfigError(f"encoder depth must be >= 1, got {self.depth}")
-        if self.token_dim % self.heads:
+        if self.heads < 1 or self.token_dim % self.heads:
             raise ConfigError(
-                f"head count {self.heads} does not divide token_dim {self.token_dim}"
+                f"head count {self.heads} must be >= 1 and divide token_dim {self.token_dim}"
             )
 
 
@@ -76,22 +76,12 @@ def token_adjacency(template: MeshTemplate, layout: TokenLayout) -> np.ndarray:
 
 def mhsa(tokens: Tensor, params: dict, prefix: str, heads: int) -> Tensor:
     """Multi-head scaled dot-product self-attention with output projection."""
-    t, d = tokens.shape
-    if d % heads:
-        raise ConfigError(f"head count {heads} does not divide token width {d}")
-    dh = d // heads
-    q = ad.add(ad.matmul(tokens, params[f"{prefix}.attn.wq"]), params[f"{prefix}.attn.bq"])
-    k = ad.add(ad.matmul(tokens, params[f"{prefix}.attn.wk"]), params[f"{prefix}.attn.bk"])
-    v = ad.add(ad.matmul(tokens, params[f"{prefix}.attn.wv"]), params[f"{prefix}.attn.bv"])
-
-    def split(x, axes=(1, 0, 2)):  # (T, D) -> (heads, T, dh), or (heads, dh, T) for K
-        return ad.transpose(ad.reshape(x, (t, heads, dh)), axes)
-
-    q3, kt3, v3 = split(q), split(k, (1, 2, 0)), split(v)
-    scores = ad.mul(ad.matmul(q3, kt3), Tensor(1.0 / np.sqrt(dh)))
-    attn = ad.softmax(scores, axis=-1)
-    ctx = ad.reshape(ad.transpose(ad.matmul(attn, v3), (1, 0, 2)), (t, d))
-    return ad.add(ad.matmul(ctx, params[f"{prefix}.attn.wo"]), params[f"{prefix}.attn.bo"])
+    q, k, v = (
+        ad.linear(tokens, params[f"{prefix}.attn.w{n}"], params[f"{prefix}.attn.b{n}"])
+        for n in "qkv"
+    )
+    ctx = ad.attention(q, k, v, heads)
+    return ad.linear(ctx, params[f"{prefix}.attn.wo"], params[f"{prefix}.attn.bo"])
 
 
 def graph_residual(tokens: Tensor, adjacency: np.ndarray, wg: Tensor) -> Tensor:
@@ -115,9 +105,8 @@ def encoder_block(tokens: Tensor, adjacency: np.ndarray, params: dict, prefix: s
     )
     x = graph_residual(x, adjacency, params[f"{prefix}.graph.wg"])
     h = ad.layer_norm(x, params[f"{prefix}.ln2.gamma"], params[f"{prefix}.ln2.beta"])
-    h = ad.add(ad.matmul(h, params[f"{prefix}.mlp.w1"]), params[f"{prefix}.mlp.b1"])
-    h = ad.gelu(h)
-    h = ad.add(ad.matmul(h, params[f"{prefix}.mlp.w2"]), params[f"{prefix}.mlp.b2"])
+    h = ad.gelu(ad.linear(h, params[f"{prefix}.mlp.w1"], params[f"{prefix}.mlp.b1"]))
+    h = ad.linear(h, params[f"{prefix}.mlp.w2"], params[f"{prefix}.mlp.b2"])
     return ad.add(x, h)
 
 

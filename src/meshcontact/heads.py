@@ -69,8 +69,7 @@ def contact_head(features: Tensor, template: mesh.MeshTemplate, params: dict,
     Probabilities are clamped to [PROB_CLAMP, 1-PROB_CLAMP] so they stay
     strictly inside (0, 1) even when the sigmoid saturates in float64.
     """
-    coarse_logits = ad.add(ad.matmul(features, params["heads.contact.w"]),
-                           params["heads.contact.b"])
+    coarse_logits = ad.linear(features, params["heads.contact.w"], params["heads.contact.b"])
     full_logits = ad.reshape(mesh.upsample(coarse_logits, template), (template.v_full,))
     probs = ad.clip(ad.sigmoid(full_logits), PROB_CLAMP, 1.0 - PROB_CLAMP)
     return ContactPrediction(probs=probs, source=source, logits=full_logits)
@@ -78,19 +77,19 @@ def contact_head(features: Tensor, template: mesh.MeshTemplate, params: dict,
 
 def mesh_head(features: Tensor, template: mesh.MeshTemplate, params: dict) -> Tensor:
     """Coarse offsets from rest pose, upsampled to full vertices."""
-    offsets = ad.add(ad.matmul(features, params["heads.mesh.w"]), params["heads.mesh.b"])
+    offsets = ad.linear(features, params["heads.mesh.w"], params["heads.mesh.b"])
     coarse = ad.add(Tensor(template.coarse_rest_vertices), offsets)
     return mesh.upsample(coarse, template)
 
 
 def semantic_decoder(grid_tokens: Tensor, params: dict) -> Tensor:
     """Per-grid-cell scene class logits."""
-    return ad.add(ad.matmul(grid_tokens, params["heads.sem.w"]), params["heads.sem.b"])
+    return ad.linear(grid_tokens, params["heads.sem.w"], params["heads.sem.b"])
 
 
 def bodypart_decoder(grid_tokens: Tensor, params: dict) -> Tensor:
     """Per-grid-cell body-part class logits."""
-    return ad.add(ad.matmul(grid_tokens, params["heads.bp.w"]), params["heads.bp.b"])
+    return ad.linear(grid_tokens, params["heads.bp.w"], params["heads.bp.b"])
 
 
 # ---------------------------------------------------------------------------

@@ -110,7 +110,7 @@ def fuse_paths(paths: list, params: RoutingParams):
     w_col = ad.reshape(params.w, (params.w.size, 1))
     cols = []
     for p in paths:
-        phi = ad.gelu(ad.add(ad.matmul(p, params.phi_weight), params.phi_bias))
+        phi = ad.gelu(ad.linear(p, params.phi_weight, params.phi_bias))
         cols.append(ad.matmul(phi, w_col))
     alpha = ad.softmax(ad.concat(cols, axis=1), axis=1)
     fused = weighted_path_sum(paths, alpha)

@@ -80,10 +80,137 @@ class TestSoftmax:
             ad.softmax(ad.Tensor([0.0, np.nan]), axis=-1)
 
     @pytest.mark.parametrize("op", [ad.softmax, ad.log_softmax])
+    @pytest.mark.parametrize("row", [[np.nan, np.inf], [np.inf, np.nan], [-np.inf, np.nan],
+                                     [np.nan, -np.inf, 0.0]])
+    def test_nan_beside_infinity_rejected(self, op, row):
+        x = np.zeros((3, len(row)))
+        x[1] = row
+        with pytest.raises(NumericsError, match="contains NaN"):
+            op(ad.Tensor(x), axis=-1)
+
+    @pytest.mark.parametrize("op", [ad.softmax, ad.log_softmax])
     @pytest.mark.parametrize("x", [np.zeros((2, 0)), np.float64(1.0)], ids=["empty", "0-d"])
     def test_no_axis_rejected(self, op, x):
         with pytest.raises(ContractError, match="along empty axis"):
             op(ad.Tensor(x), axis=-1)
+
+
+def composed_linear(x, w, b):
+    """The affine map as two tape entries, as callers built it before `linear`."""
+    return ad.add(ad.matmul(x, w), b)
+
+
+def composed_attention(q, k, v, heads):
+    """Attention as split -> matmul -> mul -> softmax -> matmul -> merge entries."""
+    t, d = q.shape
+    dh = d // heads
+
+    def split(x, axes=(1, 0, 2)):  # (T, D) -> (heads, T, dh), or (heads, dh, T) for K
+        return ad.transpose(ad.reshape(x, (t, heads, dh)), axes)
+
+    scores = ad.mul(ad.matmul(split(q), split(k, (1, 2, 0))), ad.Tensor(1.0 / np.sqrt(dh)))
+    ctx = ad.matmul(ad.softmax(scores, axis=-1), split(v))
+    return ad.reshape(ad.transpose(ctx, (1, 0, 2)), (t, d))
+
+
+def _leaves(seed, **shapes):
+    rng = np.random.default_rng(seed)
+    return {n: ad.Tensor(rng.normal(size=s), requires_grad=True, name=n) for n, s in shapes.items()}
+
+
+def _forward_and_grads(f, params, probe):
+    with ad.tape_scope() as tape:
+        out = f(params)
+        grads = ad.backward(ad.sum_(ad.mul(out, ad.Tensor(probe))), params=params)
+    return out.data, {n: g.data for n, g in grads.items()}, len(tape.entries)
+
+
+class TestLinear:
+    def test_matches_composed_ops_bit_for_bit(self):
+        params = _leaves(20, x=(5, 3), w=(3, 4), b=(4,))
+        probe = np.random.default_rng(21).normal(size=(5, 4))
+        fused = _forward_and_grads(lambda p: ad.linear(p["x"], p["w"], p["b"]), params, probe)
+        chain = _forward_and_grads(lambda p: composed_linear(p["x"], p["w"], p["b"]),
+                                   params, probe)
+        assert np.array_equal(fused[0], chain[0])
+        for name in params:
+            assert np.array_equal(fused[1][name], chain[1][name]), name
+        assert (fused[2], chain[2]) == (3, 4)  # the probe adds a mul and a sum
+
+    def test_gradient(self):
+        params = _leaves(22, x=(4, 3), w=(3, 2), b=(2,))
+        probe = np.random.default_rng(23).normal(size=(4, 2))
+
+        def f(p):
+            return ad.sum_(ad.mul(ad.linear(p["x"], p["w"], p["b"]), ad.Tensor(probe)))
+
+        _check_primitive("linear", f, params)
+
+    @pytest.mark.parametrize("shapes", [((2, 3), (3, 4), (3,)), ((2, 3), (3, 4), (1,)),
+                                        ((2, 3), (2, 4), (4,)), ((3,), (3, 4), (4,))],
+                             ids=["bias-width", "bias-broadcast", "inner", "1-d-x"])
+    def test_shape_mismatch_rejected(self, shapes):
+        x, w, b = (ad.Tensor(np.zeros(s)) for s in shapes)
+        with pytest.raises(ShapeError, match="linear"):
+            ad.linear(x, w, b)
+
+
+class TestAttention:
+    @pytest.mark.parametrize("t", [1, 5])
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_matches_composed_ops_bit_for_bit(self, heads, t):
+        params = _leaves(30 + t, q=(t, 4), k=(t, 4), v=(t, 4))
+        probe = np.random.default_rng(31).normal(size=(t, 4))
+        fused = _forward_and_grads(
+            lambda p: ad.attention(p["q"], p["k"], p["v"], heads), params, probe)
+        chain = _forward_and_grads(
+            lambda p: composed_attention(p["q"], p["k"], p["v"], heads), params, probe)
+        assert np.array_equal(fused[0], chain[0])
+        for name in params:
+            assert np.array_equal(fused[1][name], chain[1][name]), name
+        assert (fused[2], chain[2]) == (3, 14)
+
+    @pytest.mark.parametrize("t", [1, 5])
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_gradient(self, heads, t):
+        params = _leaves(40 + t, q=(t, 4), k=(t, 4), v=(t, 4))
+        probe = np.random.default_rng(41).normal(size=(t, 4))
+
+        def f(p):
+            out = ad.attention(p["q"], p["k"], p["v"], heads)
+            return ad.sum_(ad.mul(out, ad.Tensor(probe)))
+
+        _check_primitive(f"attention heads={heads} T={t}", f, params)
+
+    def test_gradient_only_where_required(self):
+        rng = np.random.default_rng(42)
+        q = ad.Tensor(rng.normal(size=(3, 4)), requires_grad=True, name="q")
+        k, v = ad.Tensor(rng.normal(size=(3, 4))), ad.Tensor(rng.normal(size=(3, 4)))
+        grads = []
+        for op in (ad.attention, composed_attention):
+            with ad.tape_scope():
+                grads.append(ad.backward(ad.sum_(ad.mul(op(q, k, v, 2), v))))
+        assert set(grads[0]) == {"q"}
+        assert np.array_equal(grads[0]["q"].data, grads[1]["q"].data)
+
+    def test_nan_in_query_rejected(self):
+        q = np.zeros((3, 4))
+        q[1, 2] = np.nan
+        z = ad.Tensor(np.ones((3, 4)))
+        with pytest.raises(NumericsError, match="attention input contains NaN"):
+            ad.attention(ad.Tensor(q), z, z, 2)
+
+    @pytest.mark.parametrize("shapes,heads", [
+        (((3, 4), (2, 4), (3, 4)), 2),
+        (((3, 4), (3, 4), (3, 2)), 2),
+        (((4,), (4,), (4,)), 1),
+        (((3, 4), (3, 4), (3, 4)), 3),
+        (((3, 4), (3, 4), (3, 4)), 0),
+    ], ids=["k-rows", "v-width", "1-d", "heads-3-of-4", "heads-0"])
+    def test_shape_mismatch_rejected(self, shapes, heads):
+        q, k, v = (ad.Tensor(np.zeros(s)) for s in shapes)
+        with pytest.raises(ShapeError):
+            ad.attention(q, k, v, heads)
 
 
 class TestNarrow:

@@ -73,6 +73,25 @@ class TestMhsa:
         with pytest.raises(ConfigError):
             encoder.EncoderConfig(token_dim=8, heads=3).validate()
 
+    @pytest.mark.parametrize("heads", [0, -1])
+    def test_head_count_below_one(self, heads):
+        with pytest.raises(ConfigError, match="head count"):
+            encoder.EncoderConfig(token_dim=8, heads=heads).validate()
+
+    def test_head_count_checked_by_attention(self):
+        params = make_params(SMALL, prefixes=("enc_a",))
+        with pytest.raises(ShapeError, match="head count 3"):
+            encoder.mhsa(ad.Tensor(np.zeros((4, 8))), params, "enc_a.block0", 3)
+
+    def test_five_tape_entries_and_same_bits_without_tape(self):
+        params = make_params(SMALL, prefixes=("enc_a",))
+        tokens = ad.Tensor(np.random.default_rng(12).normal(size=(6, 8)))
+        with ad.tape_scope() as tape:
+            taped = encoder.mhsa(tokens, params, "enc_a.block0", SMALL.heads)
+        assert [e.op for e in tape.entries] == ["linear"] * 3 + ["attention", "linear"]
+        untaped = encoder.mhsa(tokens, params, "enc_a.block0", SMALL.heads)
+        assert np.array_equal(taped.data, untaped.data)
+
 
 class TestGraphResidual:
     def test_identity_adjacency_zero_weight(self):
@@ -126,6 +145,15 @@ class TestEncoderBlock:
         o2 = encoder.encoder_block(tokens, a, params, "enc_a.block0", SMALL)
         assert o1.shape == tokens.shape
         assert np.array_equal(o1.data, o2.data)
+
+    def test_tape_entries(self):
+        params = make_params(SMALL, prefixes=("enc_a",))
+        tokens = ad.Tensor(np.random.default_rng(13).normal(size=(6, 8)))
+        with ad.tape_scope() as tape:
+            encoder.encoder_block(tokens, np.eye(6), params, "enc_a.block0", SMALL)
+        # layer_norm, mhsa (5), add, graph residual (matmul, matmul, gelu, add),
+        # layer_norm, linear, gelu, linear, add
+        assert len(tape.entries) == 16
 
     def test_gradient_through_block(self):
         params = make_params(SMALL, prefixes=("enc_a",))
