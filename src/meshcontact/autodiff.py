@@ -415,14 +415,15 @@ def mean(a: Tensor, axis=None, keepdims=False) -> Tensor:
 def _max_shift(op, x: np.ndarray, axis: int, out=None) -> np.ndarray:
     """x minus its max along `axis`, into `out` (a new array if None).
 
-    Rejects what a softmax cannot normalize: no axis, or NaN, which the max
-    propagates, so one NaN anywhere in a row is caught without a second scan.
+    Rejects what a softmax cannot normalize: no axis, NaN, which the max
+    propagates, so one NaN anywhere in a row is caught without a second scan,
+    and a row whose max is +inf or -inf, which the shift would turn into NaN.
     """
     if x.shape == () or x.shape[axis] == 0:
         raise ContractError(f"{op} along empty axis {axis} of shape {x.shape}")
     m = x.max(axis=axis, keepdims=True)
-    if np.isnan(m).any():
-        raise NumericsError(f"{op} input contains NaN")
+    if not np.isfinite(m).all():
+        raise NumericsError(f"{op} input contains NaN or a row whose max is not finite")
     return np.subtract(x, m, out=out)
 
 
@@ -436,8 +437,8 @@ def _softmax_array(op, x: np.ndarray, axis: int, out=None) -> np.ndarray:
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Softmax along `axis`, stabilized by max subtraction.
 
-    Outputs are positive and sum to one along the axis.  NaN input is
-    rejected rather than silently propagated.
+    Outputs are positive and sum to one along the axis.  NaN input, and a
+    row whose max is infinite, is rejected rather than turned into NaN.
     """
     out = _softmax_array("softmax", x.data, axis)
 

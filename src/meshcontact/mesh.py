@@ -16,21 +16,16 @@ bit-identical to any all-pairs oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, ContractError, DataError, ShapeError
-from .tensorio import check_layout, read_tensor_file, write_tensor_file
+from .errors import ConfigError, ContractError, ShapeError
 
-MESH_MAGIC = b"GCMESH2\x00"
-
+HEIGHT_CM = 16.0  # chain height before the seeded segment-length jitter
 _LENGTH_QUANTUM = 2.0**-20
-# Row sums of a read template's convex weight tables may differ from 1 by
-# this much; built templates stay within 2.2e-16.
-_ROW_SUM_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -41,15 +36,12 @@ class MeshConfig:
     v_coarse: int = 98
     joints: int = 8
     ring_size: int = 6
-    height_cm: float = 16.0
 
     def validate(self):
         if self.joints < 2:
             raise ConfigError(f"need at least 2 joints, got {self.joints}")
         if self.ring_size < 3 or self.coarse_rings < 1:
             raise ConfigError(f"need ring_size >= 3 and a coarse ring, got {self}")
-        if not 0.0 < self.height_cm < np.inf:
-            raise ConfigError(f"height_cm must be finite and > 0, got {self.height_cm}")
         if self.v_coarse >= self.v_full:
             raise ConfigError(f"v_coarse {self.v_coarse} must be < v_full {self.v_full}")
         for name, v in (("v_full", self.v_full), ("v_coarse", self.v_coarse)):
@@ -74,8 +66,6 @@ class MeshConfig:
 class MeshTemplate:
     """Immutable template mesh plus the fixed linear operators built on it."""
 
-    config: MeshConfig
-    seed: int
     rest_vertices: np.ndarray  # (v_full, 3) cm
     faces: np.ndarray  # (n_faces, 3) int32
     coarse_rest_vertices: np.ndarray  # (v_coarse, 3) cm
@@ -86,7 +76,6 @@ class MeshTemplate:
     edge_lengths: np.ndarray  # (n_edges,) cm, dyadic rationals
     segment_ids: np.ndarray  # (v_full,) int32, body segment per vertex
     rest_pivots: np.ndarray  # (joints, 3) chain pivot points in rest pose
-    upsample_residual: float  # max |U @ coarse_rest - rest| recorded at build
 
     @property
     def v_full(self) -> int:
@@ -112,7 +101,7 @@ def _ring_profile(config: MeshConfig, rng: np.random.Generator):
             np.linspace(0, 1, config.joints), np.linspace(0, 1, base.size), base
         )
     seg_radius = base * (1.0 + 0.1 * rng.uniform(-1.0, 1.0, size=config.joints))
-    seg_length = np.full(config.joints, config.height_cm / config.joints) * (
+    seg_length = np.full(config.joints, HEIGHT_CM / config.joints) * (
         1.0 + 0.08 * rng.uniform(-1.0, 1.0, size=config.joints)
     )
 
@@ -197,7 +186,6 @@ def build_template(config: MeshConfig, rng_seed: int) -> MeshTemplate:
     edge_lengths = np.round(edge_lengths / _LENGTH_QUANTUM) * _LENGTH_QUANTUM
 
     upsample = _nearest_interp_matrix(verts, coarse_verts)
-    residual = float(np.abs(upsample @ coarse_verts - verts).max())
 
     per_seg = config.full_rings // config.joints
     segment_ids = np.empty(verts.shape[0], dtype=np.int32)
@@ -216,8 +204,6 @@ def build_template(config: MeshConfig, rng_seed: int) -> MeshTemplate:
     pivots = np.stack([np.zeros_like(bounds), bounds, np.zeros_like(bounds)], axis=1)
 
     return MeshTemplate(
-        config=config,
-        seed=rng_seed,
         rest_vertices=verts,
         faces=faces,
         coarse_rest_vertices=coarse_verts,
@@ -228,7 +214,6 @@ def build_template(config: MeshConfig, rng_seed: int) -> MeshTemplate:
         edge_lengths=edge_lengths,
         segment_ids=segment_ids,
         rest_pivots=pivots,
-        upsample_residual=residual,
     )
 
 
@@ -325,64 +310,3 @@ def coarse_adjacency(template: MeshTemplate) -> np.ndarray:
     u, v = _face_edges(template.coarse_faces).T
     a[u, v] = a[v, u] = 1.0
     return a / a.sum(axis=1, keepdims=True)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-# (dtype kind, shape) of each tensor in a template file: the config's fields
-# as 0-d "config.<field>" tensors, then the template's fields; see check_layout.
-_TEMPLATE_LAYOUT = {
-    **{f"config.{f.name}": (np.asarray(f.default).dtype.kind, ()) for f in fields(MeshConfig)},
-    "seed": ("i", ()),
-    "upsample_residual": ("f", ()),
-    "rest_vertices": ("f", ("v_full", 3)),
-    "faces": ("i", ("n_faces", 3)),
-    "coarse_rest_vertices": ("f", ("v_coarse", 3)),
-    "coarse_faces": ("i", ("n_coarse_faces", 3)),
-    "upsample_matrix": ("f", ("v_full", "v_coarse")),
-    "joint_regressor": ("f", ("joints", "v_full")),
-    "edges": ("i", ("n_edges", 2)),
-    "edge_lengths": ("f", ("n_edges",)),
-    "segment_ids": ("i", ("v_full",)),
-    "rest_pivots": ("f", ("joints", 3)),
-}
-
-
-def write_template(template: MeshTemplate, path):
-    """One tensor file holding the config fields and the template's fields."""
-    tensors = {f"config.{f.name}": getattr(template.config, f.name) for f in fields(MeshConfig)}
-    tensors.update({name: getattr(template, name) for name in _TEMPLATE_LAYOUT
-                    if not name.startswith("config.")})
-    write_tensor_file(path, MESH_MAGIC, tensors)
-
-
-def read_template(path) -> MeshTemplate:
-    tensors = read_tensor_file(path, MESH_MAGIC)
-    extents = check_layout(path, tensors, _TEMPLATE_LAYOUT)
-    for name, t in tensors.items():
-        if t.dtype.kind == "f" and not np.isfinite(t).all():
-            raise DataError(f"{path}: {name!r} has non-finite entries")
-    values = {name: t.item() if t.ndim == 0 else t for name, t in tensors.items()}
-    config = MeshConfig(**{f.name: values.pop(f"config.{f.name}") for f in fields(MeshConfig)})
-    try:
-        config.validate()
-    except ConfigError as exc:
-        raise DataError(f"{path}: invalid template config: {exc}") from exc
-    if any(extents[name] != getattr(config, name) for name in ("v_full", "v_coarse", "joints")):
-        raise DataError(f"{path}: array extents {extents} do not follow from {config}")
-    for name, end in (("faces", config.v_full), ("coarse_faces", config.v_coarse),
-                      ("segment_ids", config.joints)):
-        if ((values[name] < 0) | (values[name] >= end)).any():
-            raise DataError(f"{path}: {name!r} has entries outside [0, {end})")
-    if not np.array_equal(values["edges"], _face_edges(values["faces"])):
-        raise DataError(f"{path}: 'edges' are not the sorted unique sides of 'faces'")
-    if (values["edge_lengths"] < 0).any():
-        raise DataError(f"{path}: 'edge_lengths' has negative entries")
-    for name in ("upsample_matrix", "joint_regressor"):
-        rows = values[name]
-        if (rows < 0).any() or np.abs(rows.sum(axis=1) - 1.0).max() > _ROW_SUM_TOLERANCE:
-            raise DataError(f"{path}: {name!r} rows must be >= 0 and sum to 1 "
-                            f"within {_ROW_SUM_TOLERANCE}")
-    return MeshTemplate(config=config, **values)

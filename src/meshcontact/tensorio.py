@@ -1,10 +1,10 @@
-"""The one binary file format: sample, dataset and template files.
+"""The one binary file format: sample and dataset files.
 
 A file is a magic followed by one named-tensor table (all little-endian):
 int32 entry count, then per entry a name (int32 length + utf-8 bytes), an
 int32 dtype code, an int32 rank, the int32 extents, and the raw array
-bytes.  Every malformed file raises `DataError`, with the byte offset for
-table parse errors.
+bytes.  Every missing or malformed file raises `DataError`, with the byte
+offset for table parse errors.
 """
 
 from __future__ import annotations
@@ -107,7 +107,10 @@ def write_tensor_file(path, magic: bytes, tensors: dict):
 
 def read_tensor_file(path, magic: bytes) -> dict:
     """The tensor table of a file written by `write_tensor_file` with `magic`."""
-    buf = Path(path).read_bytes()
+    try:
+        buf = Path(path).read_bytes()
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read: {exc.strerror}") from exc
     if buf[: len(magic)] != magic:
         raise DataError(f"{path}: bad magic {buf[: len(magic)]!r}, expected {magic!r}")
     tensors, end = read_tensor_table(buf, len(magic))

@@ -89,6 +89,19 @@ class TestSoftmax:
             op(ad.Tensor(x), axis=-1)
 
     @pytest.mark.parametrize("op", [ad.softmax, ad.log_softmax])
+    @pytest.mark.parametrize("row", [[np.inf, 0.0], [0.0, np.inf, -np.inf], [-np.inf, -np.inf]],
+                             ids=["plus_inf", "plus_and_minus_inf", "all_minus_inf"])
+    def test_infinite_row_max_rejected(self, op, row):
+        x = np.zeros((3, len(row)))
+        x[1] = row
+        with pytest.raises(NumericsError, match="contains NaN or a row whose max is not finite"):
+            op(ad.Tensor(x), axis=-1)
+
+    def test_minus_inf_beside_finite_max(self):
+        assert np.array_equal(ad.softmax(ad.Tensor([-np.inf, 0.0])).data, [0.0, 1.0])
+        assert np.array_equal(ad.log_softmax(ad.Tensor([-np.inf, 0.0])).data, [-np.inf, 0.0])
+
+    @pytest.mark.parametrize("op", [ad.softmax, ad.log_softmax])
     @pytest.mark.parametrize("x", [np.zeros((2, 0)), np.float64(1.0)], ids=["empty", "0-d"])
     def test_no_axis_rejected(self, op, x):
         with pytest.raises(ContractError, match="along empty axis"):
@@ -198,6 +211,13 @@ class TestAttention:
         q[1, 2] = np.nan
         z = ad.Tensor(np.ones((3, 4)))
         with pytest.raises(NumericsError, match="attention input contains NaN"):
+            ad.attention(ad.Tensor(q), z, z, 2)
+
+    def test_infinite_score_row_rejected(self):
+        q = np.zeros((3, 4))
+        q[1, 2] = np.inf  # every score of query 1 in head 1 is +inf
+        z = ad.Tensor(np.ones((3, 4)))
+        with pytest.raises(NumericsError, match="attention input contains NaN or a row"):
             ad.attention(ad.Tensor(q), z, z, 2)
 
     @pytest.mark.parametrize("shapes,heads", [

@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import hashlib
 import os
 import subprocess
@@ -11,8 +10,7 @@ import pytest
 
 from meshcontact import autodiff as ad
 from meshcontact import mesh
-from meshcontact.errors import ConfigError, ContractError, DataError, ShapeError
-from meshcontact.tensorio import read_tensor_file, write_tensor_file
+from meshcontact.errors import ConfigError, ContractError, ShapeError
 
 
 @pytest.fixture(scope="module")
@@ -56,15 +54,6 @@ def floyd_warshall(n, edges, lengths):
     for k in range(n):
         d = np.minimum(d, d[:, k : k + 1] + d[k : k + 1, :])
     return d
-
-
-def set_entry(name, index, value):
-    """A table edit that replaces one entry of tensor `name` in a copy."""
-    def edit(tensors):
-        array = tensors[name].copy()
-        array[index] = value
-        tensors[name] = array
-    return edit
 
 
 # (v_full, v_coarse, joints, ring_size) of valid configs; None is the default config.
@@ -125,10 +114,18 @@ class TestBuildTemplate:
             mesh.build_template(mesh.MeshConfig(10, 6, 2, 1), rng_seed=0)
         with pytest.raises(ConfigError, match="ring_size >= 3"):
             mesh.build_template(mesh.MeshConfig(18, 10, 2, 2), rng_seed=0)
-        # A NaN height builds NaN vertices, a zero height zero-length edges.
-        for height in (np.nan, np.inf, 0.0, -16.0):
-            with pytest.raises(ConfigError, match="height_cm must be finite and > 0"):
-                mesh.build_template(mesh.MeshConfig(height_cm=height), rng_seed=0)
+
+    def test_default_template_bytes_pinned(self, template):
+        digest = hashlib.sha256()
+        for name in ("rest_vertices", "faces", "coarse_rest_vertices", "coarse_faces",
+                     "upsample_matrix", "joint_regressor", "edges", "edge_lengths",
+                     "segment_ids", "rest_pivots"):
+            array = getattr(template, name)
+            for part in (name, str(array.dtype), str(array.shape)):
+                digest.update(part.encode())
+            digest.update(array.tobytes())
+        assert digest.hexdigest() == (
+            "c49588847f2450f90bde489b6e32f5a76a1a7006b10622ac074e71afb31ad9f7")
 
 
 class TestUpsample:
@@ -137,10 +134,14 @@ class TestUpsample:
         full = mesh.upsample(ad.Tensor(coarse), template)
         assert np.abs(full.data - 3.25).max() <= 1e-12
 
-    def test_rest_pose_reconstruction_within_recorded_residual(self, template):
-        full = mesh.upsample(ad.Tensor(template.coarse_rest_vertices), template)
-        err = np.abs(full.data - template.rest_vertices).max()
-        assert err <= template.upsample_residual + 1e-12
+    def test_rest_pose_exact_at_shared_vertices(self, template):
+        """Every full vertex that is also a coarse vertex (all but the coarse top cap) is kept."""
+        full = mesh.upsample(ad.Tensor(template.coarse_rest_vertices), template).data
+        gaps = np.linalg.norm(
+            template.rest_vertices[:, None] - template.coarse_rest_vertices[None], axis=2)
+        shared = gaps.min(axis=1) == 0.0
+        assert shared.sum() == template.v_coarse - 1
+        assert np.array_equal(full[shared], template.rest_vertices[shared])
 
     def test_linearity(self, template):
         rng = np.random.default_rng(0)
@@ -254,90 +255,6 @@ class TestCoarseAdjacency:
         assert np.array_equal(mesh.coarse_adjacency(template), coarse_adjacency_loop(template))
 
 
-class TestSerialization:
-    def test_round_trip_bit_exact(self, template, tmp_path):
-        path = tmp_path / "body.mesh"
-        mesh.write_template(template, path)
-        back = mesh.read_template(path)
-        assert np.array_equal(back.rest_vertices, template.rest_vertices)
-        assert np.array_equal(back.faces, template.faces)
-        assert np.array_equal(back.coarse_rest_vertices, template.coarse_rest_vertices)
-        assert np.array_equal(back.coarse_faces, template.coarse_faces)
-        assert np.array_equal(back.upsample_matrix, template.upsample_matrix)
-        assert np.array_equal(back.joint_regressor, template.joint_regressor)
-        assert np.array_equal(back.edges, template.edges)
-        assert np.array_equal(back.edge_lengths, template.edge_lengths)
-        assert np.array_equal(back.segment_ids, template.segment_ids)
-        assert np.array_equal(back.rest_pivots, template.rest_pivots)
-        assert back.upsample_residual == template.upsample_residual
-        assert back.config == template.config
-        assert back.seed == template.seed
-
-    def test_default_template_bytes_pinned(self, template, tmp_path):
-        path = tmp_path / "body.mesh"
-        mesh.write_template(template, path)
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "0078fd4cf5f176db9f1302be3fac4aeb6e8080ec336da0ee77ac237ab2487c86")
-
-    def test_failed_write_keeps_the_old_file(self, template, tmp_path):
-        path = tmp_path / "body.mesh"
-        mesh.write_template(template, path)
-        good = path.read_bytes()
-        with pytest.raises(DataError, match="'seed'.*int32 range"):
-            mesh.write_template(dataclasses.replace(template, seed=2**31), path)
-        assert path.read_bytes() == good
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "junk.mesh"
-        path.write_bytes(b"NOTMESH0" + b"\x00" * 64)
-        with pytest.raises(Exception, match="magic"):
-            mesh.read_template(path)
-
-    @pytest.mark.parametrize("edit, message", [
-        (lambda t: t.update(seed=np.float64(7.0)), "'seed' is float64"),  # int code -> float
-        (lambda t: t.update({"config.height_cm": np.int32(16)}), "'config.height_cm' is int32"),
-        (lambda t: t.update(seed=np.array([7])), "'seed' is int32 of shape \\(1,\\)"),
-        (lambda t: t.update({"config.ring_size": np.int32(0)}), "invalid template config"),
-        (lambda t: t.update({"config.joints": np.int32(4)}), "do not follow from"),
-        (lambda t: t.update(upsample_matrix=t["upsample_matrix"].T), "'upsample_matrix'"),
-        (lambda t: t.update(segment_ids=t["segment_ids"][1:]), "'segment_ids'"),
-        (lambda t: t.pop("edges"), "expected tensors"),
-        (lambda t: t.update(extra=np.zeros(1)), "expected tensors"),
-        (set_entry("faces", (0, 0), 386), "'faces' has entries outside \\[0, 386\\)"),
-        (set_entry("faces", (0, 0), -1), "'faces' has entries outside"),
-        (set_entry("coarse_faces", (0, 1), 98), "'coarse_faces' has entries outside \\[0, 98\\)"),
-        (set_entry("segment_ids", 0, 8), "'segment_ids' has entries outside \\[0, 8\\)"),
-        (set_entry("edges", (0, 1), 5000), "'edges' are not"),
-        (lambda t: set_entry("edges", 1, t["edges"][0])(t), "'edges' are not"),
-        (set_entry("edge_lengths", 0, -1.0), "'edge_lengths' has negative"),
-        (set_entry("edge_lengths", 0, np.nan), "'edge_lengths' has non-finite"),
-        (set_entry("edge_lengths", 0, np.inf), "'edge_lengths' has non-finite"),
-        (set_entry("rest_vertices", (0, 0), np.nan), "'rest_vertices' has non-finite"),
-        (set_entry("coarse_rest_vertices", (0, 0), np.inf),
-         "'coarse_rest_vertices' has non-finite"),
-        (set_entry("upsample_matrix", (0, 0), np.nan), "'upsample_matrix' has non-finite"),
-        (set_entry("upsample_matrix", (0, 0), -0.5), "'upsample_matrix' rows must be >= 0"),
-        (lambda t: set_entry("joint_regressor", 0, t["joint_regressor"][0] * 5.98)(t),
-         "'joint_regressor' rows must be >= 0 and sum to 1 within 1e-09"),
-        (set_entry("rest_pivots", (0, 0), np.nan), "'rest_pivots' has non-finite"),
-        (lambda t: t.update(upsample_residual=np.float64(np.nan)),
-         "'upsample_residual' has non-finite"),
-    ], ids=["float_seed", "int_height", "seed_not_0d", "bad_config", "config_vs_arrays",
-            "transposed", "short_array", "missing", "extra", "face_past_v_full",
-            "negative_face", "coarse_face_past_v_coarse", "segment_past_joints",
-            "edge_past_v_full", "duplicated_edge", "negative_length", "nan_length",
-            "inf_length", "nan_vertex", "inf_coarse_vertex", "nan_upsample_weight",
-            "negative_upsample_weight", "regressor_row_sum", "nan_pivot", "nan_residual"])
-    def test_malformed_table_rejected(self, template, tmp_path, edit, message):
-        path = tmp_path / "body.mesh"
-        mesh.write_template(template, path)
-        tensors = read_tensor_file(path, mesh.MESH_MAGIC)
-        edit(tensors)
-        write_tensor_file(path, mesh.MESH_MAGIC, tensors)
-        with pytest.raises(DataError, match=message):
-            mesh.read_template(path)
-
-
 def test_package_does_not_load_csgraph():
     """Geodesics import scipy.sparse.csgraph lazily: loading it adds ~10 MB of resident memory."""
     script = """
@@ -364,8 +281,6 @@ def _path_template(n):
     verts = np.stack([np.arange(n, dtype=float), np.zeros(n), np.zeros(n)], axis=1)
     edges = np.asarray([(i, i + 1) for i in range(n - 1)], dtype=np.int32)
     return mesh.MeshTemplate(
-        config=mesh.MeshConfig(),
-        seed=0,
         rest_vertices=verts,
         faces=np.zeros((0, 3), dtype=np.int32),
         coarse_rest_vertices=verts[:1],
@@ -376,5 +291,4 @@ def _path_template(n):
         edge_lengths=np.ones(n - 1),
         segment_ids=np.zeros(n, dtype=np.int32),
         rest_pivots=np.zeros((2, 3)),
-        upsample_residual=0.0,
     )

@@ -348,6 +348,15 @@ class TestDatasetIO:
         with pytest.raises(DataError, match=message):
             scenes.read_sample(path)
 
+    @pytest.mark.parametrize("read", [scenes.read_sample, scenes.read_dataset])
+    @pytest.mark.parametrize("name", ["missing.bin", "."], ids=["missing", "directory"])
+    def test_unreadable_path_rejected(self, tmp_path, read, name):
+        path = tmp_path / name
+        with pytest.raises(DataError, match="cannot read") as info:
+            read(path)
+        assert str(path) in str(info.value)
+        assert isinstance(info.value.__cause__, OSError)
+
     def test_truncated_sample_reports_offset(self, config, template, tmp_path):
         path = tmp_path / "ds.bin"
         scenes.write_dataset(scenes.generate_dataset(config, template, 1, seed=14), path)

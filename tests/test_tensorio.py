@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import meshcontact
 from meshcontact import mesh, scenes
 from meshcontact.errors import DataError
-from meshcontact.tensorio import read_tensor_table, write_tensor_table
+from meshcontact.tensorio import read_tensor_table, write_tensor_file, write_tensor_table
 
 
 def table_bytes(tensors):
@@ -90,6 +90,15 @@ class TestMalformedTable:
             assert np.array_equal(back[name], arr)
 
 
+def test_failed_write_keeps_the_old_file(tmp_path):
+    path = tmp_path / "table.bin"
+    write_tensor_file(path, b"MAGIC\x00", {"x": np.arange(3, dtype=np.int32)})
+    good = path.read_bytes()
+    with pytest.raises(DataError, match="'x'.*int32 range"):
+        write_tensor_file(path, b"MAGIC\x00", {"x": np.array([2**31], dtype=np.int64)})
+    assert path.read_bytes() == good
+
+
 _arrays = st.builds(
     lambda dtype, shape, seed: np.random.default_rng(seed).integers(0, 255, shape).astype(dtype),
     st.sampled_from([np.float64, np.int32, np.uint8]),
@@ -120,8 +129,6 @@ _FORMATS = {
     "dataset": (scenes.write_dataset, scenes.read_dataset, scenes.DATASET_MAGIC,
                 lambda template: scenes.generate_dataset(scenes.SceneConfig(), template, 3,
                                                          seed=11)),
-    "template": (mesh.write_template, mesh.read_template, mesh.MESH_MAGIC,
-                 lambda template: template),
 }
 
 
