@@ -115,24 +115,19 @@ class TestBuildTemplate:
         with pytest.raises(ConfigError, match="ring_size >= 3"):
             mesh.build_template(mesh.MeshConfig(18, 10, 2, 2), rng_seed=0)
 
-    def test_default_template_bytes_pinned(self, template):
-        digest = hashlib.sha256()
-        for name in ("rest_vertices", "faces", "coarse_rest_vertices", "coarse_faces",
-                     "upsample_matrix", "joint_regressor", "edges", "edge_lengths",
-                     "segment_ids", "rest_pivots"):
-            array = getattr(template, name)
-            for part in (name, str(array.dtype), str(array.shape)):
-                digest.update(part.encode())
-            digest.update(array.tobytes())
-        assert digest.hexdigest() == (
-            "c49588847f2450f90bde489b6e32f5a76a1a7006b10622ac074e71afb31ad9f7")
-
 
 class TestUpsample:
     def test_constant_point_preserved(self, template):
         coarse = np.full((template.v_coarse, 3), 3.25)
         full = mesh.upsample(ad.Tensor(coarse), template)
         assert np.abs(full.data - 3.25).max() <= 1e-12
+
+    def test_rest_pose_reconstruction_within_recorded_residual(self, template):
+        """The default template's max |U @ coarse_rest - rest|, recorded when build_template
+        still stored it, bounds the reconstruction error."""
+        full = mesh.upsample(ad.Tensor(template.coarse_rest_vertices), template)
+        err = np.abs(full.data - template.rest_vertices).max()
+        assert err <= 1.3080331500838263 + 1e-12
 
     def test_rest_pose_exact_at_shared_vertices(self, template):
         """Every full vertex that is also a coarse vertex (all but the coarse top cap) is kept."""
@@ -253,6 +248,23 @@ class TestCoarseAdjacency:
 
     def test_matches_face_loop_oracle(self, template):
         assert np.array_equal(mesh.coarse_adjacency(template), coarse_adjacency_loop(template))
+
+
+class TestSerialization:
+    """The built arrays' bytes are pinned: a template is never stored, so this digest
+    is what fixes it across changes."""
+
+    def test_default_template_bytes_pinned(self, template):
+        digest = hashlib.sha256()
+        for name in ("rest_vertices", "faces", "coarse_rest_vertices", "coarse_faces",
+                     "upsample_matrix", "joint_regressor", "edges", "edge_lengths",
+                     "segment_ids", "rest_pivots"):
+            array = getattr(template, name)
+            for part in (name, str(array.dtype), str(array.shape)):
+                digest.update(part.encode())
+            digest.update(array.tobytes())
+        assert digest.hexdigest() == (
+            "c49588847f2450f90bde489b6e32f5a76a1a7006b10622ac074e71afb31ad9f7")
 
 
 def test_package_does_not_load_csgraph():
