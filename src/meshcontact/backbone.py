@@ -30,9 +30,11 @@ class BackboneConfig:
     conv_channels: tuple = (16, 32)
     token_dim: int = 32
 
-    def validate(self):
+    def __post_init__(self):
         if not self.conv_channels:
             raise ConfigError(f"need a conv layer, got {self}")
+        if min(self.conv_channels) < 1:
+            raise ConfigError(f"every conv channel count must be >= 1, got {self}")
         if self.conv_channels[-1] != self.token_dim:
             raise ConfigError(
                 f"last conv channel count {self.conv_channels[-1]} must equal "
@@ -79,7 +81,6 @@ class TokenSequence:
 
 def init_backbone_params(config: BackboneConfig, template: MeshTemplate, rng) -> dict:
     """Fresh backbone parameter arrays keyed by stable dotted names."""
-    config.validate()
     params = {}
     c_in = 3
     for i, c_out in enumerate(config.conv_channels):

@@ -30,9 +30,9 @@ class EncoderConfig:
     depth: int = 2
     mlp_hidden: int = 128
 
-    def validate(self):
-        if self.depth < 1:
-            raise ConfigError(f"encoder depth must be >= 1, got {self.depth}")
+    def __post_init__(self):
+        if min(self.token_dim, self.depth, self.mlp_hidden) < 1:
+            raise ConfigError(f"token_dim, depth and mlp_hidden must be >= 1, got {self}")
         if self.heads < 1 or self.token_dim % self.heads:
             raise ConfigError(
                 f"head count {self.heads} must be >= 1 and divide token_dim {self.token_dim}"
@@ -40,7 +40,6 @@ class EncoderConfig:
 
 
 def init_encoder_params(prefix: str, config: EncoderConfig, rng) -> dict:
-    config.validate()
     d, h = config.token_dim, config.mlp_hidden
     params = {}
     for b in range(config.depth):

@@ -10,7 +10,12 @@ class ShapeError(MeshContactError):
 
 
 class ConfigError(MeshContactError):
-    """A configuration value or file is invalid. CLI exit code 2."""
+    """A config is constructed with an invalid value, or a valid one does not fit its inputs.
+
+    Configs check their own values when constructed.  A value that can only
+    be checked against an input, such as `SceneConfig.c_bp` against a
+    template, raises where that input is first used.  CLI exit code 2.
+    """
 
 
 class ContractError(MeshContactError):

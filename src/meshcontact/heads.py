@@ -16,7 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from . import mesh
 from .autodiff import Tensor
-from .errors import ConfigError, ContractError, NumericsError
+from .errors import ConfigError, ContractError, NumericsError, ShapeError
 
 PROB_CLAMP = 1e-7
 
@@ -96,9 +96,17 @@ def bodypart_decoder(grid_tokens: Tensor, params: dict) -> Tensor:
 # losses
 
 
+def _check_target(pred: Tensor, target):
+    """Reject a target that would broadcast against the prediction instead of matching it."""
+    if target.shape != pred.shape:
+        raise ShapeError(f"target shape {target.shape} does not match prediction shape "
+                         f"{pred.shape}")
+
+
 def loss_mesh(pred_vertices: Tensor, gt_vertices) -> Tensor:
     """Mean squared error over all vertex coordinates."""
     gt = gt_vertices if isinstance(gt_vertices, Tensor) else Tensor(gt_vertices)
+    _check_target(pred_vertices, gt)
     diff = ad.sub(pred_vertices, gt)
     return ad.mean(ad.mul(diff, diff))
 
@@ -106,6 +114,7 @@ def loss_mesh(pred_vertices: Tensor, gt_vertices) -> Tensor:
 def loss_contact(probs: Tensor, labels) -> Tensor:
     """Mean binary cross-entropy with probabilities clamped away from {0,1}."""
     y = np.asarray(labels, dtype=np.float64)
+    _check_target(probs, y)
     p = ad.clip(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
     pos = ad.mul(Tensor(y), ad.log(p))
     neg = ad.mul(Tensor(1.0 - y), ad.log(ad.sub(Tensor(1.0), p)))

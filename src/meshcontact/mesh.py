@@ -37,7 +37,7 @@ class MeshConfig:
     joints: int = 8
     ring_size: int = 6
 
-    def validate(self):
+    def __post_init__(self):
         if self.joints < 2:
             raise ConfigError(f"need at least 2 joints, got {self.joints}")
         if self.ring_size < 3 or self.coarse_rings < 1:
@@ -171,7 +171,6 @@ def _nearest_interp_matrix(targets, anchors, k=4):
 
 def build_template(config: MeshConfig, rng_seed: int) -> MeshTemplate:
     """Deterministically build the capsule-chain template for (config, seed)."""
-    config.validate()
     rng = np.random.default_rng(rng_seed)
     heights, radii, seg_length = _ring_profile(config, rng)
 
@@ -248,6 +247,8 @@ def geodesic_distances(template: MeshTemplate, sources) -> Tensor:
         raise ContractError("geodesic_distances needs at least one source vertex")
     n = template.v_full
     for s in sources:
+        if isinstance(s, bool) or not isinstance(s, (int, np.integer)):
+            raise ContractError(f"source vertex {s!r} is not an integer index")
         if not 0 <= s < n:
             raise ContractError(f"source vertex {s} outside [0, {n})")
     # Imported here, not at module level: importing scipy.sparse.csgraph adds ~10 MB

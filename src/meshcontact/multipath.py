@@ -32,7 +32,7 @@ class PathConfig:
     noise_sigma: float = 0.05
     mask_ratio: float = 0.15
 
-    def validate(self):
+    def __post_init__(self):
         if not 1 <= self.n_paths <= len(PATH_KINDS):
             raise ConfigError(f"n_paths must be in [1, {len(PATH_KINDS)}], got {self.n_paths}")
         for name, v in (("dropout_rate", self.dropout_rate), ("mask_ratio", self.mask_ratio)):
@@ -72,7 +72,6 @@ def make_paths(features: Tensor, config: PathConfig, rng, forward) -> list:
     Path 1 is always the identity; paths 2..N apply the remaining kinds in
     their fixed order, each drawing from its own derived RNG stream.
     """
-    config.validate()
     streams = rng.spawn(config.n_paths)
     out = []
     for i in range(config.n_paths):
@@ -88,7 +87,7 @@ class RoutingParams:
     phi_weight: Tensor
     phi_bias: Tensor
 
-    def validate(self):
+    def __post_init__(self):
         if self.w.size < 1:
             raise ConfigError("routing weight vector must have at least one entry")
 
@@ -102,7 +101,6 @@ def fuse_paths(paths: list, params: RoutingParams):
     """
     if not paths:
         raise ContractError("fuse_paths needs at least one path")
-    params.validate()
     shape = paths[0].shape
     for i, p in enumerate(paths):
         if p.shape != shape:

@@ -100,9 +100,8 @@ class SceneConfig:
     def grid_side(self) -> int:
         return self.backbone.grid_side
 
-    def validate(self, template: MeshTemplate | None = None):
-        self.backbone.validate()
-        if template is not None and self.c_bp != template.n_joints + 1:
+    def validate(self, template: MeshTemplate):
+        if self.c_bp != template.n_joints + 1:
             raise ConfigError(
                 f"c_bp={self.c_bp} must be template joints + background "
                 f"= {template.n_joints + 1}"

@@ -71,6 +71,8 @@ def read_tensor_table(buf: bytes, offset: int = 0) -> tuple[dict, int]:
             name = buf[offset : offset + nlen].decode("utf-8")
         except UnicodeDecodeError as exc:
             raise DataError(f"tensor name is not valid utf-8 at offset {offset}") from exc
+        if name in out:
+            raise DataError(f"repeated tensor name {name!r} at offset {offset}")
         offset += nlen
         need(8, "dtype/rank")
         code, ndim = struct.unpack_from("<ii", buf, offset)

@@ -44,7 +44,7 @@ class TestExtractFeatures:
 
     def test_indivisible_stride_rejected(self, template):
         with pytest.raises(ConfigError):
-            backbone.BackboneConfig(image_size=50).validate()
+            backbone.BackboneConfig(image_size=50)
         # Unchecked, this raised IndexError from the parameter init.
         with pytest.raises(ConfigError, match="need a conv layer"):
             backbone.init_backbone_params(backbone.BackboneConfig(conv_channels=()), template,

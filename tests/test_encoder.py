@@ -71,12 +71,12 @@ class TestMhsa:
 
     def test_head_divisibility(self):
         with pytest.raises(ConfigError):
-            encoder.EncoderConfig(token_dim=8, heads=3).validate()
+            encoder.EncoderConfig(token_dim=8, heads=3)
 
     @pytest.mark.parametrize("heads", [0, -1])
     def test_head_count_below_one(self, heads):
         with pytest.raises(ConfigError, match="head count"):
-            encoder.EncoderConfig(token_dim=8, heads=heads).validate()
+            encoder.EncoderConfig(token_dim=8, heads=heads)
 
     def test_head_count_checked_by_attention(self):
         params = make_params(SMALL, prefixes=("enc_a",))

@@ -126,6 +126,16 @@ class TestLosses:
         got = heads.loss_contact(ad.Tensor(probs), labels).item()
         assert got == pytest.approx(expected, rel=1e-12)
 
+    def test_mesh_loss_rejects_broadcasting_target(self):
+        # A (3,) target broadcast against every vertex and gave a loss with no error.
+        with pytest.raises(ShapeError, match=r"\(3,\).*\(5, 3\)"):
+            heads.loss_mesh(ad.Tensor(np.zeros((5, 3))), np.zeros(3))
+
+    def test_contact_loss_rejects_broadcasting_labels(self):
+        # (V, 1) labels against (V,) probabilities took the mean of a (V, V) array.
+        with pytest.raises(ShapeError, match=r"\(4, 1\).*\(4,\)"):
+            heads.loss_contact(ad.Tensor(np.full(4, 0.5)), np.ones((4, 1)))
+
     def test_segmentation_uniform_is_log_c(self):
         logits = ad.Tensor(np.zeros((10, 4)))
         labels = np.random.default_rng(12).integers(0, 4, size=10)

@@ -204,6 +204,13 @@ class TestGeodesics:
         with pytest.raises(ContractError):
             mesh.geodesic_distances(template, [])
 
+    @pytest.mark.parametrize("source", [1.5, 1.0, True, np.float64(1.0), "1"],
+                             ids=["fraction", "whole-float", "bool", "numpy-float", "str"])
+    def test_non_integer_source_rejected(self, template, source):
+        # 1.5 and True both returned vertex 1's distances.
+        with pytest.raises(ContractError, match="not an integer"):
+            mesh.geodesic_distances(template, [0, source])
+
     def test_matches_floyd_warshall_exactly(self, template):
         rng = np.random.default_rng(3)
         all_pairs = floyd_warshall(template.v_full, template.edges, template.edge_lengths)

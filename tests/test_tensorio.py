@@ -60,6 +60,11 @@ class TestMalformedTable:
          "negative extent"),
         (struct.pack("<i", 1) + entry(struct.pack("<i", 1) + b"a", ndim=65, extents=(0,) * 65,
                                       data=b""), "bad shape"),
+        # A repeated name silently replaced the earlier entry.
+        (struct.pack("<i", 2) + entry(struct.pack("<i", 1) + b"a", extents=(2,),
+                                      data=np.zeros(2).tobytes())
+         + entry(struct.pack("<i", 1) + b"a", extents=(2,), data=np.ones(2).tobytes()),
+         "repeated tensor name 'a' at offset 41"),
     ])
     def test_typed_error_with_offset(self, blob, message):
         with pytest.raises(DataError, match=message) as info:
