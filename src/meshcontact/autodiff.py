@@ -466,10 +466,11 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     n = x.shape[-1]
     if n < 2:
         raise ContractError(f"layer_norm axis extent must be >= 2, got shape {x.shape}")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    d = x.data - x.data.mean(axis=-1, keepdims=True)
+    # The same sums as x.var, so the bits match, without recomputing the mean.
+    var = (d * d).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    xhat = (x.data - mu) * inv
+    xhat = d * inv
     out = gamma.data * xhat + beta.data
     gd = gamma.data
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError
+from .errors import ConfigError, check_int_fields
 from .mesh import MeshTemplate
 
 PATCH = 4  # kernel side and stride of every conv layer
@@ -27,10 +27,11 @@ PATCH = 4  # kernel side and stride of every conv layer
 @dataclass(frozen=True)
 class BackboneConfig:
     image_size: int = 64
-    conv_channels: tuple = (16, 32)
+    conv_channels: tuple[int, ...] = (16, 32)
     token_dim: int = 32
 
     def __post_init__(self):
+        check_int_fields(self)
         if not self.conv_channels:
             raise ConfigError(f"need a conv layer, got {self}")
         if min(self.conv_channels) < 1:

@@ -16,7 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .backbone import TokenLayout, TokenSequence
-from .errors import ConfigError, ContractError, ShapeError
+from .errors import ConfigError, ContractError, ShapeError, check_int_fields
 from .mesh import MeshTemplate, coarse_adjacency
 
 # The paper's fixed fusion of the two encoders' vertex tokens: 1.0 * m_a + 0.1 * m_b.
@@ -31,6 +31,7 @@ class EncoderConfig:
     mlp_hidden: int = 128
 
     def __post_init__(self):
+        check_int_fields(self)
         if min(self.token_dim, self.depth, self.mlp_hidden) < 1:
             raise ConfigError(f"token_dim, depth and mlp_hidden must be >= 1, got {self}")
         if self.heads < 1 or self.token_dim % self.heads:

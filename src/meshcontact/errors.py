@@ -1,4 +1,8 @@
-"""Exception hierarchy shared by all meshcontact modules."""
+"""Exception hierarchy shared by all meshcontact modules, and the integer check of configs."""
+
+import dataclasses
+import numbers
+import typing
 
 
 class MeshContactError(Exception):
@@ -16,6 +20,30 @@ class ConfigError(MeshContactError):
     be checked against an input, such as `SceneConfig.c_bp` against a
     template, raises where that input is first used.  CLI exit code 2.
     """
+
+
+def check_int_fields(config) -> None:
+    """Raise ConfigError unless every `int` field of the dataclass `config` holds an integer.
+
+    A `tuple[int, ...]` field must be a tuple of integers.  Bools are rejected and numpy
+    integers accepted, as for any index or count: a float count constructed and failed
+    later with a bare TypeError, and True counted as 1.
+    """
+    hints = typing.get_type_hints(type(config))
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if hints[f.name] is int:
+            ok, kind = _is_int(value), "an int"
+        elif hints[f.name] == tuple[int, ...]:
+            ok, kind = isinstance(value, tuple) and all(map(_is_int, value)), "a tuple of ints"
+        else:
+            continue
+        if not ok:
+            raise ConfigError(f"{type(config).__name__}.{f.name} must be {kind}, got {value!r}")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 class ContractError(MeshContactError):

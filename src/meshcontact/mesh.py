@@ -1,11 +1,12 @@
 """Template body mesh: construction, upsampling, joint regression, geodesics.
 
 The template is a procedurally generated body-like surface: a chain of
-tube segments (rings of vertices around a vertical centerline, closed by
-two cap vertices) whose per-segment radii and lengths get a small seeded
-jitter.  A coarse version of the same chain, sharing every ring-stride-th
-ring, provides the low-resolution vertex set the model regresses; a fixed
-convex-weight matrix lifts coarse vertices back to the full mesh.
+JOINTS tube segments (rings of RING_SIZE vertices around a vertical
+centerline, closed by two cap vertices) whose per-segment radii and lengths
+get a small seeded jitter.  A coarse version of the same chain, sharing every
+ring-stride-th ring, provides the low-resolution vertex set the model
+regresses; a fixed convex-weight matrix lifts coarse vertices back to the
+full mesh.
 
 Units are centimeters throughout.  Edge lengths are quantized to 2^-20 cm
 at construction, so they are dyadic and every shortest-path sum is exact in
@@ -22,44 +23,43 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, ContractError, ShapeError
+from .errors import ConfigError, ContractError, ShapeError, check_int_fields
 
+JOINTS = 8  # chain segments; the radius plan, base poses and part palette are written for 8
+RING_SIZE = 6  # vertices per ring
 HEIGHT_CM = 16.0  # chain height before the seeded segment-length jitter
 _LENGTH_QUANTUM = 2.0**-20
 
 
 @dataclass(frozen=True)
 class MeshConfig:
-    """Extents of the capsule-chain template."""
+    """Vertex counts of the full and the coarse capsule-chain template."""
 
     v_full: int = 386
     v_coarse: int = 98
-    joints: int = 8
-    ring_size: int = 6
 
     def __post_init__(self):
-        if self.joints < 2:
-            raise ConfigError(f"need at least 2 joints, got {self.joints}")
-        if self.ring_size < 3 or self.coarse_rings < 1:
-            raise ConfigError(f"need ring_size >= 3 and a coarse ring, got {self}")
+        check_int_fields(self)
+        if self.coarse_rings < 1:
+            raise ConfigError(f"need a coarse ring, got {self}")
         if self.v_coarse >= self.v_full:
             raise ConfigError(f"v_coarse {self.v_coarse} must be < v_full {self.v_full}")
         for name, v in (("v_full", self.v_full), ("v_coarse", self.v_coarse)):
-            if (v - 2) % self.ring_size:
-                raise ConfigError(f"{name}={v} is not rings*{self.ring_size}+2")
+            if (v - 2) % RING_SIZE:
+                raise ConfigError(f"{name}={v} is not rings*{RING_SIZE}+2")
         rings = self.full_rings
-        if rings % self.joints:
-            raise ConfigError(f"{rings} rings do not split into {self.joints} segments")
+        if rings % JOINTS:
+            raise ConfigError(f"{rings} rings do not split into {JOINTS} segments")
         if rings % self.coarse_rings:
             raise ConfigError(f"coarse rings {self.coarse_rings} do not divide {rings}")
 
     @property
     def full_rings(self) -> int:
-        return (self.v_full - 2) // self.ring_size
+        return (self.v_full - 2) // RING_SIZE
 
     @property
     def coarse_rings(self) -> int:
-        return (self.v_coarse - 2) // self.ring_size
+        return (self.v_coarse - 2) // RING_SIZE
 
 
 @dataclass
@@ -93,24 +93,20 @@ class MeshTemplate:
 def _ring_profile(config: MeshConfig, rng: np.random.Generator):
     """Per-ring (height, radius) along the chain, with seeded segment jitter."""
     rings = config.full_rings
-    per_seg = rings // config.joints
-    # Body-ish radius plan: slim ends, bulging middle, rounded top.
+    per_seg = rings // JOINTS
+    # Body-ish radius plan, one per segment: slim ends, bulging middle, rounded top.
     base = np.array([0.55, 0.8, 1.05, 1.3, 1.35, 1.15, 0.7, 1.0])
-    if config.joints != base.size:
-        base = np.interp(
-            np.linspace(0, 1, config.joints), np.linspace(0, 1, base.size), base
-        )
-    seg_radius = base * (1.0 + 0.1 * rng.uniform(-1.0, 1.0, size=config.joints))
-    seg_length = np.full(config.joints, HEIGHT_CM / config.joints) * (
-        1.0 + 0.08 * rng.uniform(-1.0, 1.0, size=config.joints)
+    seg_radius = base * (1.0 + 0.1 * rng.uniform(-1.0, 1.0, size=JOINTS))
+    seg_length = np.full(JOINTS, HEIGHT_CM / JOINTS) * (
+        1.0 + 0.08 * rng.uniform(-1.0, 1.0, size=JOINTS)
     )
 
     heights = np.zeros(rings)
     radii = np.zeros(rings)
     h = 0.0
-    for j in range(config.joints):
+    for j in range(JOINTS):
         r0 = seg_radius[j]
-        r1 = seg_radius[min(j + 1, config.joints - 1)]
+        r1 = seg_radius[min(j + 1, JOINTS - 1)]
         for k in range(per_seg):
             t = k / per_seg
             idx = j * per_seg + k
@@ -120,10 +116,10 @@ def _ring_profile(config: MeshConfig, rng: np.random.Generator):
     return heights, radii, seg_length
 
 
-def _chain_mesh(heights, radii, ring_size):
+def _chain_mesh(heights, radii):
     """Vertices and faces of one capped tube: bottom cap, rings, top cap."""
     rings = heights.size
-    angles = 2.0 * np.pi * np.arange(ring_size) / ring_size
+    angles = 2.0 * np.pi * np.arange(RING_SIZE) / RING_SIZE
     verts = [np.array([0.0, heights[0] - radii[0], 0.0])]
     for k in range(rings):
         for a in angles:
@@ -132,19 +128,19 @@ def _chain_mesh(heights, radii, ring_size):
     verts = np.asarray(verts)
 
     def ring_idx(k, j):
-        return 1 + k * ring_size + (j % ring_size)
+        return 1 + k * RING_SIZE + (j % RING_SIZE)
 
     faces = []
-    for j in range(ring_size):
+    for j in range(RING_SIZE):
         faces.append((0, ring_idx(0, j + 1), ring_idx(0, j)))
     for k in range(rings - 1):
-        for j in range(ring_size):
+        for j in range(RING_SIZE):
             a, b = ring_idx(k, j), ring_idx(k, j + 1)
             c, d = ring_idx(k + 1, j + 1), ring_idx(k + 1, j)
             faces.append((a, b, c))
             faces.append((a, c, d))
     top = verts.shape[0] - 1
-    for j in range(ring_size):
+    for j in range(RING_SIZE):
         faces.append((top, ring_idx(rings - 1, j), ring_idx(rings - 1, j + 1)))
     return verts, np.asarray(faces, dtype=np.int32)
 
@@ -174,11 +170,9 @@ def build_template(config: MeshConfig, rng_seed: int) -> MeshTemplate:
     rng = np.random.default_rng(rng_seed)
     heights, radii, seg_length = _ring_profile(config, rng)
 
-    verts, faces = _chain_mesh(heights, radii, config.ring_size)
+    verts, faces = _chain_mesh(heights, radii)
     stride = config.full_rings // config.coarse_rings
-    coarse_verts, coarse_faces = _chain_mesh(
-        heights[::stride], radii[::stride], config.ring_size
-    )
+    coarse_verts, coarse_faces = _chain_mesh(heights[::stride], radii[::stride])
 
     edges = _face_edges(faces)
     edge_lengths = np.linalg.norm(verts[edges[:, 0]] - verts[edges[:, 1]], axis=1)
@@ -186,16 +180,16 @@ def build_template(config: MeshConfig, rng_seed: int) -> MeshTemplate:
 
     upsample = _nearest_interp_matrix(verts, coarse_verts)
 
-    per_seg = config.full_rings // config.joints
+    per_seg = config.full_rings // JOINTS
     segment_ids = np.empty(verts.shape[0], dtype=np.int32)
     segment_ids[0] = 0
-    segment_ids[-1] = config.joints - 1
+    segment_ids[-1] = JOINTS - 1
     for k in range(config.full_rings):
         seg = k // per_seg
-        segment_ids[1 + k * config.ring_size : 1 + (k + 1) * config.ring_size] = seg
+        segment_ids[1 + k * RING_SIZE : 1 + (k + 1) * RING_SIZE] = seg
 
-    regressor = np.zeros((config.joints, verts.shape[0]))
-    for j in range(config.joints):
+    regressor = np.zeros((JOINTS, verts.shape[0]))
+    for j in range(JOINTS):
         members = segment_ids == j
         regressor[j, members] = 1.0 / members.sum()
 

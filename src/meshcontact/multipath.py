@@ -1,14 +1,14 @@
 """Multi-path perturbation training and token-wise adaptive path routing.
 
 During training the input is expanded into N inference paths: the first is
-always the unperturbed forward pass, the rest apply spatial dropout,
-additive embedding noise, and token masking (which zeroes a fixed fraction
-of the tokens), in that fixed order.  All paths share the same model
-parameters.  A routing module then fuses the per-path vertex features: each
-path gets a per-vertex attention score from a learned projection, scores
-are softmaxed across paths, and the fused feature is the score-weighted sum.
-Inference always runs a single path, for which the routing is exactly the
-identity.
+always the unperturbed forward pass, the rest apply spatial dropout at
+DROPOUT_RATE, additive embedding noise of scale NOISE_SIGMA, and token
+masking (which zeroes a MASK_RATIO fraction of the tokens), in that fixed
+order.  All paths share the same model parameters.  A routing module then
+fuses the per-path vertex features: each path gets a per-vertex attention
+score from a learned projection, scores are softmaxed across paths, and the
+fused feature is the score-weighted sum.  Inference always runs a single
+path, for which the routing is exactly the identity.
 """
 
 from __future__ import annotations
@@ -20,29 +20,26 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, ContractError, ShapeError
+from .errors import ConfigError, ContractError, ShapeError, check_int_fields
 
 PATH_KINDS = ("identity", "spatial_dropout", "embedding_noise", "token_masking")
+# The paper trains with this one set of perturbation rates.
+DROPOUT_RATE = 0.1
+NOISE_SIGMA = 0.05
+MASK_RATIO = 0.15
 
 
 @dataclass(frozen=True)
 class PathConfig:
     n_paths: int = 4
-    dropout_rate: float = 0.1
-    noise_sigma: float = 0.05
-    mask_ratio: float = 0.15
 
     def __post_init__(self):
+        check_int_fields(self)
         if not 1 <= self.n_paths <= len(PATH_KINDS):
             raise ConfigError(f"n_paths must be in [1, {len(PATH_KINDS)}], got {self.n_paths}")
-        for name, v in (("dropout_rate", self.dropout_rate), ("mask_ratio", self.mask_ratio)):
-            if not 0.0 <= v < 1.0:
-                raise ConfigError(f"{name} must be in [0, 1), got {v}")
-        if not 0.0 <= self.noise_sigma < math.inf:
-            raise ConfigError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
 
 
-def perturb(features: Tensor, kind: str, config: PathConfig, rng) -> Tensor:
+def perturb(features: Tensor, kind: str, rng) -> Tensor:
     """Apply one perturbation kind to a (tokens x dim) feature matrix.
 
     The random draws are constants of the step: gradients flow through the
@@ -52,16 +49,15 @@ def perturb(features: Tensor, kind: str, config: PathConfig, rng) -> Tensor:
         return features
     t = features.shape[0]
     if kind == "spatial_dropout":
-        keep = (rng.random(t) >= config.dropout_rate).astype(np.float64)
-        scale = 1.0 / (1.0 - config.dropout_rate)
+        keep = (rng.random(t) >= DROPOUT_RATE).astype(np.float64)
+        scale = 1.0 / (1.0 - DROPOUT_RATE)
         return ad.mul(features, Tensor((keep * scale)[:, None]))
     if kind == "embedding_noise":
-        return ad.add(features, Tensor(rng.normal(0.0, config.noise_sigma, size=features.shape)))
+        return ad.add(features, Tensor(rng.normal(0.0, NOISE_SIGMA, size=features.shape)))
     if kind == "token_masking":
-        n_mask = math.ceil(config.mask_ratio * t)
+        n_mask = math.ceil(MASK_RATIO * t)
         keep = np.ones(t)
-        if n_mask:
-            keep[rng.choice(t, size=n_mask, replace=False)] = 0.0
+        keep[rng.choice(t, size=n_mask, replace=False)] = 0.0
         return ad.mul(features, Tensor(keep[:, None]))
     raise ConfigError(f"unknown perturbation kind {kind!r}")
 
@@ -75,7 +71,7 @@ def make_paths(features: Tensor, config: PathConfig, rng, forward) -> list:
     streams = rng.spawn(config.n_paths)
     out = []
     for i in range(config.n_paths):
-        out.append(forward(perturb(features, PATH_KINDS[i], config, streams[i])))
+        out.append(forward(perturb(features, PATH_KINDS[i], streams[i])))
     return out
 
 

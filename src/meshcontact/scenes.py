@@ -34,8 +34,9 @@ from typing import ClassVar
 import numpy as np
 
 from .backbone import BackboneConfig
-from .errors import ConfigError, ContractError, DataError, GenerationError, NumericsError
-from .mesh import MeshTemplate, _rot_x, _rot_z, pose_vertices
+from .errors import (ConfigError, ContractError, DataError, GenerationError, NumericsError,
+                     check_int_fields)
+from .mesh import JOINTS, MeshTemplate, _rot_x, _rot_z, pose_vertices
 from .tensorio import check_layout, read_tensor_file, write_tensor_file
 
 SAMPLE_MAGIC = b"GCSMP1\x00"
@@ -87,10 +88,13 @@ _MODES = ("standing", "leaning", "lying")
 
 @dataclass(frozen=True)
 class SceneConfig:
-    c_bp: int = 9  # background + one class per body segment
+    c_bp: int = JOINTS + 1  # background + one class per body segment
     backbone: BackboneConfig = field(default_factory=BackboneConfig)  # image extents
 
     c_sem: ClassVar[int] = 4  # background/ground/box/body
+
+    def __post_init__(self):
+        check_int_fields(self)
 
     @property
     def image_size(self) -> int:
@@ -175,8 +179,8 @@ def surface_distances(points: np.ndarray, boxes: np.ndarray) -> np.ndarray:
     return d
 
 
-def contact_labels(points: np.ndarray, boxes: np.ndarray, epsilon: float) -> np.ndarray:
-    return (surface_distances(points, boxes) <= epsilon).astype(np.uint8)
+def contact_labels(points: np.ndarray, boxes: np.ndarray) -> np.ndarray:
+    return (surface_distances(points, boxes) <= CONTACT_EPSILON_CM).astype(np.uint8)
 
 
 def _support_height(x, z, boxes):
@@ -230,7 +234,7 @@ def render(vertices, template, boxes, config: SceneConfig):
     # (points, faces, color, semantic id, body-part id) per mesh, in draw order.
     meshes = [(_GROUND, _GROUND_FACES, _GROUND_COLOR, SEM_GROUND, 0)]
     meshes += [(*_box_mesh(box), _BOX_COLOR, SEM_BOX, 0) for box in boxes]
-    meshes.append((vertices, template.faces, _PART_PALETTE[face_seg % len(_PART_PALETTE)],
+    meshes.append((vertices, template.faces, _PART_PALETTE[face_seg],
                    SEM_BODY, face_seg + 1))
     corners, colors, sem_ids, bp_ids = [], [], [], []
     for points, faces, color, sem_id, bp_id in meshes:
@@ -395,7 +399,7 @@ def generate_sample(config: SceneConfig, template: MeshTemplate, rng) -> Sample:
     clearance = verts[:, 1] - support
     verts[:, 1] -= clearance.min() - rng.uniform(0.15, 0.7) * CONTACT_EPSILON_CM
 
-    contacts = contact_labels(verts, boxes, CONTACT_EPSILON_CM)
+    contacts = contact_labels(verts, boxes)
     if not contacts.any():
         raise GenerationError("drop placement produced no contacts")
 

@@ -266,6 +266,18 @@ class TestLayerNorm:
         with pytest.raises(ContractError):
             ad.layer_norm(ad.Tensor([1.0]), ad.Tensor([1.0]), ad.Tensor([0.0]))
 
+    @pytest.mark.parametrize("scale", [1e-4, 1e-2, 1.0, 1e2, 1e4])
+    @pytest.mark.parametrize("shape", [(122, 32), (3, 5, 7), (2,)], ids=["122x32", "3x5x7", "2"])
+    def test_bits_match_var_formula(self, shape, scale):
+        rng = np.random.default_rng([int(np.log10(scale)) + 4, len(shape)])
+        x = scale * rng.normal(size=shape) + scale * rng.normal()
+        gamma, beta = rng.normal(size=shape[-1]), rng.normal(size=shape[-1])
+        mu = x.mean(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + ad.LAYER_NORM_EPS)
+        expected = gamma * ((x - mu) * inv) + beta
+        out = ad.layer_norm(ad.Tensor(x), ad.Tensor(gamma), ad.Tensor(beta))
+        assert np.array_equal(out.data, expected)
+
 
 class TestBackward:
     def test_square(self):

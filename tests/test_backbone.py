@@ -103,7 +103,7 @@ class TestTokenize:
 
     def test_template_mismatch_rejected(self, config, template):
         params = make_params(config, template)
-        small = mesh.build_template(mesh.MeshConfig(v_full=194, v_coarse=50, joints=8), 1)
+        small = mesh.build_template(mesh.MeshConfig(v_full=194, v_coarse=50), 1)
         rng = np.random.default_rng(6)
         grid = ad.Tensor(rng.normal(size=(16, 32)))
         g = ad.Tensor(rng.normal(size=(1, 32)))

@@ -61,7 +61,7 @@ class TestMeshHead:
         assert np.abs(shifted - (base + np.array([1.0, 2.0, 3.0]))).max() <= 1e-9
 
     def test_gradient_to_features(self, template):
-        small = mesh.build_template(mesh.MeshConfig(v_full=98, v_coarse=26, joints=8), 3)
+        small = mesh.build_template(mesh.MeshConfig(v_full=98, v_coarse=26), 3)
         params = make_params(token_dim=4)
         rng = np.random.default_rng(6)
         gt = rng.normal(size=(small.v_full, 3))
@@ -159,6 +159,15 @@ class TestLosses:
         got = heads.loss_segmentation(ad.Tensor(logits), labels).item()
         assert got == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("labels", [[0.7, 1.2, 0, 1], np.array([0, 1, 0, 1.0]),
+                                        np.array([True, False, True, True])],
+                             ids=["fractions", "whole-floats", "bools"])
+    def test_segmentation_non_integer_labels_rejected(self, labels):
+        # The labels were cast to int64: 0.7 and 1.2 read as classes 0 and 1, and
+        # zero logits gave log 3 with no error.
+        with pytest.raises(ContractError, match="must be integers"):
+            heads.loss_segmentation(ad.Tensor(np.zeros((4, 3))), labels)
+
     @pytest.mark.parametrize("label", [-1, 3])
     def test_segmentation_label_outside_classes_rejected(self, label):
         # Without the check numpy indexing scores -1 as the last class.
@@ -204,7 +213,7 @@ class TestAggregate:
                                    heads.LossWeights())
 
     def test_gradient_through_composite_loss(self, template):
-        small = mesh.build_template(mesh.MeshConfig(v_full=98, v_coarse=26, joints=8), 3)
+        small = mesh.build_template(mesh.MeshConfig(v_full=98, v_coarse=26), 3)
         rng = np.random.default_rng(15)
         gt_verts = rng.normal(size=(small.v_full, 3))
         gt_contacts = (rng.random(small.v_full) < 0.2).astype(float)

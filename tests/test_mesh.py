@@ -56,14 +56,13 @@ def floyd_warshall(n, edges, lengths):
     return d
 
 
-# (v_full, v_coarse, joints, ring_size) of valid configs; None is the default config.
-VALID_EXTENTS = [None, (26, 8, 4, 3), (98, 50, 4, 6)]
-VALID_IDS = ["default", "26-8-4-3", "98-50-4-6"]
+# (v_full, v_coarse) of valid configs; None is the default config.
+VALID_EXTENTS = [None, (50, 14), (194, 50)]
+VALID_IDS = ["default", "50-14", "194-50"]
 
 
 def build(extents):
-    names = ("v_full", "v_coarse", "joints", "ring_size")
-    return mesh.build_template(mesh.MeshConfig(**dict(zip(names, extents or ()))), rng_seed=7)
+    return mesh.build_template(mesh.MeshConfig(*extents or ()), rng_seed=7)
 
 
 class TestBuildTemplate:
@@ -104,16 +103,15 @@ class TestBuildTemplate:
 
     def test_invalid_configs_rejected(self):
         with pytest.raises(ConfigError):
-            mesh.build_template(mesh.MeshConfig(joints=1), rng_seed=0)
-        with pytest.raises(ConfigError):
             mesh.build_template(mesh.MeshConfig(v_full=387), rng_seed=0)
         with pytest.raises(ConfigError):
             mesh.build_template(mesh.MeshConfig(v_coarse=386), rng_seed=0)
-        # Ring sizes 1 and 2 build degenerate faces and self-loop edges.
-        with pytest.raises(ConfigError, match="ring_size >= 3"):
-            mesh.build_template(mesh.MeshConfig(10, 6, 2, 1), rng_seed=0)
-        with pytest.raises(ConfigError, match="ring_size >= 3"):
-            mesh.build_template(mesh.MeshConfig(18, 10, 2, 2), rng_seed=0)
+        with pytest.raises(ConfigError, match="coarse ring"):
+            mesh.MeshConfig(v_coarse=2)
+        with pytest.raises(ConfigError, match="9 rings do not split into 8 segments"):
+            mesh.MeshConfig(v_full=56, v_coarse=14)
+        with pytest.raises(ConfigError, match="coarse rings 6 do not divide 32"):
+            mesh.MeshConfig(v_full=194, v_coarse=38)
 
 
 class TestUpsample:

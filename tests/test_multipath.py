@@ -8,10 +8,6 @@ from meshcontact import multipath as mp
 from meshcontact.errors import ConfigError, ContractError, ShapeError
 
 
-def cfg(**kw):
-    return mp.PathConfig(**kw)
-
-
 def routing(w, d, rng=None):
     """Routing of d-wide features with score weights w; phi is the unit map unless rng draws it."""
     phi_weight = np.eye(d) if rng is None else rng.normal(size=(d, d))
@@ -23,25 +19,25 @@ class TestPerturb:
     def test_identity_bit_identical(self):
         rng = np.random.default_rng(0)
         x = ad.Tensor(rng.normal(size=(10, 4)))
-        out = mp.perturb(x, "identity", cfg(), rng)
+        out = mp.perturb(x, "identity", rng)
         assert out is x
 
-    def test_zero_sigma_noise_is_noop(self):
-        rng = np.random.default_rng(1)
-        x = ad.Tensor(rng.normal(size=(10, 4)))
-        out = mp.perturb(x, "embedding_noise", cfg(noise_sigma=0.0), np.random.default_rng(2))
-        assert np.array_equal(out.data, x.data)
+    def test_noise_is_centred_with_noise_sigma_spread(self):
+        n = 40_000
+        out = mp.perturb(ad.Tensor(np.zeros((n, 1))), "embedding_noise", np.random.default_rng(2))
+        assert abs(out.data.mean()) <= 3.0 * mp.NOISE_SIGMA / math.sqrt(n)
+        assert out.data.std() == pytest.approx(mp.NOISE_SIGMA, rel=0.02)
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
-            mp.perturb(ad.Tensor(np.zeros((2, 2))), "blur", cfg(), np.random.default_rng(0))
+            mp.perturb(ad.Tensor(np.zeros((2, 2))), "blur", np.random.default_rng(0))
 
     def test_dropout_unbiased_monte_carlo(self):
         # Inverted scaling keeps the expectation at the input value.
-        p = 0.1
+        p = mp.DROPOUT_RATE
         n = 100_000
         x = ad.Tensor(np.ones((n, 1)))
-        out = mp.perturb(x, "spatial_dropout", cfg(dropout_rate=p), np.random.default_rng(3))
+        out = mp.perturb(x, "spatial_dropout", np.random.default_rng(3))
         scale = 1.0 / (1.0 - p)
         var = p * (1.0 - p) * scale**2
         stderr = math.sqrt(var / n)
@@ -49,29 +45,27 @@ class TestPerturb:
 
     def test_dropout_zeroes_whole_tokens(self):
         rng = np.random.default_rng(4)
-        x = ad.Tensor(rng.normal(size=(50, 8)))
-        out = mp.perturb(x, "spatial_dropout", cfg(dropout_rate=0.5), np.random.default_rng(5))
+        x = ad.Tensor(rng.normal(size=(200, 8)))
+        out = mp.perturb(x, "spatial_dropout", np.random.default_rng(5))
         zero_rows = np.abs(out.data).max(axis=1) == 0.0
         kept = ~zero_rows
         assert zero_rows.any()
-        assert np.allclose(out.data[kept], x.data[kept] * 2.0, atol=1e-15)
+        scale = 1.0 / (1.0 - mp.DROPOUT_RATE)
+        assert np.allclose(out.data[kept], x.data[kept] * scale, atol=1e-15)
 
     def test_masking_replaces_ceil_fraction(self):
         rng = np.random.default_rng(6)
         x = ad.Tensor(rng.normal(size=(20, 3)) + 5.0)
-        c = cfg(mask_ratio=0.15)
-        out = mp.perturb(x, "token_masking", c, np.random.default_rng(7))
+        out = mp.perturb(x, "token_masking", np.random.default_rng(7))
         masked = np.all(out.data == 0.0, axis=1)
-        assert masked.sum() == math.ceil(0.15 * 20)
+        assert masked.sum() == math.ceil(mp.MASK_RATIO * 20)
         assert np.array_equal(out.data[~masked], x.data[~masked])
 
     def test_gradient_flows_through_perturbations(self):
-        c = cfg(dropout_rate=0.3, noise_sigma=0.1, mask_ratio=0.2)
-
         def f(params):
             total = None
             for kind in mp.PATH_KINDS:
-                y = mp.perturb(params["x"], kind, c, np.random.default_rng(8))
+                y = mp.perturb(params["x"], kind, np.random.default_rng(8))
                 term = ad.sum_(ad.mul(y, y))
                 total = term if total is None else ad.add(total, term)
             return total
@@ -92,32 +86,30 @@ class TestMakePaths:
             calls.append(t)
             return t
 
-        out = mp.make_paths(x, cfg(n_paths=1), np.random.default_rng(11), forward)
+        out = mp.make_paths(x, mp.PathConfig(n_paths=1), np.random.default_rng(11), forward)
         assert len(out) == 1 and out[0] is x
 
-    def test_degenerate_rates_make_identical_paths(self):
+    def test_path_i_applies_kind_i_on_stream_i(self):
         rng = np.random.default_rng(12)
         x = ad.Tensor(rng.normal(size=(9, 4)))
-        c = cfg(n_paths=4, dropout_rate=0.0, noise_sigma=0.0, mask_ratio=0.0)
-        out = mp.make_paths(x, c, np.random.default_rng(13), lambda t: t)
-        for p in out[1:]:
-            assert np.array_equal(p.data, out[0].data)
+        out = mp.make_paths(x, mp.PathConfig(n_paths=4), np.random.default_rng(13), lambda t: t)
+        streams = np.random.default_rng(13).spawn(4)
+        for p, kind, stream in zip(out, mp.PATH_KINDS, streams, strict=True):
+            assert np.array_equal(p.data, mp.perturb(x, kind, stream).data)
 
     def test_reproducible_with_fixed_seed(self):
         rng = np.random.default_rng(14)
         x = ad.Tensor(rng.normal(size=(9, 4)))
-        c = cfg(n_paths=4)
+        c = mp.PathConfig(n_paths=4)
         a = mp.make_paths(x, c, np.random.default_rng(99), lambda t: t)
         b = mp.make_paths(x, c, np.random.default_rng(99), lambda t: t)
         for pa, pb in zip(a, b):
             assert np.array_equal(pa.data, pb.data)
 
     def test_zero_paths_rejected(self):
-        # A NaN noise_sigma, unchecked, turned every token of the noise path into NaN.
-        for bad in (dict(n_paths=0), dict(noise_sigma=math.nan), dict(noise_sigma=math.inf)):
-            with pytest.raises(ConfigError):
-                mp.make_paths(ad.Tensor(np.zeros((2, 2))), cfg(**bad),
-                              np.random.default_rng(0), lambda t: t)
+        with pytest.raises(ConfigError):
+            mp.make_paths(ad.Tensor(np.zeros((2, 2))), mp.PathConfig(n_paths=0),
+                          np.random.default_rng(0), lambda t: t)
 
 
 class TestFusePaths:

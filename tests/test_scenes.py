@@ -195,7 +195,7 @@ class TestGenerateSample:
         s = scenes.generate_sample(config, template, np.random.default_rng([5, 0]))
         lifted = s.gt_vertices.copy()
         lifted[:, 1] += 10.0 * scenes.CONTACT_EPSILON_CM + s.gt_vertices[:, 1].max()
-        assert scenes.contact_labels(lifted, s.boxes, scenes.CONTACT_EPSILON_CM).sum() == 0
+        assert scenes.contact_labels(lifted, s.boxes).sum() == 0
 
     def test_at_least_one_contact(self, config, template):
         for i in range(8):
