@@ -7,7 +7,8 @@ gradient-carrying tensor append an entry recording the op kind, input and
 output node ids, and a closure over the saved activations.  Entries are
 appended in execution order, so the tape is already topologically sorted;
 :func:`backward` replays it once in reverse, summing gradient
-contributions over fan-out paths.
+contributions over fan-out paths, and returns the gradient of each tensor
+in the caller's `params` dict under its key (a tensor's `name` is a label).
 
 Without an active tape every primitive is a plain numpy computation, which
 is what inference and finite-difference probing use.
@@ -16,6 +17,7 @@ is what inference and finite-difference probing use.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 
 import numpy as np
@@ -53,20 +55,10 @@ class Tape:
 
     def __init__(self):
         self.entries: list[TapeEntry] = []
-        self.leaves: dict[int, Tensor] = {}
-        self._next_id = 0
-
-    def new_id(self) -> int:
-        nid = self._next_id
-        self._next_id += 1
-        return nid
-
-    def register_leaf(self, t: "Tensor") -> int:
-        if t.node_id is None or t._tape is not self:
-            t.node_id = self.new_id()
-            t._tape = self
-            self.leaves[t.node_id] = t
-        return t.node_id
+        # A leaf's node id: the tape numbers a leaf on first use and never writes to it, so
+        # a parameter can be used on one tape after another.  Tensors hash by identity.
+        self.leaves: dict[Tensor, int] = {}
+        self._ids = itertools.count()
 
     def record(self, op, inputs, out, backward_fn):
         ids = []
@@ -75,13 +67,14 @@ class Tape:
                 ids.append(None)
             elif t._tape is self:
                 ids.append(t.node_id)
-            elif t._tape is None or t._tape.leaves.get(t.node_id) is t:
-                # A new leaf, or a leaf of an earlier tape (a parameter
-                # reused across steps), which is re-registered here.
-                ids.append(self.register_leaf(t))
+            elif t._tape is None:  # a leaf, numbered on its first use
+                nid = self.leaves.get(t)
+                if nid is None:
+                    nid = self.leaves[t] = next(self._ids)
+                ids.append(nid)
             else:
                 raise ContractError(f"op {op!r} mixes tensors from different tapes")
-        out.node_id = self.new_id()
+        out.node_id = next(self._ids)
         out._tape = self
         self.entries.append(TapeEntry(op, tuple(ids), out.node_id, backward_fn))
 
@@ -106,7 +99,7 @@ def tape_scope():
 
 
 class Tensor:
-    """A dense n-dimensional float64 array, optionally tracked for gradients."""
+    """A dense float64 array, optionally tracked for gradients; `name` is a label, not a key."""
 
     __slots__ = ("data", "requires_grad", "node_id", "name", "_tape")
 
@@ -324,7 +317,11 @@ def reshape(a: Tensor, shape) -> Tensor:
     def bwd(g):
         return (g.reshape(old),)
 
-    return _emit("reshape", (a,), a.data.reshape(shape), bwd)
+    try:
+        out = a.data.reshape(shape)
+    except ValueError as exc:
+        raise ShapeError(f"cannot reshape {a.shape} to {shape}") from exc
+    return _emit("reshape", (a,), out, bwd)
 
 
 def concat(tensors, axis=0) -> Tensor:
@@ -338,7 +335,11 @@ def concat(tensors, axis=0) -> Tensor:
         parts = np.split(g, splits, axis=axis)
         return tuple(p if t.requires_grad else None for p, t in zip(parts, tensors))
 
-    return _emit("concat", tuple(tensors), np.concatenate([t.data for t in tensors], axis=axis), bwd)
+    try:
+        out = np.concatenate([t.data for t in tensors], axis=axis)
+    except ValueError as exc:
+        raise ShapeError(f"concat on axis {axis} of shapes {[t.shape for t in tensors]}") from exc
+    return _emit("concat", tuple(tensors), out, bwd)
 
 
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
@@ -597,11 +598,12 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
 # backward and verification
 
 
-def backward(loss: Tensor, params: dict | None = None) -> dict:
-    """Reverse the active tape from `loss`, returning leaf gradients by name.
+def backward(loss: Tensor, params: dict) -> dict:
+    """Reverse the active tape from `loss`; the gradient of each tensor in `params` by key.
 
-    Gradients accumulate by summation over fan-out paths.  Leaves listed in
-    `params` but untouched by the loss get explicit zero gradients.
+    Gradients accumulate by summation over fan-out paths.  A parameter the
+    loss does not reach, or one that does not require grad, gets zeros.  A
+    parameter must be a leaf: an op output raises ContractError.
     """
     tape = active_tape()
     if tape is None:
@@ -620,20 +622,14 @@ def backward(loss: Tensor, params: dict | None = None) -> dict:
         for nid, contrib in zip(entry.input_ids, contribs):
             if nid is None or contrib is None:
                 continue
-            if nid in grads:
-                grads[nid] = grads[nid] + contrib
-            else:
-                grads[nid] = contrib
+            grads[nid] = grads[nid] + contrib if nid in grads else contrib
 
-    out: dict[str, Tensor] = {}
-    for nid, leaf in tape.leaves.items():
-        if leaf.name is not None:
-            g = grads.get(nid)
-            out[leaf.name] = Tensor(g if g is not None else np.zeros_like(leaf.data))
-    if params:
-        for name, p in params.items():
-            if name not in out:
-                out[name] = Tensor(np.zeros_like(p.data))
+    out = {}
+    for key, p in params.items():
+        if p._tape is not None:
+            raise ContractError(f"parameter {key!r} is an op output, not a leaf")
+        g = grads.get(tape.leaves.get(p))
+        out[key] = Tensor(g if g is not None else np.zeros_like(p.data))
     return out
 
 
@@ -668,7 +664,7 @@ def gradient_check(f, params: dict, h: float = 1e-4, tolerance: float = 1e-4) ->
         loss = f(params)
         if not np.isfinite(loss.data).all():
             raise EvaluationError("non-finite loss at the unperturbed point")
-        analytic = backward(loss, params=params)
+        analytic = backward(loss, params)
 
     per_param = {}
     for name, p in params.items():

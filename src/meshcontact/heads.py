@@ -36,6 +36,12 @@ class LossWeights:
     sem: float = 1.0
     bp: float = 1.0
 
+    def __post_init__(self):
+        for f in fields(self):
+            w = getattr(self, f.name)
+            if not 0.0 <= w < np.inf:  # NaN fails both comparisons
+                raise ConfigError(f"LossWeights.{f.name} must be finite and >= 0, got {w!r}")
+
 
 @dataclass
 class LossBreakdown:
@@ -115,6 +121,9 @@ def loss_contact(probs: Tensor, labels) -> Tensor:
     """Mean binary cross-entropy with probabilities clamped away from {0,1}."""
     y = np.asarray(labels, dtype=np.float64)
     _check_target(probs, y)
+    bad = (y != 0.0) & (y != 1.0)  # NaN too: a label of 2 or NaN gave a loss with no error
+    if bad.any():
+        raise ContractError(f"contact labels must be 0 or 1, got {np.unique(y[bad])}")
     p = ad.clip(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
     pos = ad.mul(Tensor(y), ad.log(p))
     neg = ad.mul(Tensor(1.0 - y), ad.log(ad.sub(Tensor(1.0), p)))

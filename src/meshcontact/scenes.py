@@ -35,7 +35,7 @@ import numpy as np
 
 from .backbone import BackboneConfig
 from .errors import (ConfigError, ContractError, DataError, GenerationError, NumericsError,
-                     check_int_fields)
+                     ShapeError, check_int_fields)
 from .mesh import JOINTS, MeshTemplate, _rot_x, _rot_z, pose_vertices
 from .tensorio import check_layout, read_tensor_file, write_tensor_file
 
@@ -319,6 +319,9 @@ def _rasterize(px, py, depth, n):
 
 def downsample_mask(mask: np.ndarray, grid_side: int) -> np.ndarray:
     """Majority class id per grid cell; ties break toward the lowest id."""
+    if mask.ndim != 2 or mask.shape[0] != mask.shape[1] or mask.shape[0] < grid_side:
+        raise ShapeError(f"downsample_mask needs a square mask of side >= {grid_side}, "
+                         f"got shape {mask.shape}")
     cell = mask.shape[0] // grid_side
     side = grid_side * cell
     blocks = (mask[:side, :side].reshape(grid_side, cell, grid_side, cell)
@@ -435,8 +438,17 @@ def generate_dataset(config: SceneConfig, template: MeshTemplate, count: int, se
 # Both readers check the values as well as the layout (see `_VALUE_RANGES`).
 
 
+def _sample_tensors(s: Sample, path) -> dict:
+    """The tensors of `s`, checked as `read_sample` checks them, so a written file reads back."""
+    tensors = {f.name: np.asarray(getattr(s, f.name)) for f in fields(Sample)}
+    check_layout(path, tensors, _SAMPLE_LAYOUT)
+    return tensors
+
+
 def write_sample(s: Sample, path):
-    write_tensor_file(path, SAMPLE_MAGIC, {f.name: getattr(s, f.name) for f in fields(Sample)})
+    tensors = _sample_tensors(s, path)
+    _check_values(path, tensors)
+    write_tensor_file(path, SAMPLE_MAGIC, tensors)
 
 
 def _check_values(path, tensors):
@@ -455,17 +467,27 @@ def read_sample(path) -> Sample:
     return Sample(**tensors)
 
 
+def _stack(path, per_sample, name):
+    try:
+        return np.stack([t[name] for t in per_sample])
+    except ValueError as exc:
+        shapes = sorted({t[name].shape for t in per_sample})
+        raise ShapeError(f"{path}: {name!r} differs in shape between samples: {shapes}") from exc
+
+
 def write_dataset(samples, path):
     """One tensor file holding the samples in order (see `_DATASET_LAYOUT`)."""
     if not samples:
         raise ContractError("write_dataset needs at least one sample")
-    tensors = {f.name: np.stack([getattr(s, f.name) for s in samples])
-               for f in fields(Sample) if f.name != "boxes"}
+    per_sample = [_sample_tensors(s, path) for s in samples]
+    tensors = {name: _stack(path, per_sample, name) for name in per_sample[0] if name != "boxes"}
     n_boxes = np.array([len(s.boxes) for s in samples], dtype=np.int32)
     boxes = np.zeros((len(samples), n_boxes.max(), 6))
     for padded, s in zip(boxes, samples):
         padded[: len(s.boxes)] = s.boxes
-    write_tensor_file(path, DATASET_MAGIC, {**tensors, "boxes": boxes, "n_boxes": n_boxes})
+    tensors.update(boxes=boxes, n_boxes=n_boxes)
+    _check_values(path, tensors)
+    write_tensor_file(path, DATASET_MAGIC, tensors)
 
 
 def read_dataset(path) -> list[Sample]:

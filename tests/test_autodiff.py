@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -202,9 +203,13 @@ class TestAttention:
         grads = []
         for op in (ad.attention, composed_attention):
             with ad.tape_scope():
-                grads.append(ad.backward(ad.sum_(ad.mul(op(q, k, v, 2), v))))
-        assert set(grads[0]) == {"q"}
+                loss = ad.sum_(ad.mul(op(q, k, v, 2), v))
+                grads.append(ad.backward(loss, {"q": q, "k": k, "v": v}))
         assert np.array_equal(grads[0]["q"].data, grads[1]["q"].data)
+        for g in grads:
+            assert not np.array_equal(g["q"].data, np.zeros((3, 4)))
+            assert np.array_equal(g["k"].data, np.zeros((3, 4)))
+            assert np.array_equal(g["v"].data, np.zeros((3, 4)))
 
     def test_nan_in_query_rejected(self):
         q = np.zeros((3, 4))
@@ -237,6 +242,24 @@ class TestNarrow:
     def test_negative_length_rejected(self):
         with pytest.raises(ShapeError, match=r"narrow \[2:1\)"):
             ad.narrow(ad.Tensor(np.zeros((4, 3))), 0, 2, -1)
+
+
+class TestShapeErrors:
+    """Shape faults that leaked numpy's bare ValueError raise ShapeError naming the shapes."""
+
+    @pytest.mark.parametrize("shapes, axis, message", [
+        (((2, 3), (2, 4)), 0, r"\[\(2, 3\), \(2, 4\)\]"),
+        (((2, 3), (4, 2)), 1, r"\[\(2, 3\), \(4, 2\)\]"),
+        (((2, 3), (3,)), 0, r"\[\(2, 3\), \(3,\)\]"),
+    ], ids=["width", "rows-on-axis-1", "rank"])
+    def test_concat_mismatched_extents(self, shapes, axis, message):
+        with pytest.raises(ShapeError, match=message):
+            ad.concat([ad.Tensor(np.zeros(s)) for s in shapes], axis=axis)
+
+    @pytest.mark.parametrize("new_shape", [(4, 2), (7,), (-1, 4)])
+    def test_reshape_to_a_different_size(self, new_shape):
+        with pytest.raises(ShapeError, match=r"\(2, 3\) to " + re.escape(str(new_shape))):
+            ad.reshape(ad.Tensor(np.zeros((2, 3))), new_shape)
 
 
 class TestLayerNorm:
@@ -284,7 +307,7 @@ class TestBackward:
         with ad.tape_scope():
             x = ad.Tensor(3.0, requires_grad=True, name="x")
             loss = ad.mul(x, x)
-            grads = ad.backward(loss)
+            grads = ad.backward(loss, {"x": x})
         assert grads["x"].data == pytest.approx(6.0)
 
     def test_disconnected_leaf_gets_zeros(self):
@@ -300,7 +323,7 @@ class TestBackward:
         with ad.tape_scope():
             x = ad.Tensor(2.0, requires_grad=True, name="x")
             loss = ad.add(ad.mul(x, x), ad.mul(x, ad.Tensor(3.0)))
-            grads = ad.backward(loss)
+            grads = ad.backward(loss, {"x": x})
         assert grads["x"].data == pytest.approx(7.0)
 
     def test_non_scalar_loss_rejected(self):
@@ -308,7 +331,7 @@ class TestBackward:
             x = ad.Tensor([1.0, 2.0], requires_grad=True, name="x")
             y = ad.mul(x, x)
             with pytest.raises(ContractError):
-                ad.backward(y)
+                ad.backward(y, {"x": x})
 
     def test_softmax_dot_matches_finite_differences(self):
         w = np.array([0.3, -0.7, 1.1, 0.2])
@@ -327,7 +350,7 @@ class TestBackward:
                 x = ad.Tensor([0.1, 0.2, 0.3], requires_grad=True, name="x")
                 h = ad.gelu(ad.mul(x, ad.Tensor([2.0, -1.0, 0.5])))
                 loss = ad.sum_(ad.mul(h, h))
-                g = ad.backward(loss)["x"].data.copy()
+                g = ad.backward(loss, {"x": x})["x"].data.copy()
             return loss.data.copy(), g
 
         l1, g1 = run()
@@ -339,8 +362,47 @@ class TestBackward:
         for scale in (1.0, 3.0):
             with ad.tape_scope():
                 loss = ad.sum_(ad.mul(ad.mul(x, x), ad.Tensor(scale)))
-                grads = ad.backward(loss)
+                grads = ad.backward(loss, {"x": x})
             assert np.array_equal(grads["x"].data, 2.0 * scale * x.data)
+            assert x.node_id is None and x._tape is None  # the tape keeps the leaf's id
+
+    # Before gradients were keyed by `params`, each of these got zeros under a key: the
+    # gradients came back under `Tensor.name`, and the keys were zero-filled.
+    def test_unnamed_param(self):
+        w = ad.Tensor([1.0, -2.0], requires_grad=True)
+        with ad.tape_scope():
+            grads = ad.backward(ad.sum_(ad.mul(w, w)), {"w": w})
+        assert np.array_equal(grads["w"].data, [2.0, -4.0])
+
+    def test_key_differs_from_name(self):
+        w = ad.Tensor([1.0, -2.0], requires_grad=True, name="b")
+        with ad.tape_scope():
+            grads = ad.backward(ad.sum_(ad.mul(w, w)), {"a": w})
+        assert set(grads) == {"a"}
+        assert np.array_equal(grads["a"].data, [2.0, -4.0])
+
+    def test_leaves_sharing_a_name(self):
+        a = ad.Tensor([1.0, 2.0], requires_grad=True, name="w")
+        b = ad.Tensor([3.0, 5.0], requires_grad=True, name="w")
+        with ad.tape_scope():
+            grads = ad.backward(ad.sum_(ad.mul(a, b)), {"a": a, "b": b})
+        assert np.array_equal(grads["a"].data, b.data)
+        assert np.array_equal(grads["b"].data, a.data)
+
+    def test_one_leaf_under_two_keys(self):
+        x = ad.Tensor([1.0, 2.0], requires_grad=True)
+        with ad.tape_scope():
+            grads = ad.backward(ad.sum_(ad.mul(x, x)), {"x": x, "also_x": x})
+        assert np.array_equal(grads["x"].data, [2.0, 4.0])
+        assert np.array_equal(grads["also_x"].data, [2.0, 4.0])
+
+    def test_op_output_as_param_rejected(self):
+        x = ad.Tensor([1.0, 2.0], requires_grad=True, name="x")
+        with ad.tape_scope():
+            y = ad.mul(x, x)
+            loss = ad.sum_(y)
+            with pytest.raises(ContractError, match="'y' is an op output"):
+                ad.backward(loss, {"x": x, "y": y})
 
     def test_intermediate_from_another_tape_rejected(self):
         x = ad.Tensor([1.0, 2.0], requires_grad=True, name="x")
@@ -369,6 +431,14 @@ class TestGradientCheck:
         report = ad.gradient_check(f, {"x": x})
         assert report.passed and report.max_error <= 1e-10
         assert np.array_equal(x.data, np.arange(6.0).reshape(2, 3).T)
+
+    def test_unnamed_param(self):
+        # Failed, its analytic gradient all zeros, when gradients were keyed by name.
+        def f(params):
+            return ad.sum_(ad.mul(params["x"], params["x"]))
+
+        report = ad.gradient_check(f, {"x": ad.Tensor([0.5, -1.5], requires_grad=True)})
+        assert report.passed and report.max_error <= 1e-10
 
     def test_twice_on_the_same_params(self):
         def f(params):

@@ -14,6 +14,7 @@ from meshcontact.autodiff import Tensor
 from meshcontact.backbone import BackboneConfig
 from meshcontact.encoder import EncoderConfig
 from meshcontact.errors import ConfigError
+from meshcontact.heads import LossWeights
 from meshcontact.multipath import PathConfig, RoutingParams
 
 
@@ -29,11 +30,17 @@ from meshcontact.multipath import PathConfig, RoutingParams
     lambda: BackboneConfig(conv_channels=(16, 32), token_dim=16),
     lambda: RoutingParams(w=Tensor(np.zeros(0)), phi_weight=Tensor(np.eye(2)),
                           phi_bias=Tensor(np.zeros(2))),
+    # aggregate_losses returned NaN with no error for a NaN weight.
+    lambda: LossWeights(mesh=float("nan")),
+    lambda: LossWeights(mesh=-3.0),
+    lambda: LossWeights(cls_b=float("inf")),
+    lambda: LossWeights(bp=-float("inf")),
 ], ids=[
     "paths-5",
     "depth-0", "mlp-0", "token-dim-0",
     "channel-0", "last-channel-0", "token-dim-mismatch",
     "routing-empty",
+    "loss-weight-nan", "loss-weight-negative", "loss-weight-inf", "loss-weight-minus-inf",
 ])
 def test_invalid_value_rejected_on_construction(make):
     with pytest.raises(ConfigError):

@@ -136,6 +136,22 @@ class TestLosses:
         with pytest.raises(ShapeError, match=r"\(4, 1\).*\(4,\)"):
             heads.loss_contact(ad.Tensor(np.full(4, 0.5)), np.ones((4, 1)))
 
+    def test_contact_loss_bits_on_binary_labels(self):
+        # Pins the float64 bits of the loss for 0/1 labels, clamped probabilities included.
+        rng = np.random.default_rng(12)
+        probs = rng.uniform(size=50)
+        labels = (rng.random(50) < 0.3).astype(np.uint8)
+        assert heads.loss_contact(ad.Tensor(probs), labels).item().hex() == "0x1.0671b7f03459ap+0"
+        probs[:5] = [0.0, 1.0, 1e-9, 1 - 1e-12, 0.5]
+        assert heads.loss_contact(ad.Tensor(probs), labels).item().hex() == "0x1.a18bc93367e26p+0"
+
+    @pytest.mark.parametrize("bad", [2.0, -1.0, 0.5, np.nan], ids=["2", "-1", "half", "nan"])
+    def test_contact_loss_rejects_non_binary_labels(self, bad):
+        # A label of 2 gave 0.693 and NaN gave NaN, with no error.
+        labels = np.array([0.0, 1.0, bad, 1.0])
+        with pytest.raises(ContractError, match="contact labels must be 0 or 1"):
+            heads.loss_contact(ad.Tensor(np.full(4, 0.5)), labels)
+
     def test_segmentation_uniform_is_log_c(self):
         logits = ad.Tensor(np.zeros((10, 4)))
         labels = np.random.default_rng(12).integers(0, 4, size=10)

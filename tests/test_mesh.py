@@ -156,7 +156,7 @@ class TestUpsample:
                 rng.normal(size=(template.v_coarse, 3)), requires_grad=True, name="c"
             )
             loss = ad.sum_(ad.mul(mesh.upsample(coarse, template), ad.Tensor(w)))
-            grads = ad.backward(loss)
+            grads = ad.backward(loss, {"c": coarse})
         assert np.allclose(grads["c"].data, template.upsample_matrix.T @ w, atol=1e-12)
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,7 +9,8 @@ import pytest
 
 from meshcontact import mesh, scenes
 from meshcontact.backbone import BackboneConfig
-from meshcontact.errors import ConfigError, ContractError, DataError, NumericsError
+from meshcontact.errors import (ConfigError, ContractError, DataError, NumericsError,
+                               ShapeError)
 from meshcontact.tensorio import read_tensor_file, write_tensor_file
 
 # SHA-256 of the write_sample bytes of generate_dataset(SceneConfig(), the
@@ -261,6 +263,14 @@ class TestDownsample:
         with pytest.raises(ContractError):
             scenes.downsample_mask(mask, 2)
 
+    @pytest.mark.parametrize("shape, grid_side", [((8, 10), 2), ((10, 8), 2), ((2, 2), 4),
+                                                  ((16,), 2)],
+                             ids=["wide", "tall", "smaller-than-grid", "1-d"])
+    def test_bad_mask_shape_rejected(self, shape, grid_side):
+        # A wide mask was cropped in silence; the others leaked numpy's ValueError.
+        with pytest.raises(ShapeError, match=re.escape(str(shape))):
+            scenes.downsample_mask(np.zeros(shape, dtype=np.int32), grid_side)
+
 
 def edit_dataset(edit):
     """A corruption that rewrites a dataset file's tensor table after `edit`."""
@@ -347,6 +357,33 @@ class TestDatasetIO:
         write_tensor_file(path, scenes.SAMPLE_MAGIC, tensors)
         with pytest.raises(DataError, match=message):
             scenes.read_sample(path)
+
+    @pytest.mark.parametrize("name, edit, message", [
+        ("image", lambda x: np.full_like(x, 2.0), "'image' has entries outside"),
+        ("boxes", lambda x: np.zeros(0), "'boxes' is float64 of shape \\(0,\\)"),
+        ("gt_contacts", lambda x: x[1:], "'gt_contacts'"),
+        ("pose", lambda x: np.r_[np.nan, x[1:]], "'pose' has non-finite"),
+    ], ids=["image_above_one", "flat_boxes", "contacts_extent", "nan_pose"])
+    @pytest.mark.parametrize("write", [scenes.write_sample,
+                                       lambda s, path: scenes.write_dataset([s, s], path)],
+                             ids=["sample", "dataset"])
+    def test_unreadable_sample_not_written(self, config, template, tmp_path, write, name, edit,
+                                           message):
+        # write_sample wrote these, and read_sample rejected the file.
+        s = scenes.generate_sample(config, template, np.random.default_rng(0))
+        s = dataclasses.replace(s, **{name: edit(getattr(s, name))})
+        with pytest.raises(DataError, match=message):
+            write(s, tmp_path / "out.bin")
+        assert not (tmp_path / "out.bin").exists()
+
+    def test_dataset_of_different_vertex_counts_rejected(self, config, template, tmp_path):
+        # np.stack raised a bare ValueError naming no field.
+        a = scenes.generate_sample(config, template, np.random.default_rng(0))
+        b = dataclasses.replace(a, gt_vertices=a.gt_vertices[1:], gt_contacts=a.gt_contacts[1:])
+        v = len(a.gt_vertices)
+        with pytest.raises(ShapeError, match=f"'gt_vertices'.*\\({v - 1}, 3\\), \\({v}, 3\\)"):
+            scenes.write_dataset([a, b], tmp_path / "ds.bin")
+        assert not (tmp_path / "ds.bin").exists()
 
     @pytest.mark.parametrize("read", [scenes.read_sample, scenes.read_dataset])
     @pytest.mark.parametrize("name", ["missing.bin", "."], ids=["missing", "directory"])
