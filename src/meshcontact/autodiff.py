@@ -159,7 +159,10 @@ def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data + b.data
+    try:
+        out = a.data + b.data
+    except ValueError as exc:
+        raise ShapeError(f"add of shapes {a.shape} and {b.shape}: no broadcast") from exc
 
     def bwd(g):
         return (
@@ -171,7 +174,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data - b.data
+    try:
+        out = a.data - b.data
+    except ValueError as exc:
+        raise ShapeError(f"sub of shapes {a.shape} and {b.shape}: no broadcast") from exc
 
     def bwd(g):
         return (
@@ -183,7 +189,10 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data * b.data
+    try:
+        out = a.data * b.data
+    except ValueError as exc:
+        raise ShapeError(f"mul of shapes {a.shape} and {b.shape}: no broadcast") from exc
     ad, bd = a.data, b.data
 
     def bwd(g):
@@ -196,7 +205,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data / b.data
+    try:
+        out = a.data / b.data
+    except ValueError as exc:
+        raise ShapeError(f"div of shapes {a.shape} and {b.shape}: no broadcast") from exc
     ad, bd = a.data, b.data
 
     def bwd(g):
@@ -308,7 +320,11 @@ def transpose(a: Tensor, axes=None) -> Tensor:
     def bwd(g):
         return (np.transpose(g, inv),)
 
-    return _emit("transpose", (a,), np.transpose(a.data, axes), bwd)
+    try:
+        out = np.transpose(a.data, axes)
+    except ValueError as exc:
+        raise ShapeError(f"cannot transpose {a.shape} by axes {axes}") from exc
+    return _emit("transpose", (a,), out, bwd)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -328,23 +344,23 @@ def concat(tensors, axis=0) -> Tensor:
     tensors = list(tensors)
     if not tensors:
         raise ContractError("concat of an empty tensor list")
-    sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
+    try:
+        out = np.concatenate([t.data for t in tensors], axis=axis)
+    except ValueError as exc:  # numpy's AxisError too
+        raise ShapeError(f"concat on axis {axis} of shapes {[t.shape for t in tensors]}") from exc
+    splits = np.cumsum([t.shape[axis] for t in tensors])[:-1]
 
     def bwd(g):
         parts = np.split(g, splits, axis=axis)
         return tuple(p if t.requires_grad else None for p, t in zip(parts, tensors))
 
-    try:
-        out = np.concatenate([t.data for t in tensors], axis=axis)
-    except ValueError as exc:
-        raise ShapeError(f"concat on axis {axis} of shapes {[t.shape for t in tensors]}") from exc
     return _emit("concat", tuple(tensors), out, bwd)
 
 
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     """Contiguous slice [start, start+length) along one axis."""
-    if not (0 <= start and 0 <= length and start + length <= a.shape[axis]):
+    if not (-a.ndim <= axis < a.ndim and 0 <= start and 0 <= length
+            and start + length <= a.shape[axis]):
         raise ShapeError(
             f"narrow [{start}:{start + length}) outside axis {axis} of shape {a.shape}"
         )
@@ -363,7 +379,9 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
 
 def gather_rows(a: Tensor, indices) -> Tensor:
     """Pick one entry per row: out[i] = a[i, indices[i]]."""
-    idx = np.asarray(indices, dtype=np.int64)
+    idx = np.asarray(indices)
+    if idx.dtype.kind not in "iu":  # an int cast would read 0.9 as column 0 and True as 1
+        raise ContractError(f"gather_rows indices must be integers, got dtype {idx.dtype}")
     if a.ndim != 2 or idx.shape != (a.shape[0],):
         raise ShapeError(f"gather_rows needs [n x c] and n indices, got {a.shape}, {idx.shape}")
     bad = (idx < 0) | (idx >= a.shape[1])
@@ -388,25 +406,30 @@ def sum_(a: Tensor, axis=None, keepdims=False) -> Tensor:
     shape = a.shape
 
     def bwd(g):
-        if axis is None:
-            return (np.broadcast_to(g, shape).copy(),)
-        gg = g if keepdims else np.expand_dims(g, axis)
+        gg = g if axis is None or keepdims else np.expand_dims(g, axis)
         return (np.broadcast_to(gg, shape).copy(),)
 
-    return _emit("sum", (a,), a.data.sum(axis=axis, keepdims=keepdims), bwd)
+    try:
+        out = a.data.sum(axis=axis, keepdims=keepdims)
+    except ValueError as exc:  # numpy's AxisError
+        raise ShapeError(f"sum over axis {axis} of shape {shape}") from exc
+    return _emit("sum", (a,), out, bwd)
 
 
 def mean(a: Tensor, axis=None, keepdims=False) -> Tensor:
     shape = a.shape
-    count = a.size if axis is None else shape[axis]
+    try:
+        out = a.data.mean(axis=axis, keepdims=keepdims)
+    except ValueError as exc:  # numpy's AxisError
+        raise ShapeError(f"mean over axis {axis} of shape {shape}") from exc
+    axes = axis if isinstance(axis, tuple) else (axis,)
+    count = a.size if axis is None else math.prod(shape[ax] for ax in axes)
 
     def bwd(g):
-        if axis is None:
-            return (np.broadcast_to(g / count, shape).copy(),)
-        gg = g if keepdims else np.expand_dims(g, axis)
+        gg = g if axis is None or keepdims else np.expand_dims(g, axis)
         return (np.broadcast_to(gg / count, shape).copy(),)
 
-    return _emit("mean", (a,), a.data.mean(axis=axis, keepdims=keepdims), bwd)
+    return _emit("mean", (a,), out, bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +443,11 @@ def _max_shift(op, x: np.ndarray, axis: int, out=None) -> np.ndarray:
     propagates, so one NaN anywhere in a row is caught without a second scan,
     and a row whose max is +inf or -inf, which the shift would turn into NaN.
     """
-    if x.shape == () or x.shape[axis] == 0:
+    try:
+        empty = x.shape == () or x.shape[axis] == 0
+    except IndexError as exc:
+        raise ShapeError(f"{op} along axis {axis} of shape {x.shape}") from exc
+    if empty:
         raise ContractError(f"{op} along empty axis {axis} of shape {x.shape}")
     m = x.max(axis=axis, keepdims=True)
     if not np.isfinite(m).all():

@@ -16,9 +16,9 @@ class ShapeError(MeshContactError):
 class ConfigError(MeshContactError):
     """A config is constructed with an invalid value, or a valid one does not fit its inputs.
 
-    Configs check their own values when constructed.  A value that can only
-    be checked against an input, such as `SceneConfig.c_bp` against a
-    template, raises where that input is first used.  CLI exit code 2.
+    Configs check their own values when constructed.  A fit that can only be
+    checked against an input, such as a template's joint count against the
+    scene's body parts, raises where that input is first used.  CLI exit code 2.
     """
 
 

@@ -132,11 +132,7 @@ def loss_contact(probs: Tensor, labels) -> Tensor:
 
 def loss_segmentation(logits: Tensor, gt_mask) -> Tensor:
     """Mean per-cell cross-entropy against integer class ids."""
-    labels = np.asarray(gt_mask)
-    if labels.dtype.kind not in "iu":
-        # astype would truncate a float label toward zero, reading 0.7 as class 0.
-        raise ContractError(f"segmentation labels must be integers, got dtype {labels.dtype}")
-    labels = labels.astype(np.int64).reshape(-1)
+    labels = np.asarray(gt_mask).reshape(-1)  # gather_rows rejects non-integer labels
     picked = ad.gather_rows(ad.log_softmax(logits, axis=1), labels)
     return ad.neg(ad.mean(picked))
 

@@ -35,7 +35,7 @@ import numpy as np
 
 from .backbone import BackboneConfig
 from .errors import (ConfigError, ContractError, DataError, GenerationError, NumericsError,
-                     ShapeError, check_int_fields)
+                     ShapeError)
 from .mesh import JOINTS, MeshTemplate, _rot_x, _rot_z, pose_vertices
 from .tensorio import check_layout, read_tensor_file, write_tensor_file
 
@@ -88,28 +88,15 @@ _MODES = ("standing", "leaning", "lying")
 
 @dataclass(frozen=True)
 class SceneConfig:
-    c_bp: int = JOINTS + 1  # background + one class per body segment
     backbone: BackboneConfig = field(default_factory=BackboneConfig)  # image extents
 
     c_sem: ClassVar[int] = 4  # background/ground/box/body
-
-    def __post_init__(self):
-        check_int_fields(self)
-
-    @property
-    def image_size(self) -> int:
-        return self.backbone.image_size
-
-    @property
-    def grid_side(self) -> int:
-        return self.backbone.grid_side
+    c_bp: ClassVar[int] = JOINTS + 1  # background + one class per body segment
 
     def validate(self, template: MeshTemplate):
-        if self.c_bp != template.n_joints + 1:
-            raise ConfigError(
-                f"c_bp={self.c_bp} must be template joints + background "
-                f"= {template.n_joints + 1}"
-            )
+        if template.n_joints != JOINTS:
+            raise ConfigError(f"the template has {template.n_joints} joints; "
+                              f"scenes are drawn for {JOINTS}")
 
 
 @dataclass
@@ -134,7 +121,7 @@ _SAMPLE_LAYOUT = {
     "bp_mask": ("i", ("H", "H")),
     "sem_grid": ("i", ("G",)),
     "bp_grid": ("i", ("G",)),
-    "pose": ("f", ("P",)),
+    "pose": ("f", (_BASE_POSES.shape[1],)),
     "boxes": ("f", ("n_boxes", 6)),
 }
 
@@ -151,8 +138,8 @@ _VALUE_RANGES = {
     "gt_contacts": (0, 1),
     "sem_mask": (0, SceneConfig.c_sem - 1),
     "sem_grid": (0, SceneConfig.c_sem - 1),
-    "bp_mask": (0, np.inf),
-    "bp_grid": (0, np.inf),
+    "bp_mask": (0, SceneConfig.c_bp - 1),
+    "bp_grid": (0, SceneConfig.c_bp - 1),
 }
 
 
@@ -229,7 +216,7 @@ def _box_mesh(box):
 
 def render(vertices, template, boxes, config: SceneConfig):
     """Rasterize scene + posed body; returns (image, sem_mask, bp_mask)."""
-    n = config.image_size
+    n = config.backbone.image_size
     face_seg = template.segment_ids[template.faces[:, 0]]
     # (points, faces, color, semantic id, body-part id) per mesh, in draw order.
     meshes = [(_GROUND, _GROUND_FACES, _GROUND_COLOR, SEM_GROUND, 0)]
@@ -413,8 +400,8 @@ def generate_sample(config: SceneConfig, template: MeshTemplate, rng) -> Sample:
         gt_contacts=contacts,
         sem_mask=sem_mask,
         bp_mask=bp_mask,
-        sem_grid=downsample_mask(sem_mask, config.grid_side),
-        bp_grid=downsample_mask(bp_mask, config.grid_side),
+        sem_grid=downsample_mask(sem_mask, config.backbone.grid_side),
+        bp_grid=downsample_mask(bp_mask, config.backbone.grid_side),
         pose=pose,
         boxes=boxes,
     )

@@ -261,6 +261,60 @@ class TestShapeErrors:
         with pytest.raises(ShapeError, match=r"\(2, 3\) to " + re.escape(str(new_shape))):
             ad.reshape(ad.Tensor(np.zeros((2, 3))), new_shape)
 
+    @pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul, ad.div])
+    def test_elementwise_shapes_that_do_not_broadcast(self, op):
+        with pytest.raises(ShapeError, match=rf"{op.__name__} of shapes \(2, 3\) and \(4,\)"):
+            op(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones(4)))
+
+    # An out-of-range axis leaked IndexError, TypeError (a tuple axis of mean) or AxisError.
+    @pytest.mark.parametrize("call", [
+        lambda x: ad.concat([x, x], axis=2),
+        lambda x: ad.concat([ad.Tensor(np.zeros(3)), ad.Tensor(np.zeros(3))], axis=1),
+        lambda x: ad.narrow(x, 2, 0, 1),
+        lambda x: ad.narrow(x, -3, 0, 1),
+        lambda x: ad.softmax(x, axis=2),
+        lambda x: ad.log_softmax(x, axis=-3),
+        lambda x: ad.sum_(x, axis=2),
+        lambda x: ad.mean(x, axis=(0, 2)),
+    ], ids=["concat", "concat-1-d", "narrow", "narrow-negative", "softmax", "log_softmax",
+            "sum", "mean"])
+    def test_axis_out_of_range(self, call):
+        with pytest.raises(ShapeError, match=r"axis .*\(2, 3\)|\(3,\)"):
+            call(ad.Tensor(np.zeros((2, 3))))
+
+    @pytest.mark.parametrize("axes", [(0,), (0, 0), (0, 2)], ids=["too-few", "repeated",
+                                                                  "out-of-range"])
+    def test_transpose_by_wrong_axes(self, axes):
+        # numpy's ValueError or AxisError leaked.
+        with pytest.raises(ShapeError, match=r"\(2, 3\) by axes " + re.escape(str(axes))):
+            ad.transpose(ad.Tensor(np.zeros((2, 3))), axes)
+
+
+class TestGatherRows:
+    @pytest.mark.parametrize("indices", [np.array([0.9, 2.7]), np.array([True, False])],
+                             ids=["float", "bool"])
+    def test_non_integer_indices_rejected(self, indices):
+        # The int64 cast read [0.9, 2.7] as columns 0 and 2, and bools as 0 and 1.
+        with pytest.raises(ContractError, match="must be integers"):
+            ad.gather_rows(ad.Tensor(np.zeros((2, 3))), indices)
+
+
+class TestMean:
+    @pytest.mark.parametrize("keepdims", [False, True])
+    @pytest.mark.parametrize("axis", [(0, 1), (0, 2), (2,)])
+    def test_tuple_axis(self, axis, keepdims):
+        # A tuple axis raised TypeError: the count was shape[axis].
+        params = {"x": ad.Tensor(np.random.default_rng(5).normal(size=(2, 3, 4)),
+                                 requires_grad=True)}
+        out = ad.mean(params["x"], axis=axis, keepdims=keepdims)
+        assert np.array_equal(out.data, params["x"].data.mean(axis=axis, keepdims=keepdims))
+
+        def f(p):
+            m = ad.mean(p["x"], axis=axis, keepdims=keepdims)
+            return ad.sum_(ad.mul(m, m))
+
+        _check_primitive(f"mean axis={axis}", f, params)
+
 
 class TestLayerNorm:
     def _gb(self, n):

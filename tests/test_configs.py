@@ -67,7 +67,7 @@ INTEGER_IDS = [f"{cls.__name__}.{name}" for cls, name, _ in INTEGER_FIELDS]
 
 def test_integer_fields_are_found():
     assert {"MeshConfig.v_full", "BackboneConfig.conv_channels", "EncoderConfig.depth",
-            "PathConfig.n_paths", "SceneConfig.c_bp"} <= set(INTEGER_IDS)
+            "PathConfig.n_paths"} <= set(INTEGER_IDS)
 
 
 def _like(default, convert):

@@ -125,7 +125,7 @@ class ScalarRaster:
 
 def scalar_render(vertices, template, boxes, config):
     """`scenes.render` drawn by `ScalarRaster`: ground, then boxes, then body."""
-    r = ScalarRaster(config.image_size)
+    r = ScalarRaster(config.backbone.image_size)
     r.mesh(scenes._GROUND, scenes._GROUND_FACES, [scenes._GROUND_COLOR] * 2,
            [scenes.SEM_GROUND] * 2, [0] * 2)
     for box in boxes:
@@ -222,11 +222,16 @@ class TestGenerateSample:
         assert s.sem_grid.shape == (16,)
         assert s.bp_grid.shape == (16,)
 
-    def test_bad_configs(self, template):
-        with pytest.raises(ConfigError):
-            scenes.generate_sample(
-                scenes.SceneConfig(c_bp=4), template, np.random.default_rng(0)
-            )
+    def test_bad_configs(self, config, template):
+        three_joints = dataclasses.replace(template, joint_regressor=template.joint_regressor[:3])
+        with pytest.raises(ConfigError, match="3 joints"):
+            scenes.generate_sample(config, three_joints, np.random.default_rng(0))
+
+    def test_body_part_count_is_a_constant(self):
+        assert scenes.SceneConfig.c_bp == scenes.SceneConfig().c_bp == mesh.JOINTS + 1
+        assert [f.name for f in dataclasses.fields(scenes.SceneConfig)] == ["backbone"]
+        with pytest.raises(TypeError):
+            scenes.SceneConfig(c_bp=4)
 
 
 class TestContactPrevalence:
@@ -319,9 +324,13 @@ class TestDatasetIO:
         (edit_dataset(set_first("gt_contacts", 9)), "'gt_contacts' has entries outside"),
         (edit_dataset(set_first("sem_mask", -4)), "'sem_mask' has entries outside"),
         (edit_dataset(set_first("bp_grid", -1)), "'bp_grid' has entries outside"),
+        (edit_dataset(set_first("bp_grid", 9)), "'bp_grid' has entries outside \\[0, 8\\]"),
+        (edit_dataset(set_first("bp_mask", 9)), "'bp_mask' has entries outside \\[0, 8\\]"),
+        (edit_dataset(lambda t: t.update(pose=t["pose"][:, :3])), "'pose'"),
     ], ids=["negative_count", "count_past_max_boxes", "sample_count_mismatch", "mask_extent",
             "missing_counts", "sample_file", "no_samples", "nan_vertex", "image_above_one",
-            "contact_label_9", "negative_class", "negative_part"])
+            "contact_label_9", "negative_class", "negative_part", "grid_part_9", "mask_part_9",
+            "pose_length_3"])
     def test_malformed_dataset_rejected(self, config, template, tmp_path, corrupt, message):
         path = tmp_path / "ds.bin"
         scenes.write_dataset(scenes.generate_dataset(config, template, 3, seed=11), path)
@@ -345,9 +354,13 @@ class TestDatasetIO:
         (set_first("image", -0.5), "'image' has entries outside"),
         (set_first("sem_grid", scenes.SceneConfig.c_sem), "'sem_grid' has entries outside"),
         (set_first("bp_mask", -1), "'bp_mask' has entries outside"),
+        (set_first("bp_mask", scenes.SceneConfig.c_bp), "'bp_mask' has entries outside"),
+        (set_first("bp_grid", scenes.SceneConfig.c_bp), "'bp_grid' has entries outside"),
+        (lambda t: t.update(pose=t["pose"][:3]), "'pose'"),
     ], ids=["all_float_pairs", "image_rank", "mask_extent", "float_mask", "contacts_extent",
             "int_contacts", "grid_extent", "pose_rank", "box_width", "missing", "inf_pose",
-            "nan_boxes", "negative_image", "class_past_c_sem", "negative_part"])
+            "nan_boxes", "negative_image", "class_past_c_sem", "negative_part",
+            "mask_part_past_c_bp", "grid_part_past_c_bp", "pose_length_3"])
     def test_malformed_sample_rejected(self, config, template, tmp_path, edit, message):
         path = tmp_path / "sample.bin"
         scenes.write_sample(scenes.generate_sample(config, template, np.random.default_rng(0)),
@@ -363,7 +376,11 @@ class TestDatasetIO:
         ("boxes", lambda x: np.zeros(0), "'boxes' is float64 of shape \\(0,\\)"),
         ("gt_contacts", lambda x: x[1:], "'gt_contacts'"),
         ("pose", lambda x: np.r_[np.nan, x[1:]], "'pose' has non-finite"),
-    ], ids=["image_above_one", "flat_boxes", "contacts_extent", "nan_pose"])
+        ("pose", lambda x: x[:3], "'pose' is float64 of shape \\(3,\\)"),
+        ("bp_mask", lambda x: np.full_like(x, 9), "'bp_mask' has entries outside \\[0, 8\\]"),
+        ("bp_grid", lambda x: np.full_like(x, 9), "'bp_grid' has entries outside \\[0, 8\\]"),
+    ], ids=["image_above_one", "flat_boxes", "contacts_extent", "nan_pose", "pose_length_3",
+            "mask_part_9", "grid_part_9"])
     @pytest.mark.parametrize("write", [scenes.write_sample,
                                        lambda s, path: scenes.write_dataset([s, s], path)],
                              ids=["sample", "dataset"])
