@@ -10,6 +10,13 @@ appended in execution order, so the tape is already topologically sorted;
 contributions over fan-out paths, and returns the gradient of each tensor
 in the caller's `params` dict under its key (a tensor's `name` is a label).
 
+A tape is replayed at most once.  `backward` drops each entry's closure as
+it reaches it, so each saved array is freed by reference counting as soon
+as its gradient is computed, and closing the scope drops any closure still
+held.  Entries keep their op kind and node ids, never a tensor, so once its
+closures are dropped a tape and the tensors that point at it through
+`_tape` form no reference cycle for the cyclic GC to find.
+
 Without an active tape every primitive is a plain numpy computation, which
 is what inference and finite-difference probing use.
 """
@@ -47,6 +54,7 @@ class TapeEntry:
         self.output_id = output_id
         # backward_fn(grad_out) -> per-input gradient arrays (None for
         # inputs that do not require grad); closes over saved activations.
+        # None once `backward` has replayed the entry or its scope has closed.
         self.backward_fn = backward_fn
 
 
@@ -59,6 +67,7 @@ class Tape:
         # a parameter can be used on one tape after another.  Tensors hash by identity.
         self.leaves: dict[Tensor, int] = {}
         self._ids = itertools.count()
+        self.replayed = False
 
     def record(self, op, inputs, out, backward_fn):
         ids = []
@@ -89,13 +98,21 @@ def active_tape():
 
 @contextlib.contextmanager
 def tape_scope():
-    """Open a fresh tape for one forward/backward cycle."""
+    """Open a fresh tape for one forward/backward cycle.
+
+    On exit, however the scope ends, every entry's closure still held is
+    dropped, so the saved arrays of a forward that was never replayed, or of
+    a `backward` that raised partway, are freed with the last tensor that
+    uses them.  The entries themselves, with their op kinds and ids, stay.
+    """
     tape = Tape()
     _TAPE_STACK.append(tape)
     try:
         yield tape
     finally:
         _TAPE_STACK.pop()
+        for entry in tape.entries:
+            entry.backward_fn = None
 
 
 class Tensor:
@@ -630,7 +647,12 @@ def backward(loss: Tensor, params: dict) -> dict:
 
     Gradients accumulate by summation over fan-out paths.  A parameter the
     loss does not reach, or one that does not require grad, gets zeros.  A
-    parameter must be a leaf: an op output raises ContractError.
+    parameter must be a leaf: an op output raises ContractError, and leaves
+    the tape unreplayed.
+
+    The tape is replayed once: each entry's closure is dropped before it
+    runs, so its saved arrays are freed as soon as its gradient is computed,
+    and a second call on the same tape raises ContractError.
     """
     tape = active_tape()
     if tape is None:
@@ -639,13 +661,21 @@ def backward(loss: Tensor, params: dict) -> dict:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
     if loss.node_id is None or loss._tape is not tape:
         raise ContractError("loss tensor is not on the active tape")
+    for key, p in params.items():
+        if p._tape is not None:
+            raise ContractError(f"parameter {key!r} is an op output, not a leaf")
+    if tape.replayed:
+        raise ContractError("tape already replayed")
+    tape.replayed = True
 
     grads: dict[int, np.ndarray] = {loss.node_id: np.ones_like(loss.data)}
     for entry in reversed(tape.entries):
+        # Dropped before the `continue`, so entries off the loss path are released too.
+        fn, entry.backward_fn = entry.backward_fn, None
         g = grads.pop(entry.output_id, None)
         if g is None:
             continue
-        contribs = entry.backward_fn(g)
+        contribs = fn(g)
         for nid, contrib in zip(entry.input_ids, contribs):
             if nid is None or contrib is None:
                 continue
@@ -653,8 +683,6 @@ def backward(loss: Tensor, params: dict) -> dict:
 
     out = {}
     for key, p in params.items():
-        if p._tape is not None:
-            raise ContractError(f"parameter {key!r} is an op output, not a leaf")
         g = grads.get(tape.leaves.get(p))
         out[key] = Tensor(g if g is not None else np.zeros_like(p.data))
     return out

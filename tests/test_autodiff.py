@@ -1,3 +1,4 @@
+import gc
 import math
 import re
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meshcontact import autodiff as ad
+from meshcontact import encoder
 from meshcontact.errors import (
     ContractError,
     EvaluationError,
@@ -457,6 +459,8 @@ class TestBackward:
             loss = ad.sum_(y)
             with pytest.raises(ContractError, match="'y' is an op output"):
                 ad.backward(loss, {"x": x, "y": y})
+            # The rejected call did not spend the tape.
+            assert np.array_equal(ad.backward(loss, {"x": x})["x"].data, [2.0, 4.0])
 
     def test_intermediate_from_another_tape_rejected(self):
         x = ad.Tensor([1.0, 2.0], requires_grad=True, name="x")
@@ -465,6 +469,90 @@ class TestBackward:
         with ad.tape_scope():
             with pytest.raises(ContractError, match="different tapes"):
                 ad.add(y, x)
+
+
+_BLOCK = encoder.EncoderConfig(token_dim=8, heads=2, depth=1, mlp_hidden=16)
+
+
+def _block_loss(threshold=False):
+    """A scalar loss through one encoder block under the active tape, and its params."""
+    rng = np.random.default_rng(5)
+    params = {
+        k: ad.Tensor(v, requires_grad=True)
+        for k, v in encoder.init_encoder_params("enc", _BLOCK, rng).items()
+    }
+    tokens = ad.Tensor(rng.normal(size=(6, 8)))
+    out = encoder.encoder_block(tokens, np.full((6, 6), 1.0 / 6), params, "enc.block0", _BLOCK)
+    if threshold:
+        out = ad.mul(ad.hard_threshold(out, 0.0), out)
+    return ad.sum_(ad.mul(out, ad.Tensor(rng.normal(size=(6, 8))))), params
+
+
+def _cyclic_garbage(run):
+    """What `run` returns, and the objects it left that only the cyclic collector frees."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        result = run()
+        return result, gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+class TestTapeRelease:
+    """A tape drops its closures as it is replayed, and whenever its scope closes."""
+
+    def test_backward_leaves_no_cycle(self):
+        def run():
+            with ad.tape_scope():
+                loss, params = _block_loss()
+                return ad.backward(loss, params)
+
+        grads, garbage = _cyclic_garbage(run)
+        assert garbage == 0
+        assert all(g.data.any() for g in grads.values())
+
+    def test_scope_without_backward_leaves_no_cycle(self):
+        def run():
+            with ad.tape_scope() as tape:
+                _block_loss()
+            return tape
+
+        tape, garbage = _cyclic_garbage(run)
+        assert garbage == 0
+        assert tape.entries and all(e.backward_fn is None for e in tape.entries)
+
+    def test_backward_that_raises_leaves_no_cycle(self):
+        def run():
+            try:
+                with ad.tape_scope():
+                    loss, params = _block_loss(threshold=True)
+                    ad.backward(loss, params)
+            except NonDifferentiableOpError:
+                return True
+            return False
+
+        raised, garbage = _cyclic_garbage(run)
+        assert raised and garbage == 0
+
+    def test_backward_drops_closures_and_keeps_entries(self):
+        with ad.tape_scope() as tape:
+            loss, params = _block_loss()
+            before = [(e.op, e.input_ids, e.output_id) for e in tape.entries]
+            assert all(e.backward_fn is not None for e in tape.entries)
+            ad.backward(loss, params)
+            assert [(e.op, e.input_ids, e.output_id) for e in tape.entries] == before
+            assert all(e.backward_fn is None for e in tape.entries)
+
+    def test_second_backward_rejected(self):
+        x = ad.Tensor([1.0, 2.0], requires_grad=True)
+        with ad.tape_scope():
+            loss = ad.sum_(ad.mul(x, x))
+            ad.backward(loss, {"x": x})
+            with pytest.raises(ContractError, match="tape already replayed"):
+                ad.backward(loss, {"x": x})
 
 
 class TestGradientCheck:
