@@ -41,6 +41,8 @@ from .errors import (
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 LAYER_NORM_EPS = 1e-5  # added to the variance before the square root
+GRADCHECK_STEP = 1e-4  # central-difference step of gradient_check
+GRADCHECK_TOLERANCE = 1e-4  # largest relative error gradient_check passes
 
 
 class TapeEntry:
@@ -310,7 +312,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     vh = v.data.reshape(t, heads, dh).transpose(1, 0, 2)
     p = qh @ kt
     np.multiply(p, scale, out=p)
-    _softmax_array("attention", p, -1, out=p)
+    _softmax_array("attention", p, out=p)
     out = (p @ vh).transpose(1, 0, 2).reshape(t, d)
 
     def bwd(g):
@@ -330,8 +332,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     return _emit("attention", (q, k, v), out, bwd)
 
 
-def transpose(a: Tensor, axes=None) -> Tensor:
-    axes = tuple(axes) if axes is not None else tuple(reversed(range(a.ndim)))
+def transpose(a: Tensor, axes) -> Tensor:
+    axes = tuple(axes)
     inv = np.argsort(axes)
 
     def bwd(g):
@@ -419,31 +421,28 @@ def gather_rows(a: Tensor, indices) -> Tensor:
 # reductions
 
 
-def sum_(a: Tensor, axis=None, keepdims=False) -> Tensor:
+def sum_(a: Tensor) -> Tensor:
+    """The sum of all entries, as a scalar."""
     shape = a.shape
 
     def bwd(g):
-        gg = g if axis is None or keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, shape).copy(),)
+        return (np.broadcast_to(g, shape).copy(),)
 
-    try:
-        out = a.data.sum(axis=axis, keepdims=keepdims)
-    except ValueError as exc:  # numpy's AxisError
-        raise ShapeError(f"sum over axis {axis} of shape {shape}") from exc
-    return _emit("sum", (a,), out, bwd)
+    return _emit("sum", (a,), a.data.sum(), bwd)
 
 
-def mean(a: Tensor, axis=None, keepdims=False) -> Tensor:
+def mean(a: Tensor, axis=None) -> Tensor:
+    """Mean over `axis` (an int or a tuple of ints), or over all entries if None."""
     shape = a.shape
     try:
-        out = a.data.mean(axis=axis, keepdims=keepdims)
+        out = a.data.mean(axis=axis)
     except ValueError as exc:  # numpy's AxisError
         raise ShapeError(f"mean over axis {axis} of shape {shape}") from exc
     axes = axis if isinstance(axis, tuple) else (axis,)
     count = a.size if axis is None else math.prod(shape[ax] for ax in axes)
 
     def bwd(g):
-        gg = g if axis is None or keepdims else np.expand_dims(g, axis)
+        gg = g if axis is None else np.expand_dims(g, axis)
         return (np.broadcast_to(gg / count, shape).copy(),)
 
     return _emit("mean", (a,), out, bwd)
@@ -453,55 +452,52 @@ def mean(a: Tensor, axis=None, keepdims=False) -> Tensor:
 # nonlinearities
 
 
-def _max_shift(op, x: np.ndarray, axis: int, out=None) -> np.ndarray:
-    """x minus its max along `axis`, into `out` (a new array if None).
+def _max_shift(op, x: np.ndarray, out=None) -> np.ndarray:
+    """x minus its max along the last axis, into `out` (a new array if None).
 
     Rejects what a softmax cannot normalize: no axis, NaN, which the max
     propagates, so one NaN anywhere in a row is caught without a second scan,
     and a row whose max is +inf or -inf, which the shift would turn into NaN.
     """
-    try:
-        empty = x.shape == () or x.shape[axis] == 0
-    except IndexError as exc:
-        raise ShapeError(f"{op} along axis {axis} of shape {x.shape}") from exc
-    if empty:
-        raise ContractError(f"{op} along empty axis {axis} of shape {x.shape}")
-    m = x.max(axis=axis, keepdims=True)
+    if x.ndim == 0 or x.shape[-1] == 0:
+        raise ContractError(f"{op} along empty axis of shape {x.shape}")
+    m = x.max(axis=-1, keepdims=True)
     if not np.isfinite(m).all():
         raise NumericsError(f"{op} input contains NaN or a row whose max is not finite")
     return np.subtract(x, m, out=out)
 
 
-def _softmax_array(op, x: np.ndarray, axis: int, out=None) -> np.ndarray:
-    """Max-shifted softmax of x along `axis`, into `out` (a new array if None)."""
-    e = _max_shift(op, x, axis, out)
+def _softmax_array(op, x: np.ndarray, out=None) -> np.ndarray:
+    """Max-shifted softmax of x along the last axis, into `out` (a new array if None)."""
+    e = _max_shift(op, x, out)
     np.exp(e, out=e)
-    return np.divide(e, e.sum(axis=axis, keepdims=True), out=e)
+    return np.divide(e, e.sum(axis=-1, keepdims=True), out=e)
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Softmax along `axis`, stabilized by max subtraction.
+def softmax(x: Tensor) -> Tensor:
+    """Softmax along the last axis, stabilized by max subtraction.
 
     Outputs are positive and sum to one along the axis.  NaN input, and a
     row whose max is infinite, is rejected rather than turned into NaN.
     """
-    out = _softmax_array("softmax", x.data, axis)
+    out = _softmax_array("softmax", x.data)
 
     def bwd(g):
-        dot = (g * out).sum(axis=axis, keepdims=True)
+        dot = (g * out).sum(axis=-1, keepdims=True)
         return (out * (g - dot),)
 
     return _emit("softmax", (x,), out, bwd)
 
 
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    shifted = _max_shift("log_softmax", x.data, axis)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+def log_softmax(x: Tensor) -> Tensor:
+    """Log of the softmax along the last axis, computed from the max-shifted input."""
+    shifted = _max_shift("log_softmax", x.data)
+    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     out = np.subtract(shifted, lse, out=shifted)
     soft = np.exp(out)
 
     def bwd(g):
-        return (g - soft * g.sum(axis=axis, keepdims=True),)
+        return (g - soft * g.sum(axis=-1, keepdims=True),)
 
     return _emit("log_softmax", (x,), out, bwd)
 
@@ -548,7 +544,9 @@ def gelu(x: Tensor) -> Tensor:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    out = 1.0 / (1.0 + np.exp(-x.data))
+    """1 / (1 + exp(-x)); below about -709 the exp overflows to inf and the output is 0."""
+    with np.errstate(over="ignore"):
+        out = 1.0 / (1.0 + np.exp(-x.data))
 
     def bwd(g):
         return (g * out * (1.0 - out),)
@@ -597,41 +595,35 @@ def hard_threshold(x: Tensor, tau: float) -> Tensor:
 # convolution
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
-    """Strided valid 2-D convolution of x [C,H,W] with w [O,C,kh,kw] plus bias b [O]."""
+def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Non-overlapping patch convolution of x [C,H,W] with w [O,C,k,k] plus bias b [O].
+
+    The kernel side k is the stride: each output pixel is the affine map of
+    one k x k patch, so H and W must be multiples of k and the output is
+    [O, H/k, W/k].  This is a ViT-style patch embedding.
+    """
     if x.ndim != 3 or w.ndim != 4:
-        raise ShapeError(f"conv2d needs x [C,H,W] and w [O,C,kh,kw], got {x.shape}, {w.shape}")
+        raise ShapeError(f"conv2d needs x [C,H,W] and w [O,C,k,k], got {x.shape}, {w.shape}")
     c, h, wid = x.shape
-    o, cw, kh, kw = w.shape
+    o, cw, k, kw = w.shape
     if cw != c:
         raise ShapeError(f"conv2d channel mismatch: x {x.shape} vs w {w.shape}")
-    if stride < 1:
-        raise ContractError(f"conv2d stride must be >= 1, got {stride}")
-    if (h - kh) % stride or (wid - kw) % stride:
-        raise ShapeError(
-            f"conv2d extents {x.shape} not divisible by stride {stride} with kernel {kh}x{kw}"
-        )
-    ho = (h - kh) // stride + 1
-    wo = (wid - kw) // stride + 1
+    if k == 0 or kw != k or h % k or wid % k:
+        raise ShapeError(f"conv2d needs a square kernel whose side divides H and W, "
+                         f"got x {x.shape} and w {w.shape}")
+    ho, wo = h // k, wid // k
 
-    win = np.lib.stride_tricks.sliding_window_view(x.data, (kh, kw), axis=(1, 2))
-    win = win[:, ::stride, ::stride]  # (C, ho, wo, kh, kw)
-    cols = win.transpose(1, 2, 0, 3, 4).reshape(ho * wo, c * kh * kw)
-    wflat = w.data.reshape(o, c * kh * kw)
+    cols = x.data.reshape(c, ho, k, wo, k).transpose(1, 3, 0, 2, 4).reshape(ho * wo, c * k * k)
+    wflat = w.data.reshape(o, c * k * k)
     out = (cols @ wflat.T + b.data).T.reshape(o, ho, wo)
 
     def bwd(g):
         gflat = g.reshape(o, ho * wo).T  # (ho*wo, O)
         gw = (gflat.T @ cols).reshape(w.shape) if w.requires_grad else None
         gx = None
-        if x.requires_grad:
-            dcols = (gflat @ wflat).reshape(ho, wo, c, kh, kw)
-            gx = np.zeros((c, h, wid))
-            for di in range(kh):
-                for dj in range(kw):
-                    gx[:, di : di + stride * ho : stride, dj : dj + stride * wo : stride] += (
-                        dcols[:, :, :, di, dj].transpose(2, 0, 1)
-                    )
+        if x.requires_grad:  # each patch's gradient back to where the patch came from
+            gx = (gflat @ wflat).reshape(ho, wo, c, k, k).transpose(2, 0, 3, 1, 4)
+            gx = gx.reshape(c, h, wid)
         gb = g.sum(axis=(1, 2)) if b.requires_grad else None
         return (gx, gw, gb)
 
@@ -691,11 +683,10 @@ def backward(loss: Tensor, params: dict) -> dict:
 class GradCheckReport:
     """Outcome of a central-difference gradient check."""
 
-    def __init__(self, per_param: dict, tolerance: float):
+    def __init__(self, per_param: dict):
         self.per_param = per_param
-        self.tolerance = tolerance
         self.max_error = max(per_param.values()) if per_param else 0.0
-        self.passed = self.max_error <= tolerance
+        self.passed = self.max_error <= GRADCHECK_TOLERANCE
 
     def __repr__(self):
         worst = max(self.per_param, key=self.per_param.get) if self.per_param else "-"
@@ -705,16 +696,15 @@ class GradCheckReport:
         )
 
 
-def gradient_check(f, params: dict, h: float = 1e-4, tolerance: float = 1e-4) -> GradCheckReport:
+def gradient_check(f, params: dict) -> GradCheckReport:
     """Compare analytic gradients of a scalar function against central differences.
 
     `f` maps the named parameter dict to a scalar Tensor and must be pure.
-    Per-element relative error is |analytic - numeric| / max(1, |analytic|);
-    the report passes iff the max over all parameters is <= tolerance.
+    Each entry is stepped by +-GRADCHECK_STEP.  Per-element relative error is
+    |analytic - numeric| / max(1, |analytic|); the report passes iff the max
+    over all parameters is <= GRADCHECK_TOLERANCE.
     """
-    if not (1e-6 <= h <= 1e-3):
-        raise ContractError(f"gradient_check step h={h} outside [1e-6, 1e-3]")
-
+    h = GRADCHECK_STEP
     with tape_scope():
         loss = f(params)
         if not np.isfinite(loss.data).all():
@@ -737,4 +727,4 @@ def gradient_check(f, params: dict, h: float = 1e-4, tolerance: float = 1e-4) ->
         a = analytic[name].data
         err = np.abs(a - numeric) / np.maximum(1.0, np.abs(a))
         per_param[name] = float(err.max()) if err.size else 0.0
-    return GradCheckReport(per_param, tolerance)
+    return GradCheckReport(per_param)

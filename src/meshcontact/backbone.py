@@ -112,8 +112,7 @@ def extract_features(image: Tensor, params: dict, config: BackboneConfig):
         )
     x = image
     for i in range(len(config.conv_channels)):
-        x = ad.conv2d(x, params[f"backbone.conv{i}.w"], params[f"backbone.conv{i}.b"],
-                      stride=PATCH)
+        x = ad.conv2d(x, params[f"backbone.conv{i}.w"], params[f"backbone.conv{i}.b"])
         x = ad.gelu(x)
     g = config.grid_side
     d = config.token_dim

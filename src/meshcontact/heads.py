@@ -133,7 +133,7 @@ def loss_contact(probs: Tensor, labels) -> Tensor:
 def loss_segmentation(logits: Tensor, gt_mask) -> Tensor:
     """Mean per-cell cross-entropy against integer class ids."""
     labels = np.asarray(gt_mask).reshape(-1)  # gather_rows rejects non-integer labels
-    picked = ad.gather_rows(ad.log_softmax(logits, axis=1), labels)
+    picked = ad.gather_rows(ad.log_softmax(logits), labels)
     return ad.neg(ad.mean(picked))
 
 

@@ -29,6 +29,7 @@ JOINTS = 8  # chain segments; the radius plan, base poses and part palette are w
 RING_SIZE = 6  # vertices per ring
 HEIGHT_CM = 16.0  # chain height before the seeded segment-length jitter
 _LENGTH_QUANTUM = 2.0**-20
+_INTERP_ANCHORS = 4  # coarse vertices each full vertex is interpolated from
 
 
 @dataclass(frozen=True)
@@ -151,12 +152,12 @@ def _face_edges(faces) -> np.ndarray:
     return np.unique(pairs, axis=0).astype(np.int32)
 
 
-def _nearest_interp_matrix(targets, anchors, k=4):
-    """Convex inverse-distance weights onto the <= k nearest anchor points."""
+def _nearest_interp_matrix(targets, anchors):
+    """Convex inverse-distance weights onto the <= _INTERP_ANCHORS nearest anchor points."""
     mat = np.zeros((targets.shape[0], anchors.shape[0]))
     for i, p in enumerate(targets):
         d = np.linalg.norm(anchors - p, axis=1)
-        near = np.argsort(d)[:k]
+        near = np.argsort(d)[:_INTERP_ANCHORS]
         if d[near[0]] < 1e-9:
             mat[i, near[0]] = 1.0
             continue

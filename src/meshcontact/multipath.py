@@ -106,7 +106,7 @@ def fuse_paths(paths: list, params: RoutingParams):
     for p in paths:
         phi = ad.gelu(ad.linear(p, params.phi_weight, params.phi_bias))
         cols.append(ad.matmul(phi, w_col))
-    alpha = ad.softmax(ad.concat(cols, axis=1), axis=1)
+    alpha = ad.softmax(ad.concat(cols, axis=1))
     fused = weighted_path_sum(paths, alpha)
     return fused, alpha
 

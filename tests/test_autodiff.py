@@ -61,26 +61,26 @@ class TestMatmul:
 
 class TestSoftmax:
     def test_symmetry(self):
-        out = ad.softmax(ad.Tensor([0.0, 0.0]), axis=-1)
+        out = ad.softmax(ad.Tensor([0.0, 0.0]))
         assert np.array_equal(out.data, [0.5, 0.5])
 
     def test_direct_evaluation(self):
-        out = ad.softmax(ad.Tensor([0.0, math.log(2.0)]), axis=-1)
+        out = ad.softmax(ad.Tensor([0.0, math.log(2.0)]))
         assert np.abs(out.data - [1.0 / 3.0, 2.0 / 3.0]).max() <= 1e-12
 
     @given(st.lists(st.floats(-50, 50), min_size=1, max_size=8), st.floats(-50, 50))
     @settings(max_examples=50, deadline=None)
     def test_shift_invariance_and_normalization(self, xs, c):
         x = np.array(xs)
-        s1 = ad.softmax(ad.Tensor(x), axis=-1).data
-        s2 = ad.softmax(ad.Tensor(x + c), axis=-1).data
+        s1 = ad.softmax(ad.Tensor(x)).data
+        s2 = ad.softmax(ad.Tensor(x + c)).data
         assert abs(s1.sum() - 1.0) <= 1e-12
         assert np.abs(s1 - s2).max() <= 1e-9
         assert (s1 > 0).all()
 
     def test_nan_rejected(self):
         with pytest.raises(NumericsError):
-            ad.softmax(ad.Tensor([0.0, np.nan]), axis=-1)
+            ad.softmax(ad.Tensor([0.0, np.nan]))
 
     @pytest.mark.parametrize("op", [ad.softmax, ad.log_softmax])
     @pytest.mark.parametrize("row", [[np.nan, np.inf], [np.inf, np.nan], [-np.inf, np.nan],
@@ -89,7 +89,7 @@ class TestSoftmax:
         x = np.zeros((3, len(row)))
         x[1] = row
         with pytest.raises(NumericsError, match="contains NaN"):
-            op(ad.Tensor(x), axis=-1)
+            op(ad.Tensor(x))
 
     @pytest.mark.parametrize("op", [ad.softmax, ad.log_softmax])
     @pytest.mark.parametrize("row", [[np.inf, 0.0], [0.0, np.inf, -np.inf], [-np.inf, -np.inf]],
@@ -98,7 +98,7 @@ class TestSoftmax:
         x = np.zeros((3, len(row)))
         x[1] = row
         with pytest.raises(NumericsError, match="contains NaN or a row whose max is not finite"):
-            op(ad.Tensor(x), axis=-1)
+            op(ad.Tensor(x))
 
     def test_minus_inf_beside_finite_max(self):
         assert np.array_equal(ad.softmax(ad.Tensor([-np.inf, 0.0])).data, [0.0, 1.0])
@@ -108,7 +108,7 @@ class TestSoftmax:
     @pytest.mark.parametrize("x", [np.zeros((2, 0)), np.float64(1.0)], ids=["empty", "0-d"])
     def test_no_axis_rejected(self, op, x):
         with pytest.raises(ContractError, match="along empty axis"):
-            op(ad.Tensor(x), axis=-1)
+            op(ad.Tensor(x))
 
 
 def composed_linear(x, w, b):
@@ -125,7 +125,7 @@ def composed_attention(q, k, v, heads):
         return ad.transpose(ad.reshape(x, (t, heads, dh)), axes)
 
     scores = ad.mul(ad.matmul(split(q), split(k, (1, 2, 0))), ad.Tensor(1.0 / np.sqrt(dh)))
-    ctx = ad.matmul(ad.softmax(scores, axis=-1), split(v))
+    ctx = ad.matmul(ad.softmax(scores), split(v))
     return ad.reshape(ad.transpose(ctx, (1, 0, 2)), (t, d))
 
 
@@ -274,12 +274,8 @@ class TestShapeErrors:
         lambda x: ad.concat([ad.Tensor(np.zeros(3)), ad.Tensor(np.zeros(3))], axis=1),
         lambda x: ad.narrow(x, 2, 0, 1),
         lambda x: ad.narrow(x, -3, 0, 1),
-        lambda x: ad.softmax(x, axis=2),
-        lambda x: ad.log_softmax(x, axis=-3),
-        lambda x: ad.sum_(x, axis=2),
         lambda x: ad.mean(x, axis=(0, 2)),
-    ], ids=["concat", "concat-1-d", "narrow", "narrow-negative", "softmax", "log_softmax",
-            "sum", "mean"])
+    ], ids=["concat", "concat-1-d", "narrow", "narrow-negative", "mean"])
     def test_axis_out_of_range(self, call):
         with pytest.raises(ShapeError, match=r"axis .*\(2, 3\)|\(3,\)"):
             call(ad.Tensor(np.zeros((2, 3))))
@@ -302,17 +298,16 @@ class TestGatherRows:
 
 
 class TestMean:
-    @pytest.mark.parametrize("keepdims", [False, True])
     @pytest.mark.parametrize("axis", [(0, 1), (0, 2), (2,)])
-    def test_tuple_axis(self, axis, keepdims):
+    def test_tuple_axis(self, axis):
         # A tuple axis raised TypeError: the count was shape[axis].
         params = {"x": ad.Tensor(np.random.default_rng(5).normal(size=(2, 3, 4)),
                                  requires_grad=True)}
-        out = ad.mean(params["x"], axis=axis, keepdims=keepdims)
-        assert np.array_equal(out.data, params["x"].data.mean(axis=axis, keepdims=keepdims))
+        out = ad.mean(params["x"], axis=axis)
+        assert np.array_equal(out.data, params["x"].data.mean(axis=axis))
 
         def f(p):
-            m = ad.mean(p["x"], axis=axis, keepdims=keepdims)
+            m = ad.mean(p["x"], axis=axis)
             return ad.sum_(ad.mul(m, m))
 
         _check_primitive(f"mean axis={axis}", f, params)
@@ -393,7 +388,7 @@ class TestBackward:
         w = np.array([0.3, -0.7, 1.1, 0.2])
 
         def f(params):
-            s = ad.softmax(params["x"], axis=-1)
+            s = ad.softmax(params["x"])
             return ad.sum_(ad.mul(s, ad.Tensor(w)))
 
         params = {"x": ad.Tensor([0.5, -1.0, 2.0, 0.0], requires_grad=True, name="x")}
@@ -603,13 +598,6 @@ class TestGradientCheck:
         with pytest.raises(NonDifferentiableOpError):
             ad.gradient_check(f, params)
 
-    def test_bad_step_size(self):
-        def f(params):
-            return ad.sum_(params["x"])
-
-        with pytest.raises(ContractError):
-            ad.gradient_check(f, {"x": ad.Tensor([1.0], requires_grad=True, name="x")}, h=1e-2)
-
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_non_finite_names_parameter(self):
         def f(params):
@@ -679,8 +667,8 @@ class TestEveryPrimitiveGradient:
         params = self._p((4, 5))
 
         def f(p):
-            s = ad.softmax(p["p0"], axis=-1)
-            ls = ad.log_softmax(p["p0"], axis=-1)
+            s = ad.softmax(p["p0"])
+            ls = ad.log_softmax(p["p0"])
             return ad.add(ad.sum_(ad.mul(s, s)), ad.mean(ls))
 
         _check_primitive("softmax", f, params)
@@ -699,7 +687,7 @@ class TestEveryPrimitiveGradient:
 
         def f(p):
             c = ad.concat([p["p0"], p["p1"]], axis=0)
-            t = ad.transpose(c)
+            t = ad.transpose(c, (1, 0))
             r = ad.reshape(t, (2, 6))
             n = ad.narrow(r, 1, 1, 4)
             return ad.sum_(ad.mul(n, n))
@@ -711,7 +699,7 @@ class TestEveryPrimitiveGradient:
 
         def f(p):
             m = ad.mean(p["p0"], axis=0)
-            s = ad.sum_(p["p0"], axis=1, keepdims=True)
+            s = ad.sum_(p["p0"])
             return ad.add(ad.sum_(ad.mul(m, m)), ad.mean(ad.mul(s, s)))
 
         _check_primitive("reduce", f, params)
@@ -720,7 +708,7 @@ class TestEveryPrimitiveGradient:
         params = self._p((2, 6, 6), (3, 2, 2, 2), (3,))
 
         def f(p):
-            out = ad.conv2d(p["p0"], p["p1"], p["p2"], stride=2)
+            out = ad.conv2d(p["p0"], p["p1"], p["p2"])
             return ad.sum_(ad.mul(out, out))
 
         _check_primitive("conv2d", f, params)
@@ -738,28 +726,80 @@ class TestEveryPrimitiveGradient:
         _check_primitive("clip_gather", f, params)
 
 
+def strided_conv_oracle(x, w, b, g):
+    """Forward and (gx, gw, gb) of a valid conv at stride = kernel side, computed as a general
+    strided convolution does: a window view, and a per-offset scatter-add into zeros."""
+    c, h, wid = x.shape
+    o, _, k, _ = w.shape
+    ho, wo = h // k, wid // k
+    win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(1, 2))[:, ::k, ::k]
+    cols = win.transpose(1, 2, 0, 3, 4).reshape(ho * wo, c * k * k)
+    wflat = w.reshape(o, c * k * k)
+    out = (cols @ wflat.T + b).T.reshape(o, ho, wo)
+    gflat = g.reshape(o, ho * wo).T
+    dcols = (gflat @ wflat).reshape(ho, wo, c, k, k)
+    gx = np.zeros((c, h, wid))
+    for di in range(k):
+        for dj in range(k):
+            gx[:, di : di + k * ho : k, dj : dj + k * wo : k] += dcols[:, :, :, di, dj].transpose(
+                2, 0, 1)
+    return out, gx, (gflat.T @ cols).reshape(w.shape), g.sum(axis=(1, 2))
+
+
 class TestConv2d:
     def test_matches_direct_loops(self):
         rng = np.random.default_rng(3)
-        x = rng.normal(size=(2, 5, 5))
+        x = rng.normal(size=(2, 6, 6))
         w = rng.normal(size=(3, 2, 3, 3))
         b = rng.normal(size=3)
-        out = ad.conv2d(ad.Tensor(x), ad.Tensor(w), ad.Tensor(b), stride=2).data
+        out = ad.conv2d(ad.Tensor(x), ad.Tensor(w), ad.Tensor(b)).data
         expected = np.zeros((3, 2, 2))
         for o in range(3):
             for i in range(2):
                 for j in range(2):
-                    patch = x[:, 2 * i : 2 * i + 3, 2 * j : 2 * j + 3]
+                    patch = x[:, 3 * i : 3 * i + 3, 3 * j : 3 * j + 3]
                     expected[o, i, j] = (patch * w[o]).sum() + b[o]
         assert np.abs(out - expected).max() <= 1e-12
+
+    # The backbone's two layers at the default config: (3, 64, 64) -> 16 -> 32 channels.
+    @pytest.mark.parametrize("x_shape, w_shape", [((3, 64, 64), (16, 3, 4, 4)),
+                                                  ((16, 16, 16), (32, 16, 4, 4))])
+    def test_bits_match_strided_conv(self, x_shape, w_shape):
+        rng = np.random.default_rng(11)
+        params = {"x": ad.Tensor(rng.normal(size=x_shape), requires_grad=True),
+                  "w": ad.Tensor(rng.normal(size=w_shape), requires_grad=True),
+                  "b": ad.Tensor(rng.normal(size=w_shape[0]), requires_grad=True)}
+        with ad.tape_scope():
+            out = ad.conv2d(params["x"], params["w"], params["b"])
+            g = rng.normal(size=out.shape)
+            grads = ad.backward(ad.sum_(ad.mul(out, ad.Tensor(g))), params)
+        expected = strided_conv_oracle(params["x"].data, params["w"].data, params["b"].data, g)
+        got = (out.data, grads["x"].data, grads["w"].data, grads["b"].data)
+        for a, e in zip(got, expected):
+            assert a.shape == e.shape
+            assert np.array_equal(a.view(np.uint64), e.view(np.uint64))
 
     def test_stride_mismatch(self):
         with pytest.raises(ShapeError):
             ad.conv2d(ad.Tensor(np.zeros((1, 5, 5))), ad.Tensor(np.zeros((1, 1, 2, 2))),
-                      ad.Tensor(np.zeros(1)), stride=2)
+                      ad.Tensor(np.zeros(1)))
 
-    @pytest.mark.parametrize("stride", [0, -1])
-    def test_stride_below_one_rejected(self, stride):
-        with pytest.raises(ContractError, match="stride must be >= 1"):
-            ad.conv2d(ad.Tensor(np.zeros((1, 4, 4))), ad.Tensor(np.zeros((1, 1, 2, 2))),
-                      ad.Tensor(np.zeros(1)), stride=stride)
+    @pytest.mark.parametrize("x_shape, w_shape", [((1, 4, 6), (1, 1, 4, 4)),
+                                                  ((1, 4, 4), (1, 1, 2, 4)),
+                                                  ((1, 4, 4), (1, 1, 0, 0))],
+                             ids=["width-only", "non-square", "empty-kernel"])
+    def test_kernel_must_tile_the_input(self, x_shape, w_shape):
+        with pytest.raises(ShapeError, match="square kernel whose side divides H and W"):
+            ad.conv2d(ad.Tensor(np.zeros(x_shape)), ad.Tensor(np.zeros(w_shape)),
+                      ad.Tensor(np.zeros(1)))
+
+
+class TestSigmoid:
+    def test_saturates_without_overflow_warning(self):
+        # exp(800) overflowed with a RuntimeWarning, an error under the suite's filterwarnings.
+        x = ad.Tensor([-800.0, 0.0, 800.0], requires_grad=True)
+        with ad.tape_scope():
+            out = ad.sigmoid(x)
+            grads = ad.backward(ad.sum_(out), {"x": x})
+        assert np.array_equal(out.data, [0.0, 0.5, 1.0])
+        assert np.array_equal(grads["x"].data, [0.0, 0.25, 0.0])

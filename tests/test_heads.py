@@ -89,7 +89,7 @@ class TestDecoders:
         params["heads.sem.b"] = ad.Tensor(np.zeros(4))
         grid = ad.Tensor(np.random.default_rng(8).normal(size=(16, 32)))
         logits = heads.semantic_decoder(grid, params)
-        probs = ad.softmax(logits, axis=1).data
+        probs = ad.softmax(logits).data
         assert np.abs(probs - 0.25).max() <= 1e-12
 
     def test_class_count_validation(self):

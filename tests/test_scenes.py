@@ -226,6 +226,23 @@ class TestGenerateSample:
         three_joints = dataclasses.replace(template, joint_regressor=template.joint_regressor[:3])
         with pytest.raises(ConfigError, match="3 joints"):
             scenes.generate_sample(config, three_joints, np.random.default_rng(0))
+        # A stub built from scratch, one joint short of the 8 the poses and the palette are for.
+        n, joints = 4, mesh.JOINTS - 1
+        verts = np.stack([np.arange(n, dtype=float), np.zeros(n), np.zeros(n)], axis=1)
+        seven_joints = mesh.MeshTemplate(
+            rest_vertices=verts,
+            faces=np.zeros((0, 3), dtype=np.int32),
+            coarse_rest_vertices=verts[:1],
+            coarse_faces=np.zeros((0, 3), dtype=np.int32),
+            upsample_matrix=np.ones((n, 1)),
+            joint_regressor=np.ones((joints, n)) / n,
+            edges=np.asarray([(i, i + 1) for i in range(n - 1)], dtype=np.int32),
+            edge_lengths=np.ones(n - 1),
+            segment_ids=np.zeros(n, dtype=np.int32),
+            rest_pivots=np.zeros((joints, 3)),
+        )
+        with pytest.raises(ConfigError, match="the template has 7 joints; scenes are drawn for 8"):
+            scenes.generate_sample(config, seven_joints, np.random.default_rng(0))
 
     def test_body_part_count_is_a_constant(self):
         assert scenes.SceneConfig.c_bp == scenes.SceneConfig().c_bp == mesh.JOINTS + 1
