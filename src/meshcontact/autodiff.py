@@ -4,11 +4,13 @@ Every value in the model is a :class:`Tensor` wrapping a row-major numpy
 array in double precision.  While a :class:`Tape` is active (one per
 training step, opened with :func:`tape_scope`), primitives that touch a
 gradient-carrying tensor append an entry recording the op kind, input and
-output node ids, and a closure over the saved activations.  Entries are
-appended in execution order, so the tape is already topologically sorted;
-:func:`backward` replays it once in reverse, summing gradient
-contributions over fan-out paths, and returns the gradient of each tensor
-in the caller's `params` dict under its key (a tensor's `name` is a label).
+output node ids, and a closure over the saved activations.  A tensor takes
+its node id when it is built, so a leaf keeps one id on every tape, and a
+copy is a new leaf.  Entries are appended in execution order, so the tape
+is already topologically sorted; :func:`backward` replays it once in
+reverse, summing gradient contributions over fan-out paths, and returns the
+gradient of each tensor in the caller's `params` dict under its key (a
+tensor's `name` is a label).
 
 A tape is replayed at most once.  `backward` drops each entry's closure as
 it reaches it, so each saved array is freed by reference counting as soon
@@ -32,7 +34,6 @@ from scipy.special import erf
 
 from .errors import (
     ContractError,
-    EvaluationError,
     NonDifferentiableOpError,
     NumericsError,
     ShapeError,
@@ -43,6 +44,7 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 LAYER_NORM_EPS = 1e-5  # added to the variance before the square root
 GRADCHECK_STEP = 1e-4  # central-difference step of gradient_check
 GRADCHECK_TOLERANCE = 1e-4  # largest relative error gradient_check passes
+_NODE_IDS = itertools.count()  # every tensor's node id, taken when it is built
 
 
 class TapeEntry:
@@ -65,29 +67,15 @@ class Tape:
 
     def __init__(self):
         self.entries: list[TapeEntry] = []
-        # A leaf's node id: the tape numbers a leaf on first use and never writes to it, so
-        # a parameter can be used on one tape after another.  Tensors hash by identity.
-        self.leaves: dict[Tensor, int] = {}
-        self._ids = itertools.count()
         self.replayed = False
 
     def record(self, op, inputs, out, backward_fn):
-        ids = []
         for t in inputs:
-            if not t.requires_grad:
-                ids.append(None)
-            elif t._tape is self:
-                ids.append(t.node_id)
-            elif t._tape is None:  # a leaf, numbered on its first use
-                nid = self.leaves.get(t)
-                if nid is None:
-                    nid = self.leaves[t] = next(self._ids)
-                ids.append(nid)
-            else:
+            if t._tape is not None and t._tape is not self:
                 raise ContractError(f"op {op!r} mixes tensors from different tapes")
-        out.node_id = next(self._ids)
         out._tape = self
-        self.entries.append(TapeEntry(op, tuple(ids), out.node_id, backward_fn))
+        ids = tuple(t.node_id if t.requires_grad else None for t in inputs)
+        self.entries.append(TapeEntry(op, ids, out.node_id, backward_fn))
 
 
 _TAPE_STACK: list[Tape] = []
@@ -125,9 +113,13 @@ class Tensor:
     def __init__(self, data, requires_grad=False, name=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
-        self.node_id = None
+        self.node_id = next(_NODE_IDS)
         self.name = name
-        self._tape = None
+        self._tape = None  # the tape that recorded this tensor as an op output; None for a leaf
+
+    def __reduce__(self):
+        # A copy or unpickled tensor is a new leaf: a shared id would merge the gradients.
+        return Tensor, (self.data, self.requires_grad, self.name)
 
     @property
     def shape(self):
@@ -504,9 +496,12 @@ def log_softmax(x: Tensor) -> Tensor:
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then apply gamma*x + beta."""
-    n = x.shape[-1]
-    if n < 2:
+    if x.ndim == 0 or x.shape[-1] < 2:
         raise ContractError(f"layer_norm axis extent must be >= 2, got shape {x.shape}")
+    n = x.shape[-1]
+    if gamma.shape != (n,) or beta.shape != (n,):
+        raise ShapeError(f"layer_norm needs gamma and beta of shape ({n},), "
+                         f"got {gamma.shape}, {beta.shape}")
     d = x.data - x.data.mean(axis=-1, keepdims=True)
     # The same sums as x.var, so the bits match, without recomputing the mean.
     var = (d * d).mean(axis=-1, keepdims=True)
@@ -611,6 +606,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if k == 0 or kw != k or h % k or wid % k:
         raise ShapeError(f"conv2d needs a square kernel whose side divides H and W, "
                          f"got x {x.shape} and w {w.shape}")
+    if b.shape != (o,):
+        raise ShapeError(f"conv2d needs a bias of shape ({o},) for w {w.shape}, got {b.shape}")
     ho, wo = h // k, wid // k
 
     cols = x.data.reshape(c, ho, k, wo, k).transpose(1, 3, 0, 2, 4).reshape(ho * wo, c * k * k)
@@ -651,7 +648,7 @@ def backward(loss: Tensor, params: dict) -> dict:
         raise ContractError("backward called with no active tape")
     if loss.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
-    if loss.node_id is None or loss._tape is not tape:
+    if loss._tape is not tape:
         raise ContractError("loss tensor is not on the active tape")
     for key, p in params.items():
         if p._tape is not None:
@@ -675,7 +672,7 @@ def backward(loss: Tensor, params: dict) -> dict:
 
     out = {}
     for key, p in params.items():
-        g = grads.get(tape.leaves.get(p))
+        g = grads.get(p.node_id)
         out[key] = Tensor(g if g is not None else np.zeros_like(p.data))
     return out
 
@@ -708,7 +705,7 @@ def gradient_check(f, params: dict) -> GradCheckReport:
     with tape_scope():
         loss = f(params)
         if not np.isfinite(loss.data).all():
-            raise EvaluationError("non-finite loss at the unperturbed point")
+            raise NumericsError("non-finite loss at the unperturbed point")
         analytic = backward(loss, params)
 
     per_param = {}
@@ -722,7 +719,7 @@ def gradient_check(f, params: dict) -> GradCheckReport:
             fm = f(params).item()
             p.data[i] = orig
             if not (np.isfinite(fp) and np.isfinite(fm)):
-                raise EvaluationError(f"non-finite value while perturbing parameter {name!r}")
+                raise NumericsError(f"non-finite value while perturbing parameter {name!r}")
             numeric[i] = (fp - fm) / (2.0 * h)
         a = analytic[name].data
         err = np.abs(a - numeric) / np.maximum(1.0, np.abs(a))

@@ -62,9 +62,5 @@ class NumericsError(MeshContactError):
     """Non-finite values where finite ones are required. CLI exit code 4."""
 
 
-class EvaluationError(NumericsError):
-    """A probed function produced a non-finite value; message names the parameter."""
-
-
 class NonDifferentiableOpError(MeshContactError):
     """Backward pass reached an op with no defined gradient (e.g. hard thresholding)."""

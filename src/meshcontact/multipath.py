@@ -88,6 +88,17 @@ class RoutingParams:
             raise ConfigError("routing weight vector must have at least one entry")
 
 
+def _path_shape(op, paths: list) -> tuple:
+    """The shape all `paths` share; raises for an empty list or paths of different shapes."""
+    if not paths:
+        raise ContractError(f"{op} needs at least one path")
+    shape = paths[0].shape
+    for i, p in enumerate(paths):
+        if p.shape != shape:
+            raise ShapeError(f"path {i} has shape {p.shape}, expected {shape}")
+    return shape
+
+
 def fuse_paths(paths: list, params: RoutingParams):
     """Fuse per-path vertex features with per-vertex softmax routing.
 
@@ -95,12 +106,7 @@ def fuse_paths(paths: list, params: RoutingParams):
     s_v_i = w . phi(m_v_i); alpha is their softmax across paths; the fused
     feature is sum_i alpha_v_i * m_v_i.  Differentiable in paths and params.
     """
-    if not paths:
-        raise ContractError("fuse_paths needs at least one path")
-    shape = paths[0].shape
-    for i, p in enumerate(paths):
-        if p.shape != shape:
-            raise ShapeError(f"path {i} has shape {p.shape}, expected {shape}")
+    _path_shape("fuse_paths", paths)
     w_col = ad.reshape(params.w, (params.w.size, 1))
     cols = []
     for p in paths:
@@ -113,7 +119,8 @@ def fuse_paths(paths: list, params: RoutingParams):
 
 def weighted_path_sum(paths: list, alpha: Tensor) -> Tensor:
     """Combine paths with the given per-vertex column weights."""
-    if alpha.shape != (paths[0].shape[0], len(paths)):
+    n_vertices = _path_shape("weighted_path_sum", paths)[0]
+    if alpha.shape != (n_vertices, len(paths)):
         raise ShapeError(f"alpha shape {alpha.shape} does not match {len(paths)} paths")
     fused = ad.mul(ad.narrow(alpha, 1, 0, 1), paths[0])
     for i in range(1, len(paths)):

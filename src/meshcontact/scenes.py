@@ -306,12 +306,12 @@ def _rasterize(px, py, depth, n):
 
 def downsample_mask(mask: np.ndarray, grid_side: int) -> np.ndarray:
     """Majority class id per grid cell; ties break toward the lowest id."""
-    if mask.ndim != 2 or mask.shape[0] != mask.shape[1] or mask.shape[0] < grid_side:
-        raise ShapeError(f"downsample_mask needs a square mask of side >= {grid_side}, "
-                         f"got shape {mask.shape}")
+    if (mask.ndim != 2 or mask.shape[0] != mask.shape[1] or mask.shape[0] < grid_side
+            or mask.shape[0] % grid_side):
+        raise ShapeError(f"downsample_mask needs a square mask whose side is a positive "
+                         f"multiple of {grid_side}, got shape {mask.shape}")
     cell = mask.shape[0] // grid_side
-    side = grid_side * cell
-    blocks = (mask[:side, :side].reshape(grid_side, cell, grid_side, cell)
+    blocks = (mask.reshape(grid_side, cell, grid_side, cell)
               .transpose(0, 2, 1, 3).reshape(grid_side * grid_side, -1))
     if blocks.min() < 0:
         raise ContractError(f"mask class ids must be >= 0, got {blocks.min()}")

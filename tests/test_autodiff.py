@@ -1,5 +1,7 @@
+import copy
 import gc
 import math
+import pickle
 import re
 
 import numpy as np
@@ -11,7 +13,6 @@ from meshcontact import autodiff as ad
 from meshcontact import encoder
 from meshcontact.errors import (
     ContractError,
-    EvaluationError,
     NonDifferentiableOpError,
     NumericsError,
     ShapeError,
@@ -280,6 +281,13 @@ class TestShapeErrors:
         with pytest.raises(ShapeError, match=r"axis .*\(2, 3\)|\(3,\)"):
             call(ad.Tensor(np.zeros((2, 3))))
 
+    # (3,) leaked numpy's ValueError; (1,) broadcast, and backward gave it a (2,) gradient.
+    @pytest.mark.parametrize("b_shape", [(3,), (1,), (2, 1), ()])
+    def test_conv2d_bias_of_another_shape(self, b_shape):
+        with pytest.raises(ShapeError, match=r"bias of shape \(2,\) .*" + re.escape(str(b_shape))):
+            ad.conv2d(ad.Tensor(np.zeros((1, 4, 4))), ad.Tensor(np.zeros((2, 1, 2, 2))),
+                      ad.Tensor(np.zeros(b_shape)))
+
     @pytest.mark.parametrize("axes", [(0,), (0, 0), (0, 2)], ids=["too-few", "repeated",
                                                                   "out-of-range"])
     def test_transpose_by_wrong_axes(self, axes):
@@ -339,6 +347,22 @@ class TestLayerNorm:
     def test_short_axis(self):
         with pytest.raises(ContractError):
             ad.layer_norm(ad.Tensor([1.0]), ad.Tensor([1.0]), ad.Tensor([0.0]))
+
+    def test_0_d_input(self):
+        # Leaked IndexError.
+        with pytest.raises(ContractError, match=r"got shape \(\)"):
+            ad.layer_norm(ad.Tensor(1.0), ad.Tensor([1.0]), ad.Tensor([0.0]))
+
+    # (5,) leaked numpy's ValueError; a (1,) gamma broadcast, and backward gave it a (4,)
+    # gradient.
+    @pytest.mark.parametrize("gamma_shape, beta_shape", [((5,), (4,)), ((1,), (4,)),
+                                                         ((4,), (1,)), ((3, 4), (4,))],
+                             ids=["gamma-5", "gamma-1", "beta-1", "gamma-2-d"])
+    def test_params_of_another_shape(self, gamma_shape, beta_shape):
+        with pytest.raises(ShapeError, match=r"shape \(4,\), got "
+                           + re.escape(f"{gamma_shape}, {beta_shape}")):
+            ad.layer_norm(ad.Tensor(np.zeros((3, 4))), ad.Tensor(np.ones(gamma_shape)),
+                          ad.Tensor(np.zeros(beta_shape)))
 
     @pytest.mark.parametrize("scale", [1e-4, 1e-2, 1.0, 1e2, 1e4])
     @pytest.mark.parametrize("shape", [(122, 32), (3, 5, 7), (2,)], ids=["122x32", "3x5x7", "2"])
@@ -410,12 +434,13 @@ class TestBackward:
 
     def test_leaf_reused_on_a_later_tape(self):
         x = ad.Tensor([1.0, 2.0], requires_grad=True, name="x")
+        first_id = x.node_id
         for scale in (1.0, 3.0):
             with ad.tape_scope():
                 loss = ad.sum_(ad.mul(ad.mul(x, x), ad.Tensor(scale)))
                 grads = ad.backward(loss, {"x": x})
             assert np.array_equal(grads["x"].data, 2.0 * scale * x.data)
-            assert x.node_id is None and x._tape is None  # the tape keeps the leaf's id
+            assert x.node_id == first_id and x._tape is None  # no tape writes into a leaf
 
     # Before gradients were keyed by `params`, each of these got zeros under a key: the
     # gradients came back under `Tensor.name`, and the keys were zero-filled.
@@ -456,6 +481,36 @@ class TestBackward:
                 ad.backward(loss, {"x": x, "y": y})
             # The rejected call did not spend the tape.
             assert np.array_equal(ad.backward(loss, {"x": x})["x"].data, [2.0, 4.0])
+
+    @pytest.mark.parametrize("duplicate", [
+        copy.copy,
+        copy.deepcopy,
+        lambda t: pickle.loads(pickle.dumps(t)),
+    ], ids=["copy", "deepcopy", "pickle"])
+    def test_copied_leaf_is_a_new_leaf(self, duplicate):
+        # A copy that kept the original's id merged the two gradients: [2, 4] under both keys.
+        x = ad.Tensor([1.0, 2.0], requires_grad=True, name="x")
+        y = duplicate(x)
+        assert y.node_id != x.node_id and y._tape is None
+        assert y.requires_grad and y.name == "x" and np.array_equal(y.data, x.data)
+        with ad.tape_scope():
+            grads = ad.backward(ad.sum_(ad.mul(x, y)), {"x": x, "y": y})
+        assert np.array_equal(grads["x"].data, [1.0, 2.0])
+        assert np.array_equal(grads["y"].data, [1.0, 2.0])
+
+    def test_leaf_as_loss_rejected(self):
+        x = ad.Tensor(2.0, requires_grad=True)
+        with ad.tape_scope():
+            with pytest.raises(ContractError, match="not on the active tape"):
+                ad.backward(x, {"x": x})
+
+    def test_loss_from_a_closed_tape_rejected(self):
+        x = ad.Tensor([1.0, 2.0], requires_grad=True)
+        with ad.tape_scope():
+            loss = ad.sum_(ad.mul(x, x))
+        with ad.tape_scope():
+            with pytest.raises(ContractError, match="not on the active tape"):
+                ad.backward(loss, {"x": x})
 
     def test_intermediate_from_another_tape_rejected(self):
         x = ad.Tensor([1.0, 2.0], requires_grad=True, name="x")
@@ -604,7 +659,7 @@ class TestGradientCheck:
             return ad.log(params["bad"])
 
         params = {"bad": ad.Tensor([1e-300], requires_grad=True, name="bad")}
-        with pytest.raises(EvaluationError, match="bad"):
+        with pytest.raises(NumericsError, match="bad"):
             ad.gradient_check(f, params)
 
 

@@ -175,6 +175,17 @@ class TestFusePaths:
         with pytest.raises(ContractError):
             mp.fuse_paths([], routing(np.ones(2), 2))
 
+    def test_weighted_sum_of_no_paths(self):
+        # Leaked IndexError.
+        with pytest.raises(ContractError, match="at least one path"):
+            mp.weighted_path_sum([], ad.Tensor(np.ones((3, 0))))
+
+    def test_weighted_sum_of_paths_with_different_shapes(self):
+        # A (1, 2) path broadcast against alpha's (3, 1) column, in silence.
+        paths = [ad.Tensor(np.ones((3, 2))), ad.Tensor(np.ones((1, 2)))]
+        with pytest.raises(ShapeError, match=r"path 1 has shape \(1, 2\)"):
+            mp.weighted_path_sum(paths, ad.Tensor(np.full((3, 2), 0.5)))
+
     def test_gradient_through_routing(self):
         rng = np.random.default_rng(20)
         probe = rng.normal(size=(3, 2))

@@ -286,10 +286,11 @@ class TestDownsample:
             scenes.downsample_mask(mask, 2)
 
     @pytest.mark.parametrize("shape, grid_side", [((8, 10), 2), ((10, 8), 2), ((2, 2), 4),
-                                                  ((16,), 2)],
-                             ids=["wide", "tall", "smaller-than-grid", "1-d"])
+                                                  ((16,), 2), ((6, 6), 4)],
+                             ids=["wide", "tall", "smaller-than-grid", "1-d", "not-a-multiple"])
     def test_bad_mask_shape_rejected(self, shape, grid_side):
-        # A wide mask was cropped in silence; the others leaked numpy's ValueError.
+        # A wide mask, and a square one whose side the grid does not divide, were cropped in
+        # silence; the others leaked numpy's ValueError.
         with pytest.raises(ShapeError, match=re.escape(str(shape))):
             scenes.downsample_mask(np.zeros(shape, dtype=np.int32), grid_side)
 
