@@ -55,7 +55,7 @@ class DataError(MeshContactError):
 
 
 class GenerationError(MeshContactError):
-    """Scene generation could not place a valid sample within the retry budget."""
+    """`generate_sample`'s one drop placement left no vertex in contact; it does not retry."""
 
 
 class NumericsError(MeshContactError):

@@ -112,34 +112,25 @@ class Sample:
     boxes: np.ndarray  # (n_boxes, 6) min corner + sizes
 
 
-# (dtype kind, shape) of each Sample field in a sample file; see check_layout.
+# (dtype kind, shape, value range) of each Sample field in a sample file; see check_layout.
 _SAMPLE_LAYOUT = {
-    "image": ("f", (3, "H", "H")),
-    "gt_vertices": ("f", ("V", 3)),
-    "gt_contacts": ("u", ("V",)),
-    "sem_mask": ("i", ("H", "H")),
-    "bp_mask": ("i", ("H", "H")),
-    "sem_grid": ("i", ("G",)),
-    "bp_grid": ("i", ("G",)),
-    "pose": ("f", (_BASE_POSES.shape[1],)),
-    "boxes": ("f", ("n_boxes", 6)),
+    "image": ("f", (3, "H", "H"), (0.0, 1.0)),
+    "gt_vertices": ("f", ("V", 3), None),
+    "gt_contacts": ("u", ("V",), (0, 1)),
+    "sem_mask": ("i", ("H", "H"), (0, SceneConfig.c_sem - 1)),
+    "bp_mask": ("i", ("H", "H"), (0, SceneConfig.c_bp - 1)),
+    "sem_grid": ("i", ("G",), (0, SceneConfig.c_sem - 1)),
+    "bp_grid": ("i", ("G",), (0, SceneConfig.c_bp - 1)),
+    "pose": ("f", (_BASE_POSES.shape[1],), None),
+    "boxes": ("f", ("n_boxes", 6), None),
 }
 
 # The same tensors with a leading "N" axis, boxes padded; see "sample and dataset files".
 _DATASET_LAYOUT = {
-    **{name: (kind, ("N", *dims)) for name, (kind, dims) in _SAMPLE_LAYOUT.items()},
-    "boxes": ("f", ("N", "max_boxes", 6)),
-    "n_boxes": ("i", ("N",)),
-}
-
-# Closed range of the values a sample tensor may hold; every float tensor must be finite.
-_VALUE_RANGES = {
-    "image": (0.0, 1.0),
-    "gt_contacts": (0, 1),
-    "sem_mask": (0, SceneConfig.c_sem - 1),
-    "sem_grid": (0, SceneConfig.c_sem - 1),
-    "bp_mask": (0, SceneConfig.c_bp - 1),
-    "bp_grid": (0, SceneConfig.c_bp - 1),
+    **{name: (kind, ("N", *dims), bounds)
+       for name, (kind, dims, bounds) in _SAMPLE_LAYOUT.items()},
+    "boxes": ("f", ("N", "max_boxes", 6), None),
+    "n_boxes": ("i", ("N",), (0, "max_boxes")),
 }
 
 
@@ -422,7 +413,8 @@ def generate_dataset(config: SceneConfig, template: MeshTemplate, count: int, se
 # each tensor stacked on a leading N axis.  Box counts differ between
 # samples, so `boxes` is zero-padded to (N, max_boxes, 6), max_boxes being
 # the largest count, and the int32 `n_boxes` gives each sample's own count.
-# Both readers check the values as well as the layout (see `_VALUE_RANGES`).
+# The layout tables above are the one place for what a valid file holds:
+# `check_layout` checks every kind, shape and value range they give.
 
 
 def _sample_tensors(s: Sample, path) -> dict:
@@ -433,24 +425,12 @@ def _sample_tensors(s: Sample, path) -> dict:
 
 
 def write_sample(s: Sample, path):
-    tensors = _sample_tensors(s, path)
-    _check_values(path, tensors)
-    write_tensor_file(path, SAMPLE_MAGIC, tensors)
-
-
-def _check_values(path, tensors):
-    for name, t in tensors.items():
-        if t.dtype.kind == "f" and not np.isfinite(t).all():
-            raise DataError(f"{path}: {name!r} has non-finite entries")
-    for name, (lo, hi) in _VALUE_RANGES.items():
-        if ((tensors[name] < lo) | (tensors[name] > hi)).any():
-            raise DataError(f"{path}: {name!r} has entries outside [{lo}, {hi}]")
+    write_tensor_file(path, SAMPLE_MAGIC, _sample_tensors(s, path))
 
 
 def read_sample(path) -> Sample:
     tensors = read_tensor_file(path, SAMPLE_MAGIC)
     check_layout(path, tensors, _SAMPLE_LAYOUT)
-    _check_values(path, tensors)
     return Sample(**tensors)
 
 
@@ -473,7 +453,6 @@ def write_dataset(samples, path):
     for padded, s in zip(boxes, samples):
         padded[: len(s.boxes)] = s.boxes
     tensors.update(boxes=boxes, n_boxes=n_boxes)
-    _check_values(path, tensors)
     write_tensor_file(path, DATASET_MAGIC, tensors)
 
 
@@ -482,11 +461,7 @@ def read_dataset(path) -> list[Sample]:
     extents = check_layout(path, tensors, _DATASET_LAYOUT)
     if extents["N"] < 1:
         raise DataError(f"{path}: a dataset holds at least one sample, got N = 0")
-    _check_values(path, tensors)
-    max_boxes = extents["max_boxes"]
     n_boxes = tensors.pop("n_boxes")
-    if ((n_boxes < 0) | (n_boxes > max_boxes)).any():
-        raise DataError(f"{path}: 'n_boxes' has entries outside [0, {max_boxes}]")
     boxes = tensors.pop("boxes")
     return [Sample(**{name: t[i] for name, t in tensors.items()}, boxes=boxes[i, :n])
             for i, n in enumerate(n_boxes)]

@@ -5,6 +5,9 @@ int32 entry count, then per entry a name (int32 length + utf-8 bytes), an
 int32 dtype code, an int32 rank, the int32 extents, and the raw array
 bytes.  Every missing or malformed file raises `DataError`, with the byte
 offset for table parse errors.
+
+A format's layout table is the one place for its rules, each tensor's
+dtype kind, shape and value range, and `check_layout` checks them all.
 """
 
 from __future__ import annotations
@@ -124,18 +127,28 @@ def read_tensor_file(path, magic: bytes) -> dict:
 def check_layout(path, tensors: dict, layout: dict) -> dict:
     """Check `tensors` against `layout` and return the extents it names.
 
-    `layout` maps every expected tensor name to (dtype kind, shape).  An
-    extent is an int, or a name bound by its first use that every later use
-    must equal.
+    `layout` maps every expected tensor name to (dtype kind, shape, bounds).
+    An extent is an int, or a name bound by its first use that every later
+    use must equal.  `bounds` is None or the closed range (lo, hi) of the
+    values, each end a number or the name of an extent; every float tensor
+    must also be finite.  Every kind and shape is checked before any value.
     """
     if set(tensors) != set(layout):
         raise DataError(f"{path}: expected tensors {sorted(layout)}, got {sorted(tensors)}")
     extents = {}
-    for name, (kind, dims) in layout.items():
+    for name, (kind, dims, _) in layout.items():
         arr = tensors[name]
         if arr.dtype.kind != kind or arr.ndim != len(dims) or any(
                 n != (extents.setdefault(dim, n) if isinstance(dim, str) else dim)
                 for dim, n in zip(dims, arr.shape)):
             raise DataError(f"{path}: tensor {name!r} is {arr.dtype} of shape {arr.shape}, "
                             f"expected dtype kind {kind!r} and shape {dims} with {extents}")
+    for name, (kind, _, bounds) in layout.items():
+        arr = tensors[name]
+        if kind == "f" and not np.isfinite(arr).all():
+            raise DataError(f"{path}: {name!r} has non-finite entries")
+        if bounds is not None:
+            lo, hi = (extents[b] if isinstance(b, str) else b for b in bounds)
+            if ((arr < lo) | (arr > hi)).any():
+                raise DataError(f"{path}: {name!r} has entries outside [{lo}, {hi}]")
     return extents

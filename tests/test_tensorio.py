@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 import meshcontact
 from meshcontact import mesh, scenes
 from meshcontact.errors import DataError
-from meshcontact.tensorio import read_tensor_table, write_tensor_file, write_tensor_table
+from meshcontact.tensorio import (check_layout, read_tensor_table, write_tensor_file,
+                                  write_tensor_table)
 
 
 def table_bytes(tensors):
@@ -102,6 +103,31 @@ def test_failed_write_keeps_the_old_file(tmp_path):
     with pytest.raises(DataError, match="'x'.*int32 range"):
         write_tensor_file(path, b"MAGIC\x00", {"x": np.array([2**31], dtype=np.int64)})
     assert path.read_bytes() == good
+
+
+class TestCheckLayout:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_unbounded_float_must_be_finite(self, bad):
+        with pytest.raises(DataError, match="f.bin: 'x' has non-finite entries"):
+            check_layout("f.bin", {"x": np.array([0.0, bad])}, {"x": ("f", (2,), None)})
+
+    def test_unbounded_int_is_not_value_checked(self):
+        edges = np.array([-2**31, 2**31 - 1], dtype=np.int32)
+        assert check_layout("f.bin", {"x": edges}, {"x": ("i", ("n",), None)}) == {"n": 2}
+
+    def test_bound_named_by_an_extent_resolves(self):
+        layout = {"boxes": ("f", ("max_boxes", 6), None), "n": ("i", (3,), (0, "max_boxes"))}
+        tensors = {"boxes": np.zeros((2, 6)), "n": np.array([0, 1, 2], dtype=np.int32)}
+        assert check_layout("f.bin", tensors, layout) == {"max_boxes": 2}
+        tensors["n"][2] = 3
+        with pytest.raises(DataError, match=r"'n' has entries outside \[0, 2\]"):
+            check_layout("f.bin", tensors, layout)
+
+    def test_layout_fault_reported_before_an_earlier_value_fault(self):
+        layout = {"a": ("f", (1,), (0.0, 1.0)), "b": ("i", (2,), None)}
+        tensors = {"a": np.array([np.nan]), "b": np.zeros(3, dtype=np.int32)}
+        with pytest.raises(DataError, match=r"tensor 'b' is int32 of shape \(3,\)"):
+            check_layout("f.bin", tensors, layout)
 
 
 _arrays = st.builds(
