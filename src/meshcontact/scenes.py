@@ -15,14 +15,12 @@ masks at image and feature-grid resolution.
 
 Rasterizer contract: triangles are drawn in a fixed order (the ground, then
 each box, then the body faces).  A pixel centre is covered by a triangle
-when all three barycentric weights are >= 0; the triangle is drawn there
-when its interpolated depth is strictly greater than the depth already
-drawn, so on equal depth the earlier triangle keeps the pixel.  Triangles
-whose clipped bounding box is empty or whose |edge determinant| < 1e-12
-are skipped.  All triangles are rasterized with batched numpy, a batch of
-consecutive triangles covering at most `_CHUNK_PIXELS` bounding-box pixels
-(or a single larger triangle), and the result is bit-identical to drawing
-them one at a time.
+when all three barycentric weights are >= 0.  Of the triangles covering a
+pixel, the one with the largest interpolated depth is drawn there, and on
+equal depth the earliest-drawn one; a NaN or -inf depth is never drawn.
+Triangles whose clipped bounding box is empty or whose |edge determinant|
+< 1e-12 are skipped.  All triangles are drawn in one batched numpy pass,
+and the result is bit-identical to drawing them one at a time.
 """
 
 from __future__ import annotations
@@ -71,10 +69,6 @@ _GROUND = np.array([
     [-25.0, 0.0, -25.0], [25.0, 0.0, -25.0], [25.0, 0.0, 25.0], [-25.0, 0.0, 25.0],
 ])
 _GROUND_FACES = np.array([[0, 1, 2], [0, 2, 3]])
-
-# Bounding-box pixels rasterized per batch of consecutive triangles (a
-# triangle whose clipped box is larger forms a batch alone).
-_CHUNK_PIXELS = 4096
 
 _BASE_POSES = np.array([
     [0.0] * 12,
@@ -231,7 +225,7 @@ def render(vertices, template, boxes, config: SceneConfig):
     sem[drawn] = np.concatenate(sem_ids)[hit]
     bp = np.zeros(n * n, dtype=np.int32)
     bp[drawn] = np.concatenate(bp_ids)[hit]
-    return np.clip(rgb.reshape(3, n, n), 0.0, 1.0), sem.reshape(n, n), bp.reshape(n, n)
+    return rgb.reshape(3, n, n), sem.reshape(n, n), bp.reshape(n, n)
 
 
 def _rasterize(px, py, depth, n):
@@ -255,43 +249,30 @@ def _rasterize(px, py, depth, n):
     denom = a0 * (px[:, 0] - px[:, 2]) + b0 * (py[:, 0] - py[:, 2])
     keep = np.flatnonzero((x0 <= x1) & (y0 <= y1) & ~(np.abs(denom) < 1e-12))
 
-    zbuf = np.full(n * n, -np.inf)
-    winner = np.full(n * n, -1, dtype=np.int64)
+    # Expand every bounding-box pixel of every kept triangle, row-major:
+    # pixel k of triangle t lies at (x0 + k % width, y0 + k // width).
     width = x1[keep] - x0[keep] + 1
     area = width * (y1[keep] - y0[keep] + 1)
-    ends = np.cumsum(area)
-    start = 0
-    while start < len(keep):
-        before = ends[start - 1] if start else 0
-        stop = max(int(np.searchsorted(ends, before + _CHUNK_PIXELS, side="right")), start + 1)
-        # Expand every bounding-box pixel of the chunk's triangles, row-major:
-        # pixel k of triangle `local` lies at (x0 + k % width, y0 + k // width).
-        counts = area[start:stop]
-        first_pixel = ends[start:stop] - counts - before
-        local = np.repeat(np.arange(stop - start), counts)
-        k = np.arange(ends[stop - 1] - before) - first_pixel[local]
-        t = keep[start:stop][local]
-        w = width[start:stop][local]
-        ys = y0[t] + k // w
-        xs = x0[t] + k % w
-        cx = xs + 0.5
-        cy = ys + 0.5
-        w0 = (a0[t] * (cx - px[t, 2]) + b0[t] * (cy - py[t, 2])) / denom[t]
-        w1 = (a1[t] * (cx - px[t, 2]) + b1[t] * (cy - py[t, 2])) / denom[t]
-        w2 = 1.0 - w0 - w1
-        z = w0 * depth[t, 0] + w1 * depth[t, 1] + w2 * depth[t, 2]
-        pix = ys * n + xs
-        hit = (w0 >= 0) & (w1 >= 0) & (w2 >= 0) & (z > zbuf[pix])
-        t, z, pix = t[hit], z[hit], pix[hit]
-        # Per pixel, the largest z wins; on a tie, the earliest-drawn triangle.
-        order = np.lexsort((t, -z, pix))
-        pix = pix[order]
-        first = np.ones(len(pix), dtype=bool)
-        first[1:] = pix[1:] != pix[:-1]
-        pix = pix[first]
-        zbuf[pix] = z[order][first]
-        winner[pix] = t[order][first]
-        start = stop
+    t = np.repeat(keep, area)
+    k = np.arange(area.sum()) - np.repeat(np.cumsum(area) - area, area)
+    w = np.repeat(width, area)
+    ys = y0[t] + k // w
+    xs = x0[t] + k % w
+    dx = xs + 0.5 - px[t, 2]
+    dy = ys + 0.5 - py[t, 2]
+    w0 = (a0[t] * dx + b0[t] * dy) / denom[t]
+    w1 = (a1[t] * dx + b1[t] * dy) / denom[t]
+    w2 = 1.0 - w0 - w1
+    z = w0 * depth[t, 0] + w1 * depth[t, 1] + w2 * depth[t, 2]
+    hit = (w0 >= 0) & (w1 >= 0) & (w2 >= 0) & (z > -np.inf)
+    t, z, pix = t[hit], z[hit], (ys * n + xs)[hit]
+    # Per pixel, the largest z wins; on a tie, the earliest-drawn triangle.
+    zbuf = np.full(n * n, -np.inf)
+    np.maximum.at(zbuf, pix, z)
+    top = z == zbuf[pix]
+    winner = np.full(n * n, len(px))
+    np.minimum.at(winner, pix[top], t[top])
+    winner[winner == len(px)] = -1
     return winner
 
 

@@ -445,12 +445,10 @@ class TestDatasetIO:
 
 
 class TestRasterizer:
-    @pytest.mark.parametrize("chunk_pixels", [1, scenes._CHUNK_PIXELS])
-    def test_equal_depth_tie_keeps_the_earlier_triangle(self, config, chunk_pixels,
-                                                        monkeypatch):
-        monkeypatch.setattr(scenes, "_CHUNK_PIXELS", chunk_pixels)
-        tri = world_from_pixels([10, 40, 12], [10, 15, 45], [50, 50, 50])
-        coplanar = world_from_pixels([20, 50, 30], [20, 25, 55], [50, 50, 50])
+    @pytest.mark.parametrize("depth", [1, 4096])
+    def test_equal_depth_tie_keeps_the_earlier_triangle(self, config, depth):
+        tri = world_from_pixels([10, 40, 12], [10, 15, 45], [depth] * 3)
+        coplanar = world_from_pixels([20, 50, 30], [20, 25, 55], [depth] * 3)
         vertices, template = triangle_soup([tri, tri.copy(), coplanar], [0, 1, 2])
         _, sem, bp = assert_renders_match(vertices, template, np.zeros((0, 6)), config)
         assert (bp == 1).any() and (bp == 3).any()
@@ -483,10 +481,24 @@ class TestRasterizer:
         with pytest.raises(NumericsError):
             scenes.render(vertices, template, np.zeros((0, 6)), config)
 
-    @pytest.mark.parametrize("chunk_pixels", [1, 97, scenes._CHUNK_PIXELS])
-    def test_many_chunks(self, config, chunk_pixels, monkeypatch):
-        monkeypatch.setattr(scenes, "_CHUNK_PIXELS", chunk_pixels)
-        rng = np.random.default_rng(21)
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_nan_and_minus_inf_depths_are_never_drawn(self):
+        px = np.array([[10, 40, 12], [2, 60, 5], [30, 62, 35], [20, 30, 22], [20, 30, 22]],
+                      dtype=float)
+        py = np.array([[10, 15, 45], [2, 5, 60], [30, 35, 62], [20, 22, 30], [20, 22, 30]],
+                      dtype=float)
+        depth = np.array([50.0, np.nan, -np.inf, np.inf, np.inf])[:, None].repeat(3, axis=1)
+        winner = scenes._rasterize(px, py, depth, 64)
+        oracle = ScalarRaster(64)
+        for i in range(len(px)):
+            oracle.triangle(px[i], py[i], depth[i], np.zeros(3), 0, i + 1)
+        assert np.array_equal(winner.reshape(64, 64) + 1, oracle.bp)
+        assert set(np.unique(winner)) == {-1, 0, 3}  # +inf draws; the later copy ties
+
+    @pytest.mark.parametrize("seed", [1, 21, 97, 4096])
+    def test_many_chunks(self, config, seed):
+        """Overlapping soups of 80 triangles, one per seed, match the scalar oracle."""
+        rng = np.random.default_rng(seed)
         centres = rng.uniform(-5.0, 69.0, size=(80, 1, 2))
         corners = centres + rng.uniform(-15.0, 15.0, size=(80, 3, 2))
         triangles = [world_from_pixels(c[:, 0], c[:, 1], rng.uniform(25.0, 60.0, 3))
@@ -495,9 +507,8 @@ class TestRasterizer:
         boxes = np.array([[-4.0, 0.0, -3.0, 6.0, 5.0, 4.0]])
         assert_renders_match(vertices, template, boxes, config)
 
-    def test_triangle_larger_than_a_chunk(self, template):
+    def test_128px_scene_matches_oracle(self, template):
         big = scenes.SceneConfig(backbone=BackboneConfig(image_size=128))
-        assert 128 * 128 > scenes._CHUNK_PIXELS  # the ground plane forms a chunk alone
         s = scenes.generate_sample(big, template, np.random.default_rng([2, 0]))
         assert_renders_match(s.gt_vertices, template, s.boxes, big)
 
