@@ -44,6 +44,10 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 LAYER_NORM_EPS = 1e-5  # added to the variance before the square root
 GRADCHECK_STEP = 1e-4  # central-difference step of gradient_check
 GRADCHECK_TOLERANCE = 1e-4  # largest relative error gradient_check passes
+# Attention shifts each head's scores by the head's max.  A row whose exps then sum below
+# this has its max ~600 or more below the head's, where its exps may underflow, so the
+# scores are shifted row by row instead.
+_SAFE_ROW_SUM = math.exp(-600.0)
 _NODE_IDS = itertools.count()  # every tensor's node id, taken when it is built
 
 
@@ -279,16 +283,31 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
             g.sum(axis=0) if b.requires_grad else None,
         )
 
-    return _emit("linear", (x, w, b), xd @ wd + b.data, bwd)
+    out = xd @ wd
+    out += b.data
+    return _emit("linear", (x, w, b), out, bwd)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     """Multi-head scaled dot-product attention of [T x D] queries, keys and values.
 
-    Splits the width into `heads` heads of D / heads, takes the softmax of
-    the scaled scores per head and merges the heads' contexts back to
-    [T x D], as one tape entry.  The scores are turned into probabilities in
-    one buffer; the backward keeps only it and the head views of q, k, v.
+    Splits the width into `heads` heads of dh = D / heads, takes the softmax
+    of the scaled scores per head and merges the heads' contexts back to
+    [T x D], as one tape entry.
+    - The scale 1/sqrt(dh) multiplies the queries, not the [heads x T x T]
+      scores.
+    - Each head's scores are shifted by the head's max before the exp.
+      That is exact to rounding while every row's max lies within ~600 of
+      its head's; if a row's sum of exps falls below `_SAFE_ROW_SUM`, the
+      scores are recomputed and shifted by each row's max instead.
+    - The unnormalized weights multiply the values, and the
+      [heads x T x dh] context is divided by the row sums.
+    - The backward keeps the exps, their row sums, the normalized context,
+      the scaled queries and the keys and values split into heads.
+    Output and gradients match split -> matmul -> mul -> softmax -> matmul
+    -> merge within 1e-13 * max(1, max |result|) * max(1, max |score|):
+    each side rounds a score to a few ulps of its size, which the softmax
+    turns into a relative error of that size.
     """
     if q.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
         raise ShapeError(
@@ -297,31 +316,51 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     t, d = q.shape
     if heads < 1 or d % heads:
         raise ShapeError(f"head count {heads} does not divide token width {d}")
+    if t == 0:
+        raise ContractError(f"attention along empty axis of shape {(heads, t, t)}")
     dh = d // heads
     scale = 1.0 / np.sqrt(dh)
-    qh = q.data.reshape(t, heads, dh).transpose(1, 0, 2)  # (heads, T, dh)
-    kt = k.data.reshape(t, heads, dh).transpose(1, 2, 0)  # (heads, dh, T)
+    qh = (q.data * scale).reshape(t, heads, dh).transpose(1, 0, 2)  # (heads, T, dh)
+    kt = np.ascontiguousarray(k.data.reshape(t, heads, dh).transpose(1, 2, 0))  # (heads, dh, T)
     vh = v.data.reshape(t, heads, dh).transpose(1, 0, 2)
-    p = qh @ kt
-    np.multiply(p, scale, out=p)
-    _softmax_array("attention", p, out=p)
-    out = (p @ vh).transpose(1, 0, 2).reshape(t, d)
+    ones = np.ones((t, 1))
+
+    def scores():
+        # An inf input can make BLAS multiply inf by 0 in its packing; the max check rejects it.
+        with np.errstate(invalid="ignore"):
+            return qh @ kt
+
+    e = scores()
+    m = e.max(axis=(1, 2))
+    _check_max("attention", m)
+    e -= m[:, None, None]
+    np.exp(e, out=e)
+    s = e @ ones  # (heads, T, 1) row sums
+    if (s < _SAFE_ROW_SUM).any():  # a row's max sits far below its head's
+        e = scores()
+        _max_shift("attention", e, out=e)
+        np.exp(e, out=e)
+        s = e @ ones
+    ctx = e @ vh
+    ctx /= s
 
     def bwd(g):
-        gc = g.reshape(t, heads, dh).transpose(1, 0, 2)
-        gv = np.swapaxes(p, -1, -2) @ gc if v.requires_grad else None
-        gp = gc @ np.swapaxes(vh, -1, -2)
-        gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True))
-        gs *= scale
-        gq = gs @ np.swapaxes(kt, -1, -2) if q.requires_grad else None
-        gk = np.swapaxes(qh, -1, -2) @ gs if k.requires_grad else None
-        return (
-            gq.transpose(1, 0, 2).reshape(t, d) if gq is not None else None,
-            gk.transpose(2, 0, 1).reshape(t, d) if gk is not None else None,
-            gv.transpose(1, 0, 2).reshape(t, d) if gv is not None else None,
+        gc = g.reshape(t, heads, dh).transpose(1, 0, 2) / s
+        gv = np.swapaxes(e, -1, -2) @ gc if v.requires_grad else None
+        gs = gc @ np.ascontiguousarray(np.swapaxes(vh, -1, -2))
+        # rowsum(dP * P) = rowsum(dO * O), over dh rather than T columns.
+        gs -= (gc * ctx).sum(axis=-1, keepdims=True)
+        gs *= e
+        gq = None
+        if q.requires_grad:
+            gq = gs @ k.data.reshape(t, heads, dh).transpose(1, 0, 2)
+            gq *= scale
+        gk = np.swapaxes(gs, -1, -2) @ qh if k.requires_grad else None
+        return tuple(
+            x.transpose(1, 0, 2).reshape(t, d) if x is not None else None for x in (gq, gk, gv)
         )
 
-    return _emit("attention", (q, k, v), out, bwd)
+    return _emit("attention", (q, k, v), ctx.transpose(1, 0, 2).reshape(t, d), bwd)
 
 
 def transpose(a: Tensor, axes) -> Tensor:
@@ -444,6 +483,12 @@ def mean(a: Tensor, axis=None) -> Tensor:
 # nonlinearities
 
 
+def _check_max(op, m: np.ndarray):
+    """Reject a softmax whose maxes `m` hold NaN, which max propagates, or an infinity."""
+    if not np.isfinite(m).all():
+        raise NumericsError(f"{op} input contains NaN or a row whose max is not finite")
+
+
 def _max_shift(op, x: np.ndarray, out=None) -> np.ndarray:
     """x minus its max along the last axis, into `out` (a new array if None).
 
@@ -454,16 +499,8 @@ def _max_shift(op, x: np.ndarray, out=None) -> np.ndarray:
     if x.ndim == 0 or x.shape[-1] == 0:
         raise ContractError(f"{op} along empty axis of shape {x.shape}")
     m = x.max(axis=-1, keepdims=True)
-    if not np.isfinite(m).all():
-        raise NumericsError(f"{op} input contains NaN or a row whose max is not finite")
+    _check_max(op, m)
     return np.subtract(x, m, out=out)
-
-
-def _softmax_array(op, x: np.ndarray, out=None) -> np.ndarray:
-    """Max-shifted softmax of x along the last axis, into `out` (a new array if None)."""
-    e = _max_shift(op, x, out)
-    np.exp(e, out=e)
-    return np.divide(e, e.sum(axis=-1, keepdims=True), out=e)
 
 
 def softmax(x: Tensor) -> Tensor:
@@ -472,7 +509,9 @@ def softmax(x: Tensor) -> Tensor:
     Outputs are positive and sum to one along the axis.  NaN input, and a
     row whose max is infinite, is rejected rather than turned into NaN.
     """
-    out = _softmax_array("softmax", x.data)
+    out = _max_shift("softmax", x.data)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
 
     def bwd(g):
         dot = (g * out).sum(axis=-1, keepdims=True)
@@ -502,40 +541,56 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     if gamma.shape != (n,) or beta.shape != (n,):
         raise ShapeError(f"layer_norm needs gamma and beta of shape ({n},), "
                          f"got {gamma.shape}, {beta.shape}")
-    d = x.data - x.data.mean(axis=-1, keepdims=True)
-    # The same sums as x.var, so the bits match, without recomputing the mean.
-    var = (d * d).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    xhat = d * inv
-    out = gamma.data * xhat + beta.data
+    # np.add.reduce(...) / n is ndarray.mean's own sum and divide, so the bits match x.var.
+    d = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / n
+    buf = d * d
+    inv = np.add.reduce(buf, axis=-1, keepdims=True) / n
+    inv += LAYER_NORM_EPS
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    xhat = np.multiply(d, inv, out=d)
+    out = np.multiply(gamma.data, xhat, out=buf)
+    out += beta.data
     gd = gamma.data
 
     def bwd(g):
-        dxhat = g * gd
-        dx = inv * (
-            dxhat
-            - dxhat.mean(axis=-1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-        )
         reduce_axes = tuple(range(x.ndim - 1))
-        dgamma = (g * xhat).sum(axis=reduce_axes) if gamma.requires_grad else None
         dbeta = g.sum(axis=reduce_axes) if beta.requires_grad else None
-        return (dx if x.requires_grad else None, dgamma, dbeta)
+        prod = g * xhat  # then dxhat * xhat, then xhat times that product's row mean
+        dgamma = prod.sum(axis=reduce_axes) if gamma.requires_grad else None
+        if not x.requires_grad:
+            return (None, dgamma, dbeta)
+        dx = g * gd  # dxhat, then dx in place
+        np.multiply(dx, xhat, out=prod)
+        m = np.add.reduce(prod, axis=-1, keepdims=True) / n
+        dx -= np.add.reduce(dx, axis=-1, keepdims=True) / n
+        dx -= np.multiply(xhat, m, out=prod)
+        dx *= inv
+        return (dx, dgamma, dbeta)
 
     return _emit("layer_norm", (x, gamma, beta), out, bwd)
 
 
 def gelu(x: Tensor) -> Tensor:
     """Exact Gaussian error linear unit x * Phi(x)."""
-    cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
-    out = x.data * cdf
     xd = x.data
+    # Each buffer is an array even for a 0-d x, which a plain product would make a scalar.
+    cdf = np.multiply(xd, _INV_SQRT2, out=np.empty(xd.shape))
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
 
     def bwd(g):
-        pdf = np.exp(-0.5 * xd * xd) * _INV_SQRT2PI
-        return (g * (cdf + xd * pdf),)
+        d = np.multiply(-0.5, xd, out=np.empty(xd.shape))  # the pdf, then the gradient
+        d *= xd
+        np.exp(d, out=d)
+        d *= _INV_SQRT2PI
+        d *= xd
+        d += cdf
+        d *= g
+        return (d,)
 
-    return _emit("gelu", (x,), out, bwd)
+    return _emit("gelu", (x,), xd * cdf, bwd)
 
 
 def sigmoid(x: Tensor) -> Tensor:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import erf
 
 from meshcontact import autodiff as ad
 from meshcontact import encoder
@@ -117,17 +118,46 @@ def composed_linear(x, w, b):
     return ad.add(ad.matmul(x, w), b)
 
 
-def composed_attention(q, k, v, heads):
+def composed_attention(q, k, v, heads, scale=None):
     """Attention as split -> matmul -> mul -> softmax -> matmul -> merge entries."""
     t, d = q.shape
     dh = d // heads
+    scale = 1.0 / np.sqrt(dh) if scale is None else scale
 
     def split(x, axes=(1, 0, 2)):  # (T, D) -> (heads, T, dh), or (heads, dh, T) for K
         return ad.transpose(ad.reshape(x, (t, heads, dh)), axes)
 
-    scores = ad.mul(ad.matmul(split(q), split(k, (1, 2, 0))), ad.Tensor(1.0 / np.sqrt(dh)))
+    scores = ad.mul(ad.matmul(split(q), split(k, (1, 2, 0))), ad.Tensor(scale))
     ctx = ad.matmul(ad.softmax(scores), split(v))
     return ad.reshape(ad.transpose(ctx, (1, 0, 2)), (t, d))
+
+
+# The fused attention scales the queries, shifts by a per-head max and normalizes the context,
+# so it rounds differently from the composed chain; it must agree within this relative bound.
+ATTENTION_TOLERANCE = 1e-13
+
+
+def _within_attention_tolerance(fused, chain, largest_score=1.0):
+    """|fused - chain| <= 1e-13 * max(1, max |chain|) * max(1, largest |score|).
+
+    Both sides round each score to within a few ulps of its size, and the softmax turns
+    that into a relative error of the same size, so the bound grows with the largest score.
+    """
+    bound = ATTENTION_TOLERANCE * max(1.0, np.abs(chain).max()) * max(1.0, largest_score)
+    return np.abs(fused - chain).max() <= bound
+
+
+def _fallback_qkv(seed):
+    """[4 x 4] q, k, v for 2 heads whose head 0 has query 0's scores ~1000 above query 1's.
+
+    Shifted by the head's max, query 1's exps all underflow to 0, so only the per-row
+    redo gives it a softmax.
+    """
+    rng = np.random.default_rng(seed)
+    q, k, v = (rng.normal(size=(4, 4)) for _ in range(3))
+    k[:, 0] = 27.0
+    q[0, 0], q[1, 0] = 27.0, -27.0
+    return q, k, v
 
 
 def _leaves(seed, **shapes):
@@ -173,19 +203,27 @@ class TestLinear:
 
 
 class TestAttention:
-    @pytest.mark.parametrize("t", [1, 5])
-    @pytest.mark.parametrize("heads", [1, 2, 4])
-    def test_matches_composed_ops_bit_for_bit(self, heads, t):
-        params = _leaves(30 + t, q=(t, 4), k=(t, 4), v=(t, 4))
-        probe = np.random.default_rng(31).normal(size=(t, 4))
+    @pytest.mark.parametrize("heads, t, d", [(1, 1, 4), (1, 5, 4), (2, 1, 4), (2, 5, 4),
+                                             (4, 1, 4), (4, 5, 4), (4, 122, 32)])
+    def test_matches_composed_ops_within_tolerance(self, heads, t, d):
+        params = _leaves(30 + t, q=(t, d), k=(t, d), v=(t, d))
+        probe = np.random.default_rng(31).normal(size=(t, d))
         fused = _forward_and_grads(
             lambda p: ad.attention(p["q"], p["k"], p["v"], heads), params, probe)
         chain = _forward_and_grads(
             lambda p: composed_attention(p["q"], p["k"], p["v"], heads), params, probe)
-        assert np.array_equal(fused[0], chain[0])
+        assert _within_attention_tolerance(fused[0], chain[0])
         for name in params:
-            assert np.array_equal(fused[1][name], chain[1][name]), name
+            assert _within_attention_tolerance(fused[1][name], chain[1][name]), name
         assert (fused[2], chain[2]) == (3, 14)
+
+    @pytest.mark.parametrize("heads, t, d", [(2, 5, 4), (4, 122, 32)])
+    def test_tolerance_rejects_a_perturbed_scale(self, heads, t, d):
+        params = _leaves(30 + t, q=(t, d), k=(t, d), v=(t, d))
+        fused = ad.attention(params["q"], params["k"], params["v"], heads).data
+        scale = (1.0 + 1e-9) / np.sqrt(d // heads)
+        chain = composed_attention(params["q"], params["k"], params["v"], heads, scale).data
+        assert not _within_attention_tolerance(fused, chain)
 
     @pytest.mark.parametrize("t", [1, 5])
     @pytest.mark.parametrize("heads", [1, 2, 4])
@@ -199,6 +237,38 @@ class TestAttention:
 
         _check_primitive(f"attention heads={heads} T={t}", f, params)
 
+    @pytest.mark.parametrize("case", ["7x8", "fallback"])
+    def test_gradient_check(self, case):
+        if case == "7x8":
+            params = _leaves(43, q=(7, 8), k=(7, 8), v=(7, 8))
+        else:
+            params = {n: ad.Tensor(a, requires_grad=True, name=n)
+                      for n, a in zip("qkv", _fallback_qkv(44))}
+        probe = np.random.default_rng(45).normal(size=params["q"].shape)
+
+        def f(p):
+            return ad.sum_(ad.mul(ad.attention(p["q"], p["k"], p["v"], 2), ad.Tensor(probe)))
+
+        _check_primitive(f"attention {case}", f, params)
+
+    @pytest.mark.parametrize("seed", range(46, 56))
+    def test_far_apart_rows_fall_back_to_a_per_row_shift(self, seed):
+        q, k, v = _fallback_qkv(seed)
+        scores = q[:, :2] @ k[:, :2].T / np.sqrt(2.0)  # head 0
+        assert scores[0].max() - scores[1].max() > 1000.0
+        assert np.exp(scores - scores.max()).sum(axis=-1).min() < ad._SAFE_ROW_SUM
+        params = {n: ad.Tensor(a, requires_grad=True, name=n) for n, a in zip("qkv", (q, k, v))}
+        probe = np.random.default_rng(seed).normal(size=(4, 4))
+        fused = _forward_and_grads(
+            lambda p: ad.attention(p["q"], p["k"], p["v"], 2), params, probe)
+        chain = _forward_and_grads(
+            lambda p: composed_attention(p["q"], p["k"], p["v"], 2), params, probe)
+        assert np.isfinite(fused[0]).all()
+        largest = np.abs(scores).max()
+        assert _within_attention_tolerance(fused[0], chain[0], largest)
+        for name in params:
+            assert _within_attention_tolerance(fused[1][name], chain[1][name], largest), name
+
     def test_gradient_only_where_required(self):
         rng = np.random.default_rng(42)
         q = ad.Tensor(rng.normal(size=(3, 4)), requires_grad=True, name="q")
@@ -208,7 +278,7 @@ class TestAttention:
             with ad.tape_scope():
                 loss = ad.sum_(ad.mul(op(q, k, v, 2), v))
                 grads.append(ad.backward(loss, {"q": q, "k": k, "v": v}))
-        assert np.array_equal(grads[0]["q"].data, grads[1]["q"].data)
+        assert _within_attention_tolerance(grads[0]["q"].data, grads[1]["q"].data)
         for g in grads:
             assert not np.array_equal(g["q"].data, np.zeros((3, 4)))
             assert np.array_equal(g["k"].data, np.zeros((3, 4)))
@@ -227,6 +297,18 @@ class TestAttention:
         z = ad.Tensor(np.ones((3, 4)))
         with pytest.raises(NumericsError, match="attention input contains NaN or a row"):
             ad.attention(ad.Tensor(q), z, z, 2)
+
+    def test_minus_inf_score_row_beside_finite_rows_rejected(self):
+        q = np.ones((3, 4))
+        q[1, 0] = -np.inf  # every score of query 1 in head 0 is -inf; the other rows are finite
+        z = ad.Tensor(np.ones((3, 4)))
+        with pytest.raises(NumericsError, match="attention input contains NaN or a row"):
+            ad.attention(ad.Tensor(q), z, z, 2)
+
+    def test_no_tokens_rejected(self):
+        z = ad.Tensor(np.zeros((0, 4)))
+        with pytest.raises(ContractError, match="attention along empty axis"):
+            ad.attention(z, z, z, 2)
 
     @pytest.mark.parametrize("shapes,heads", [
         (((3, 4), (2, 4), (3, 4)), 2),
@@ -375,6 +457,84 @@ class TestLayerNorm:
         expected = gamma * ((x - mu) * inv) + beta
         out = ad.layer_norm(ad.Tensor(x), ad.Tensor(gamma), ad.Tensor(beta))
         assert np.array_equal(out.data, expected)
+
+
+def layer_norm_oracle(x, gamma, beta, g):
+    """layer_norm's forward and (dx, dgamma, dbeta), in the expressions it computed before it
+    worked in place."""
+    d = x - x.mean(axis=-1, keepdims=True)
+    var = (d * d).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + ad.LAYER_NORM_EPS)
+    xhat = d * inv
+    out = gamma * xhat + beta
+    dxhat = g * gamma
+    dx = inv * (
+        dxhat
+        - dxhat.mean(axis=-1, keepdims=True)
+        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+    )
+    reduce_axes = tuple(range(x.ndim - 1))
+    return out, dx, (g * xhat).sum(axis=reduce_axes), g.sum(axis=reduce_axes)
+
+
+def gelu_oracle(x, g):
+    """gelu's forward and gradient, in the expressions it computed before it worked in place."""
+    cdf = 0.5 * (1.0 + erf(x * (1.0 / math.sqrt(2.0))))
+    pdf = np.exp(-0.5 * x * x) * (1.0 / math.sqrt(2.0 * math.pi))
+    return x * cdf, g * (cdf + x * pdf)
+
+
+# The encoder's widths: token_dim 32 and its MLP hidden of 128, over 122 tokens.
+@pytest.mark.parametrize("shape", [(122, 32), (122, 128)], ids=["122x32", "122x128"])
+class TestBitsMatchOracles:
+    def _run(self, op, params, g):
+        with ad.tape_scope():
+            out = op(*params.values())
+            grads = ad.backward(ad.sum_(ad.mul(out, ad.Tensor(g))), params)
+        return (out.data, *(grads[n].data for n in params))
+
+    def test_layer_norm(self, shape):
+        rng = np.random.default_rng([5, shape[1]])
+        params = _leaves([6, shape[1]], x=shape, gamma=shape[-1:], beta=shape[-1:])
+        g = rng.normal(size=shape)
+        got = self._run(ad.layer_norm, params, g)
+        expected = layer_norm_oracle(*(p.data for p in params.values()), g)
+        for a, e in zip(got, expected):
+            assert a.shape == e.shape
+            assert np.array_equal(a.view(np.uint64), e.view(np.uint64))
+
+    def test_gelu(self, shape):
+        rng = np.random.default_rng([7, shape[1]])
+        params = {"x": ad.Tensor(3.0 * rng.normal(size=shape), requires_grad=True)}
+        g = rng.normal(size=shape)
+        got = self._run(ad.gelu, params, g)
+        expected = gelu_oracle(params["x"].data, g)
+        for a, e in zip(got, expected):
+            assert np.array_equal(a.view(np.uint64), e.view(np.uint64))
+
+
+def test_in_place_ops_leave_their_inputs_and_gradient_untouched():
+    """attention, linear, layer_norm and gelu write only into buffers they allocated: each runs
+    forward on read-only inputs, and its backward on a read-only gradient."""
+    rng = np.random.default_rng(8)
+
+    def frozen(shape):
+        a = rng.normal(size=shape)
+        a.flags.writeable = False
+        return ad.Tensor(a, requires_grad=True)
+
+    cases = [(lambda q, k, v: ad.attention(q, k, v, 4), [(9, 8)] * 3),
+             (ad.linear, [(9, 8), (8, 5), (5,)]),
+             (ad.layer_norm, [(9, 8), (8,), (8,)]),
+             (ad.gelu, [(9, 8)])]
+    for op, shapes in cases:
+        inputs = [frozen(s) for s in shapes]
+        with ad.tape_scope() as tape:
+            out = op(*inputs)
+            g = rng.normal(size=out.shape)
+            g.flags.writeable = False
+            grads = tape.entries[-1].backward_fn(g)
+        assert all(gr.shape == t.shape for gr, t in zip(grads, inputs))
 
 
 class TestBackward:
