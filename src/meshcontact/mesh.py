@@ -75,7 +75,7 @@ class MeshTemplate:
     joint_regressor: np.ndarray  # (joints, v_full), rows sum to 1
     edges: np.ndarray  # (n_edges, 2) int32, u < v
     edge_lengths: np.ndarray  # (n_edges,) cm, dyadic rationals
-    segment_ids: np.ndarray  # (v_full,) int32, body segment per vertex
+    segment_ids: np.ndarray  # (v_full,) int32, body segment per vertex; never decreases
     rest_pivots: np.ndarray  # (joints, 3) chain pivot points in rest pose
 
     @property
@@ -287,16 +287,16 @@ def pose_vertices(template: MeshTemplate, pose_params) -> np.ndarray:
 
     verts = template.rest_vertices.copy()
     pivots = template.rest_pivots.copy()
-    seg = template.segment_ids
+    # segment_ids never decreases, so the vertices of segments j.. are the
+    # tail verts[first[j]:].
+    first = np.searchsorted(template.segment_ids, np.arange(nj))
     for j in range(1, nj):
         if thx[j] == 0.0 and thz[j] == 0.0:
             continue
         rot = _rot_x(thx[j]) @ _rot_z(thz[j])
         p = pivots[j]
-        vmask = seg >= j
-        verts[vmask] = (verts[vmask] - p) @ rot.T + p
-        pmask = np.arange(nj) > j
-        pivots[pmask] = (pivots[pmask] - p) @ rot.T + p
+        verts[first[j]:] = (verts[first[j]:] - p) @ rot.T + p
+        pivots[j + 1:] = (pivots[j + 1:] - p) @ rot.T + p
     return verts
 
 

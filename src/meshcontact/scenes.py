@@ -62,6 +62,7 @@ _PART_PALETTE = np.array([
 
 # Fixed oblique orthographic camera: tilt about x, then drop depth.
 _CAM_TILT = 0.6
+_CAMERA = _rot_x(_CAM_TILT).T  # world row vectors @ _CAMERA = camera coordinates
 _VIEW_X = (-13.0, 13.0)
 _VIEW_V = (-9.0, 17.0)
 
@@ -175,7 +176,7 @@ def _rot_y(t):
 
 def _project(points: np.ndarray, image_size: int):
     """World points -> (px, py, depth) under the fixed oblique camera."""
-    cam = points @ _rot_x(_CAM_TILT).T
+    cam = points @ _CAMERA
     u, v, depth = cam[:, 0], cam[:, 1], cam[:, 2]
     px = (u - _VIEW_X[0]) / (_VIEW_X[1] - _VIEW_X[0]) * image_size
     py = (1.0 - (v - _VIEW_V[0]) / (_VIEW_V[1] - _VIEW_V[0])) * image_size
@@ -217,15 +218,16 @@ def render(vertices, template, boxes, config: SceneConfig):
         bp_ids.append(np.broadcast_to(bp_id, len(faces)))
 
     winner = _rasterize(*np.concatenate(corners, axis=1), n)
-    drawn = winner >= 0
-    hit = winner[drawn]
-    rgb = np.tile(_BACKGROUND_COLOR[:, None], (1, n * n))
-    rgb[:, drawn] = np.concatenate(colors)[hit].T
-    sem = np.full(n * n, SEM_BACKGROUND, dtype=np.int32)
-    sem[drawn] = np.concatenate(sem_ids)[hit]
-    bp = np.zeros(n * n, dtype=np.int32)
-    bp[drawn] = np.concatenate(bp_ids)[hit]
+    # The background is the last row of each table, which a winner of -1 reads.
+    rgb = np.concatenate([*colors, _BACKGROUND_COLOR[None]]).T.take(winner, axis=1)
+    sem = np.concatenate([*sem_ids, [SEM_BACKGROUND]], dtype=np.int32).take(winner)
+    bp = np.concatenate([*bp_ids, [0]], dtype=np.int32).take(winner)
     return rgb.reshape(3, n, n), sem.reshape(n, n), bp.reshape(n, n)
+
+
+def _runs(starts, counts):
+    """starts[i], starts[i] + 1, ..., starts[i] + counts[i] - 1 for each i, concatenated."""
+    return np.arange(counts.sum()) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
 
 
 def _rasterize(px, py, depth, n):
@@ -233,39 +235,56 @@ def _rasterize(px, py, depth, n):
 
     `px`, `py`, `depth` are (T, 3) per-triangle vertex coordinates in draw
     order; the depth rule is the one in the module docstring.
+
+    The candidate pixels are laid out triangle by triangle: each kept
+    triangle's bounding-box rows from top to bottom, then the pixels of each
+    row from left to right.  A per-triangle constant is one `np.repeat` over
+    the box areas and a per-row one over the row widths.  The order of the
+    candidates does not matter to the result: depth is resolved by
+    `np.maximum.at` then `np.minimum.at`, which are exact and
+    order-independent.
     """
     if not (np.isfinite(px).all() and np.isfinite(py).all()):
         raise NumericsError("render needs finite projected vertices")
+    (xa, xb, xc), (ya, yb, yc) = px.T, py.T
     # Clipped to [0, n] and [-1, n - 1] so an off-screen box stays empty
     # and every bound fits an int64.
-    x0 = np.clip(np.floor(px.min(axis=1)), 0, n).astype(np.int64)
-    x1 = np.clip(np.ceil(px.max(axis=1)), -1, n - 1).astype(np.int64)
-    y0 = np.clip(np.floor(py.min(axis=1)), 0, n).astype(np.int64)
-    y1 = np.clip(np.ceil(py.max(axis=1)), -1, n - 1).astype(np.int64)
-    a0 = py[:, 1] - py[:, 2]
-    b0 = px[:, 2] - px[:, 1]
-    a1 = py[:, 2] - py[:, 0]
-    b1 = px[:, 0] - px[:, 2]
-    denom = a0 * (px[:, 0] - px[:, 2]) + b0 * (py[:, 0] - py[:, 2])
+    x0 = np.clip(np.floor(np.minimum(np.minimum(xa, xb), xc)), 0, n).astype(np.int64)
+    x1 = np.clip(np.ceil(np.maximum(np.maximum(xa, xb), xc)), -1, n - 1).astype(np.int64)
+    y0 = np.clip(np.floor(np.minimum(np.minimum(ya, yb), yc)), 0, n).astype(np.int64)
+    y1 = np.clip(np.ceil(np.maximum(np.maximum(ya, yb), yc)), -1, n - 1).astype(np.int64)
+    a0 = yb - yc
+    b0 = xc - xb
+    a1 = yc - ya
+    b1 = xa - xc
+    denom = a0 * (xa - xc) + b0 * (ya - yc)
     keep = np.flatnonzero((x0 <= x1) & (y0 <= y1) & ~(np.abs(denom) < 1e-12))
+    x0, x1, y0, y1, a0, b0, a1, b1, denom, xc, yc = (
+        v[keep] for v in (x0, x1, y0, y1, a0, b0, a1, b1, denom, xc, yc))
+    width = x1 - x0 + 1
+    height = y1 - y0 + 1
+    area = width * height
 
-    # Expand every bounding-box pixel of every kept triangle, row-major:
-    # pixel k of triangle t lies at (x0 + k % width, y0 + k // width).
-    width = x1[keep] - x0[keep] + 1
-    area = width * (y1[keep] - y0[keep] + 1)
-    t = np.repeat(keep, area)
-    k = np.arange(area.sum()) - np.repeat(np.cumsum(area) - area, area)
-    w = np.repeat(width, area)
-    ys = y0[t] + k // w
-    xs = x0[t] + k % w
-    dx = xs + 0.5 - px[t, 2]
-    dy = ys + 0.5 - py[t, 2]
-    w0 = (a0[t] * dx + b0[t] * dy) / denom[t]
-    w1 = (a1[t] * dx + b1[t] * dy) / denom[t]
-    w2 = 1.0 - w0 - w1
-    z = w0 * depth[t, 0] + w1 * depth[t, 1] + w2 * depth[t, 2]
-    hit = (w0 >= 0) & (w1 >= 0) & (w2 >= 0) & (z > -np.inf)
-    t, z, pix = t[hit], z[hit], (ys * n + xs)[hit]
+    # One entry per bounding-box row: y, and the y terms of the weights.
+    ys = _runs(y0, height)
+    dy = ys + 0.5 - np.repeat(yc, height)
+    b0dy = np.repeat(b0, height) * dy
+    b1dy = np.repeat(b1, height) * dy
+    row_width = np.repeat(width, height)
+    # One entry per candidate pixel.  Each weight is (a * dx + b * dy) / denom,
+    # the same operations on the same operands as pixel by pixel.
+    xs = _runs(np.repeat(x0, height), row_width)
+    dx = xs + 0.5 - np.repeat(xc, area)
+    den = np.repeat(denom, area)
+    w0 = (np.repeat(a0, area) * dx + np.repeat(b0dy, row_width)) / den
+    w1 = (np.repeat(a1, area) * dx + np.repeat(b1dy, row_width)) / den
+    # Depth only where all three edge tests pass (w2 = 1 - w0 - w1).
+    inside = np.flatnonzero((w0 >= 0) & (w1 >= 0) & (1.0 - w0 - w1 >= 0))
+    t, w0, w1 = np.repeat(keep, area)[inside], w0[inside], w1[inside]
+    z = w0 * depth[t, 0] + w1 * depth[t, 1] + (1.0 - w0 - w1) * depth[t, 2]
+    hit = z > -np.inf
+    t, z = t[hit], z[hit]
+    pix = (xs[inside] + np.repeat(ys * n, row_width)[inside])[hit]
     # Per pixel, the largest z wins; on a tie, the earliest-drawn triangle.
     zbuf = np.full(n * n, -np.inf)
     np.maximum.at(zbuf, pix, z)

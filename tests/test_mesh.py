@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from meshcontact import autodiff as ad
-from meshcontact import mesh
+from meshcontact import mesh, scenes
 from meshcontact.errors import ConfigError, ContractError, ShapeError
 
 
@@ -43,6 +43,31 @@ def coarse_adjacency_loop(template):
             a[u, v] = 1.0
             a[v, u] = 1.0
     return a / a.sum(axis=1, keepdims=True)
+
+
+def pose_vertices_mask_loop(template, pose):
+    """Boolean-mask oracle for `mesh.pose_vertices`: each bend gathers and scatters the
+    vertices of segments >= j and the pivots after j."""
+    nj = template.n_joints
+    thx = np.zeros(nj)
+    thz = np.zeros(nj)
+    nx = min(pose.size, nj - 1)
+    thx[1 : 1 + nx] = pose[:nx]
+    nz = min(max(pose.size - (nj - 1), 0), nj - 1)
+    thz[1 : 1 + nz] = pose[nj - 1 : nj - 1 + nz]
+    verts = template.rest_vertices.copy()
+    pivots = template.rest_pivots.copy()
+    seg = template.segment_ids
+    for j in range(1, nj):
+        if thx[j] == 0.0 and thz[j] == 0.0:
+            continue
+        rot = mesh._rot_x(thx[j]) @ mesh._rot_z(thz[j])
+        p = pivots[j]
+        vmask = seg >= j
+        verts[vmask] = (verts[vmask] - p) @ rot.T + p
+        pmask = np.arange(nj) > j
+        pivots[pmask] = (pivots[pmask] - p) @ rot.T + p
+    return verts
 
 
 def floyd_warshall(n, edges, lengths):
@@ -240,6 +265,23 @@ class TestPose:
             d_rest = np.linalg.norm(rest[0] - rest[-1])
             d_bent = np.linalg.norm(bent[0] - bent[-1])
             assert abs(d_rest - d_bent) <= 1e-9
+
+
+    @pytest.mark.parametrize("extents", [None, (98, 26)], ids=["default", "98-26"])
+    def test_segment_ids_never_decrease(self, extents):
+        """`pose_vertices` rotates the tail verts[first[j]:] for segments >= j."""
+        assert (np.diff(build(extents).segment_ids) >= 0).all()
+
+    @pytest.mark.parametrize("extents", [None, (98, 26)], ids=["default", "98-26"])
+    def test_matches_mask_loop_bit_for_bit(self, extents):
+        built = build(extents)
+        rng = np.random.default_rng(5)
+        poses = [np.zeros(scenes._BASE_POSES.shape[1])]
+        poses += [base + rng.normal(0.0, scenes.POSE_JITTER, size=base.size)
+                  for base in scenes._BASE_POSES for _ in range(3)]
+        for pose in poses:
+            assert np.array_equal(mesh.pose_vertices(built, pose),
+                                  pose_vertices_mask_loop(built, pose))
 
 
 class TestCoarseAdjacency:

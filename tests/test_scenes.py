@@ -467,10 +467,22 @@ class TestRasterizer:
         wholly = world_from_pixels([100, 120, 110], [10, 10, 30], [50, 50, 50])
         left = world_from_pixels([-50, -40, -45], [10, 10, 30], [50, 50, 50])
         far = np.array([[1e15, 0.0, 0.0], [1e15, 1e15, 0.0], [-1e15, 1e15, 1e15]])
-        vertices, template = triangle_soup([partly, wholly, left, far], [0, 1, 2, 3])
+        # Clipped bounding boxes: one pixel (the bottom-right corner), one row (the
+        # bottom edge), one column (the right edge), and one clipped at the left and
+        # top edges; drawn in front of `partly`.
+        pixel = world_from_pixels([63.3, 80, 63.3], [63.3, 63.3, 80], [60, 60, 60])
+        row = world_from_pixels([10, 50, 30], [63.2, 63.2, 90], [60, 60, 60])
+        column = world_from_pixels([63.2, 63.2, 90], [10, 50, 30], [60, 60, 60])
+        corner = world_from_pixels([-20, 20, -10], [-15, -5, 25], [60, 60, 60])
+        vertices, template = triangle_soup(
+            [partly, wholly, left, far, pixel, row, column, corner], range(8))
         _, _, bp = assert_renders_match(vertices, template, np.zeros((0, 6)), config)
         assert (bp == 1).any()
         assert not np.isin(bp, [2, 3]).any()
+        assert np.array_equal(np.argwhere(bp == 5), [[63, 63]])
+        assert set(np.flatnonzero((bp == 6).any(axis=1))) == {63}
+        assert set(np.flatnonzero((bp == 7).any(axis=0))) == {63}
+        assert bp[0, 0] == 8
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -494,6 +506,19 @@ class TestRasterizer:
             oracle.triangle(px[i], py[i], depth[i], np.zeros(3), 0, i + 1)
         assert np.array_equal(winner.reshape(64, 64) + 1, oracle.bp)
         assert set(np.unique(winner)) == {-1, 0, 3}  # +inf draws; the later copy ties
+
+    def test_no_triangle_kept(self):
+        """Every triangle degenerate or off-screen: no candidate pixel, nothing drawn."""
+        px = np.array([[10, 20, 30], [5, 5, 5], [-9, -5, -1], [70, 90, 80], [10, 40, 12]],
+                      dtype=float)
+        py = np.array([[10, 20, 30], [5, 9, 40], [10, 20, 15], [10, 20, 15], [70, 75, 90]],
+                      dtype=float)
+        winner = scenes._rasterize(px, py, np.full((5, 3), 50.0), 64)
+        oracle = ScalarRaster(64)
+        for i in range(len(px)):
+            oracle.triangle(px[i], py[i], np.full(3, 50.0), np.zeros(3), 0, i + 1)
+        assert np.array_equal(winner, np.full(64 * 64, -1))
+        assert not oracle.bp.any()
 
     @pytest.mark.parametrize("seed", [1, 21, 97, 4096])
     def test_many_chunks(self, config, seed):
