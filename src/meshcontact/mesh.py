@@ -273,27 +273,25 @@ def _rot_z(t):
 def pose_vertices(template: MeshTemplate, pose_params) -> np.ndarray:
     """Deform the rest mesh by per-joint rigid rotations along the chain.
 
-    The first joints-1 parameters bend about x at each internal pivot, the
-    following ones bend about z; extras are ignored.
+    The pose is 1-D: the first joints-1 parameters bend about x at each
+    internal pivot, the next joints-1 about z, and missing ones are 0.
     """
-    pose = np.asarray(pose_params, dtype=np.float64).reshape(-1)
+    pose = np.asarray(pose_params, dtype=np.float64)
     nj = template.n_joints
-    thx = np.zeros(nj)
-    thz = np.zeros(nj)
-    nx = min(pose.size, nj - 1)
-    thx[1 : 1 + nx] = pose[:nx]
-    nz = min(max(pose.size - (nj - 1), 0), nj - 1)
-    thz[1 : 1 + nz] = pose[nj - 1 : nj - 1 + nz]
+    if pose.ndim != 1 or pose.size > 2 * (nj - 1):
+        raise ShapeError(f"pose_vertices takes a 1-D pose of at most {2 * (nj - 1)} "
+                         f"entries, got shape {pose.shape}")
+    thx, thz = np.pad(pose, (0, 2 * (nj - 1) - pose.size)).reshape(2, nj - 1)
 
     verts = template.rest_vertices.copy()
     pivots = template.rest_pivots.copy()
     # segment_ids never decreases, so the vertices of segments j.. are the
     # tail verts[first[j]:].
     first = np.searchsorted(template.segment_ids, np.arange(nj))
-    for j in range(1, nj):
-        if thx[j] == 0.0 and thz[j] == 0.0:
+    for j, tx, tz in zip(range(1, nj), thx, thz):
+        if tx == 0.0 and tz == 0.0:
             continue
-        rot = _rot_x(thx[j]) @ _rot_z(thz[j])
+        rot = _rot_x(tx) @ _rot_z(tz)
         p = pivots[j]
         verts[first[j]:] = (verts[first[j]:] - p) @ rot.T + p
         pivots[j + 1:] = (pivots[j + 1:] - p) @ rot.T + p

@@ -8,10 +8,11 @@ the closest vertex sits within CONTACT_EPSILON_CM.  Contact labels are
 recomputable from the stored geometry: a vertex is in contact iff its
 unsigned distance to the nearest scene surface is at most that epsilon.
 
-Images are flat-shaded orthographic renders from a fixed oblique camera;
-body segments are color-coded so pose (and hence contact structure) is
-visible, and the rasterizer's id buffers provide semantic and body-part
-masks at image and feature-grid resolution.
+Images are flat-shaded orthographic renders from a fixed oblique camera.
+Each face is drawn in one material, which gives its pixels their colour,
+semantic class and body-part id: materials 0..JOINTS-1 are the body
+segments, color-coded so pose (and hence contact structure) is visible,
+then come the ground, a box and the background.
 
 Rasterizer contract: triangles are drawn in a fixed order (the ground, then
 each box, then the body faces).  A pixel centre is covered by a triangle
@@ -60,6 +61,13 @@ _PART_PALETTE = np.array([
     [0.95, 0.30, 0.70],
 ])
 
+# Material ids: the JOINTS body segments, then these three.
+_MAT_GROUND, _MAT_BOX, _MAT_BACKGROUND = JOINTS, JOINTS + 1, JOINTS + 2
+_MATERIAL_RGB = np.vstack([_PART_PALETTE, _GROUND_COLOR, _BOX_COLOR, _BACKGROUND_COLOR])
+_MATERIAL_SEM = np.array([SEM_BODY] * JOINTS + [SEM_GROUND, SEM_BOX, SEM_BACKGROUND],
+                         dtype=np.int32)
+_MATERIAL_BP = np.array([*range(1, JOINTS + 1), 0, 0, 0], dtype=np.int32)
+
 # Fixed oblique orthographic camera: tilt about x, then drop depth.
 _CAM_TILT = 0.6
 _CAMERA = _rot_x(_CAM_TILT).T  # world row vectors @ _CAMERA = camera coordinates
@@ -70,6 +78,12 @@ _GROUND = np.array([
     [-25.0, 0.0, -25.0], [25.0, 0.0, -25.0], [25.0, 0.0, 25.0], [-25.0, 0.0, 25.0],
 ])
 _GROUND_FACES = np.array([[0, 1, 2], [0, 2, 3]])
+# A box is lo + size * _UNIT_CUBE.
+_UNIT_CUBE = np.array([[i >> 2, i >> 1 & 1, i & 1] for i in range(8)], dtype=np.float64)
+_BOX_FACES = np.array([  # two triangles per side
+    [0, 1, 3], [0, 3, 2], [4, 6, 7], [4, 7, 5], [0, 4, 5], [0, 5, 1],
+    [2, 3, 7], [2, 7, 6], [0, 2, 6], [0, 6, 4], [1, 5, 7], [1, 7, 3],
+])
 
 _BASE_POSES = np.array([
     [0.0] * 12,
@@ -85,7 +99,7 @@ _MODES = ("standing", "leaning", "lying")
 class SceneConfig:
     backbone: BackboneConfig = field(default_factory=BackboneConfig)  # image extents
 
-    c_sem: ClassVar[int] = 4  # background/ground/box/body
+    c_sem: ClassVar[int] = SEM_BODY + 1  # one class per SEM_* id
     c_bp: ClassVar[int] = JOINTS + 1  # background + one class per body segment
 
     def validate(self, template: MeshTemplate):
@@ -183,46 +197,28 @@ def _project(points: np.ndarray, image_size: int):
     return px, py, depth
 
 
-def _box_mesh(box):
-    lo, size = box[:3], box[3:]
-    corners = np.array([
-        lo + size * np.array([dx, dy, dz])
-        for dx in (0, 1) for dy in (0, 1) for dz in (0, 1)
-    ])
-    quads = [
-        (0, 1, 3, 2), (4, 6, 7, 5), (0, 4, 5, 1),
-        (2, 3, 7, 6), (0, 2, 6, 4), (1, 5, 7, 3),
-    ]
-    faces = []
-    for a, b, c, d in quads:
-        faces.append((a, b, c))
-        faces.append((a, c, d))
-    return corners, np.asarray(faces)
-
-
 def render(vertices, template, boxes, config: SceneConfig):
-    """Rasterize scene + posed body; returns (image, sem_mask, bp_mask)."""
+    """Rasterize scene + posed body; returns (image, sem_mask, bp_mask).
+
+    A pixel takes the colour, semantic class and body-part id of the material
+    of the face drawn there, or of the background.
+    """
     n = config.backbone.image_size
-    face_seg = template.segment_ids[template.faces[:, 0]]
-    # (points, faces, color, semantic id, body-part id) per mesh, in draw order.
-    meshes = [(_GROUND, _GROUND_FACES, _GROUND_COLOR, SEM_GROUND, 0)]
-    meshes += [(*_box_mesh(box), _BOX_COLOR, SEM_BOX, 0) for box in boxes]
-    meshes.append((vertices, template.faces, _PART_PALETTE[face_seg],
-                   SEM_BODY, face_seg + 1))
-    corners, colors, sem_ids, bp_ids = [], [], [], []
-    for points, faces, color, sem_id, bp_id in meshes:
+    # (points, faces, material) per mesh, in draw order; a body face's material is its segment.
+    meshes = [(_GROUND, _GROUND_FACES, _MAT_GROUND)]
+    meshes += [(box[:3] + box[3:] * _UNIT_CUBE, _BOX_FACES, _MAT_BOX) for box in boxes]
+    meshes.append((vertices, template.faces, template.segment_ids[template.faces[:, 0]]))
+    corners, materials = [], []
+    for points, faces, material in meshes:
         px, py, depth = _project(points, n)
         corners.append(np.stack([px[faces], py[faces], depth[faces]]))
-        colors.append(np.broadcast_to(color, (len(faces), 3)))
-        sem_ids.append(np.broadcast_to(sem_id, len(faces)))
-        bp_ids.append(np.broadcast_to(bp_id, len(faces)))
+        materials.append(np.broadcast_to(material, len(faces)))
 
     winner = _rasterize(*np.concatenate(corners, axis=1), n)
-    # The background is the last row of each table, which a winner of -1 reads.
-    rgb = np.concatenate([*colors, _BACKGROUND_COLOR[None]]).T.take(winner, axis=1)
-    sem = np.concatenate([*sem_ids, [SEM_BACKGROUND]], dtype=np.int32).take(winner)
-    bp = np.concatenate([*bp_ids, [0]], dtype=np.int32).take(winner)
-    return rgb.reshape(3, n, n), sem.reshape(n, n), bp.reshape(n, n)
+    # The background is the last material, which a winner of -1 reads.
+    material = np.concatenate([*materials, [_MAT_BACKGROUND]]).take(winner)
+    rgb = _MATERIAL_RGB.T.take(material, axis=1).reshape(3, n, n)
+    return rgb, _MATERIAL_SEM[material].reshape(n, n), _MATERIAL_BP[material].reshape(n, n)
 
 
 def _runs(starts, counts):
@@ -297,10 +293,10 @@ def _rasterize(px, py, depth, n):
 
 def downsample_mask(mask: np.ndarray, grid_side: int) -> np.ndarray:
     """Majority class id per grid cell; ties break toward the lowest id."""
-    if (mask.ndim != 2 or mask.shape[0] != mask.shape[1] or mask.shape[0] < grid_side
-            or mask.shape[0] % grid_side):
-        raise ShapeError(f"downsample_mask needs a square mask whose side is a positive "
-                         f"multiple of {grid_side}, got shape {mask.shape}")
+    if (mask.ndim != 2 or mask.shape[0] != mask.shape[1] or grid_side < 1
+            or mask.shape[0] < grid_side or mask.shape[0] % grid_side):
+        raise ShapeError(f"downsample_mask needs a grid side >= 1 and a square mask whose side "
+                         f"is a multiple of it, got {grid_side} and shape {mask.shape}")
     cell = mask.shape[0] // grid_side
     blocks = (mask.reshape(grid_side, cell, grid_side, cell)
               .transpose(0, 2, 1, 3).reshape(grid_side * grid_side, -1))

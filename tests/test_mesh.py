@@ -1,6 +1,7 @@
 import collections
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -266,6 +267,17 @@ class TestPose:
             d_bent = np.linalg.norm(bent[0] - bent[-1])
             assert abs(d_rest - d_bent) <= 1e-9
 
+    def test_longest_pose_bends_the_last_pivot_about_z(self, template):
+        pose = np.zeros(2 * (template.n_joints - 1))
+        pose[-1] = 0.5
+        moved = (mesh.pose_vertices(template, pose) != template.rest_vertices).any(axis=1)
+        assert np.array_equal(moved, template.segment_ids == template.n_joints - 1)
+
+    @pytest.mark.parametrize("shape", [(3, 4), (15,), ()], ids=["2-d", "too-long", "0-d"])
+    def test_bad_pose_shape_rejected(self, template, shape):
+        # A (3, 4) pose was flattened and the entries past the 14th were dropped in silence.
+        with pytest.raises(ShapeError, match=re.escape(f"got shape {shape}")):
+            mesh.pose_vertices(template, np.zeros(shape))
 
     @pytest.mark.parametrize("extents", [None, (98, 26)], ids=["default", "98-26"])
     def test_segment_ids_never_decrease(self, extents):

@@ -129,9 +129,8 @@ def scalar_render(vertices, template, boxes, config):
     r.mesh(scenes._GROUND, scenes._GROUND_FACES, [scenes._GROUND_COLOR] * 2,
            [scenes.SEM_GROUND] * 2, [0] * 2)
     for box in boxes:
-        corners, bfaces = scenes._box_mesh(box)
-        r.mesh(corners, bfaces, [scenes._BOX_COLOR] * len(bfaces),
-               [scenes.SEM_BOX] * len(bfaces), [0] * len(bfaces))
+        r.mesh(box[:3] + box[3:] * scenes._UNIT_CUBE, scenes._BOX_FACES,
+               [scenes._BOX_COLOR] * 12, [scenes.SEM_BOX] * 12, [0] * 12)
     face_seg = template.segment_ids[template.faces[:, 0]]
     colors = scenes._PART_PALETTE[face_seg % len(scenes._PART_PALETTE)]
     r.mesh(vertices, template.faces, colors, [scenes.SEM_BODY] * len(template.faces),
@@ -286,11 +285,13 @@ class TestDownsample:
             scenes.downsample_mask(mask, 2)
 
     @pytest.mark.parametrize("shape, grid_side", [((8, 10), 2), ((10, 8), 2), ((2, 2), 4),
-                                                  ((16,), 2), ((6, 6), 4)],
-                             ids=["wide", "tall", "smaller-than-grid", "1-d", "not-a-multiple"])
+                                                  ((16,), 2), ((6, 6), 4), ((8, 8), 0),
+                                                  ((8, 8), -4)],
+                             ids=["wide", "tall", "smaller-than-grid", "1-d", "not-a-multiple",
+                                  "zero-grid", "negative-grid"])
     def test_bad_mask_shape_rejected(self, shape, grid_side):
         # A wide mask, and a square one whose side the grid does not divide, were cropped in
-        # silence; the others leaked numpy's ValueError.
+        # silence; a zero grid side leaked ZeroDivisionError, and the others numpy's ValueError.
         with pytest.raises(ShapeError, match=re.escape(str(shape))):
             scenes.downsample_mask(np.zeros(shape, dtype=np.int32), grid_side)
 
@@ -519,6 +520,18 @@ class TestRasterizer:
             oracle.triangle(px[i], py[i], np.full(3, 50.0), np.zeros(3), 0, i + 1)
         assert np.array_equal(winner, np.full(64 * 64, -1))
         assert not oracle.bp.any()
+
+    def test_box_faces_cover_each_cube_side_with_two_triangles(self):
+        sides = {}
+        for face in scenes._BOX_FACES:
+            corners = scenes._UNIT_CUBE[face]
+            # The one coordinate all three corners share names the side.
+            (axis,) = np.flatnonzero((corners == corners[0]).all(axis=0))
+            sides.setdefault((axis, corners[0, axis]), []).append(set(face))
+        assert sorted(sides) == [(axis, v) for axis in range(3) for v in (0.0, 1.0)]
+        for first, second in sides.values():
+            assert len(first) == len(second) == 3
+            assert len(first | second) == 4  # together they span the side's four corners
 
     @pytest.mark.parametrize("seed", [1, 21, 97, 4096])
     def test_many_chunks(self, config, seed):
