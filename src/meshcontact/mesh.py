@@ -8,6 +8,12 @@ ring-stride-th ring, provides the low-resolution vertex set the model
 regresses; a fixed convex-weight matrix lifts coarse vertices back to the
 full mesh.
 
+Both meshes share one vertex layout: vertex 0 is the bottom cap, vertex
+1 + k*RING_SIZE + j is slot j of ring k (rings numbered upward), and the top
+cap is last.  Segment s owns its run of consecutive rings, so `segment_ids`
+never decreases; the bottom cap belongs to the first segment and the top cap
+to the last.
+
 Units are centimeters throughout.  Edge lengths are quantized to 2^-20 cm
 at construction, so they are dyadic and every shortest-path sum is exact in
 double precision (any summation order yields the identical float).  That
@@ -23,7 +29,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, ContractError, ShapeError, check_int_fields
+from .errors import ConfigError, ContractError, NumericsError, ShapeError, check_int_fields
 
 JOINTS = 8  # chain segments; the radius plan, base poses and part palette are written for 8
 RING_SIZE = 6  # vertices per ring
@@ -92,58 +98,49 @@ class MeshTemplate:
 
 
 def _ring_profile(config: MeshConfig, rng: np.random.Generator):
-    """Per-ring (height, radius) along the chain, with seeded segment jitter."""
-    rings = config.full_rings
-    per_seg = rings // JOINTS
+    """Per-ring (height, radius) along the chain, with seeded segment jitter, and the
+    height at which each segment starts."""
+    per_seg = config.full_rings // JOINTS
     # Body-ish radius plan, one per segment: slim ends, bulging middle, rounded top.
     base = np.array([0.55, 0.8, 1.05, 1.3, 1.35, 1.15, 0.7, 1.0])
     seg_radius = base * (1.0 + 0.1 * rng.uniform(-1.0, 1.0, size=JOINTS))
     seg_length = np.full(JOINTS, HEIGHT_CM / JOINTS) * (
         1.0 + 0.08 * rng.uniform(-1.0, 1.0, size=JOINTS)
     )
+    seg_start = np.concatenate([[0.0], np.cumsum(seg_length)[:-1]])
 
-    heights = np.zeros(rings)
-    radii = np.zeros(rings)
-    h = 0.0
-    for j in range(JOINTS):
-        r0 = seg_radius[j]
-        r1 = seg_radius[min(j + 1, JOINTS - 1)]
-        for k in range(per_seg):
-            t = k / per_seg
-            idx = j * per_seg + k
-            heights[idx] = h + t * seg_length[j]
-            radii[idx] = (1 - t) * r0 + t * r1
-        h += seg_length[j]
-    return heights, radii, seg_length
+    # Each segment's rings step from its start toward the next, the radius blending
+    # toward the next segment's (the last segment keeps its own).
+    t = np.arange(per_seg) / per_seg
+    r0 = seg_radius[:, None]
+    r1 = np.append(seg_radius[1:], seg_radius[-1])[:, None]
+    heights = (seg_start[:, None] + t * seg_length[:, None]).reshape(-1)
+    radii = ((1 - t) * r0 + t * r1).reshape(-1)
+    return heights, radii, seg_start
 
 
 def _chain_mesh(heights, radii):
-    """Vertices and faces of one capped tube: bottom cap, rings, top cap."""
+    """Vertices and faces of one capped tube in the module's vertex layout."""
     rings = heights.size
     angles = 2.0 * np.pi * np.arange(RING_SIZE) / RING_SIZE
-    verts = [np.array([0.0, heights[0] - radii[0], 0.0])]
-    for k in range(rings):
-        for a in angles:
-            verts.append(np.array([radii[k] * np.cos(a), heights[k], radii[k] * np.sin(a)]))
-    verts.append(np.array([0.0, heights[-1] + radii[-1], 0.0]))
-    verts = np.asarray(verts)
+    ring_verts = np.stack([radii[:, None] * np.cos(angles),
+                           np.broadcast_to(heights[:, None], (rings, RING_SIZE)),
+                           radii[:, None] * np.sin(angles)], axis=-1)
+    verts = np.concatenate([[[0.0, heights[0] - radii[0], 0.0]],
+                            ring_verts.reshape(-1, 3),
+                            [[0.0, heights[-1] + radii[-1], 0.0]]])
 
-    def ring_idx(k, j):
-        return 1 + k * RING_SIZE + (j % RING_SIZE)
-
-    faces = []
-    for j in range(RING_SIZE):
-        faces.append((0, ring_idx(0, j + 1), ring_idx(0, j)))
-    for k in range(rings - 1):
-        for j in range(RING_SIZE):
-            a, b = ring_idx(k, j), ring_idx(k, j + 1)
-            c, d = ring_idx(k + 1, j + 1), ring_idx(k + 1, j)
-            faces.append((a, b, c))
-            faces.append((a, c, d))
-    top = verts.shape[0] - 1
-    for j in range(RING_SIZE):
-        faces.append((top, ring_idx(rings - 1, j), ring_idx(rings - 1, j + 1)))
-    return verts, np.asarray(faces, dtype=np.int32)
+    ring = 1 + np.arange(rings * RING_SIZE).reshape(rings, RING_SIZE)
+    nxt = np.roll(ring, -1, axis=1)  # the next slot around each ring
+    bottom, top = np.full(RING_SIZE, 0), np.full(RING_SIZE, verts.shape[0] - 1)
+    # Quad (k, j) is the two triangles (a, b, c) and (a, c, d), ring by ring.
+    a, b, c, d = ring[:-1], nxt[:-1], nxt[1:], ring[1:]
+    faces = np.concatenate([
+        np.stack([bottom, nxt[0], ring[0]], axis=1),
+        np.stack([a, b, c, a, c, d], axis=-1).reshape(-1, 3),
+        np.stack([top, ring[-1], nxt[-1]], axis=1),
+    ])
+    return verts, faces.astype(np.int32)
 
 
 def _face_edges(faces) -> np.ndarray:
@@ -154,22 +151,22 @@ def _face_edges(faces) -> np.ndarray:
 
 def _nearest_interp_matrix(targets, anchors):
     """Convex inverse-distance weights onto the <= _INTERP_ANCHORS nearest anchor points."""
+    d = np.linalg.norm(targets[:, None, :] - anchors[None, :, :], axis=2)
+    near = np.argsort(d, axis=1)[:, :_INTERP_ANCHORS]
+    dist = np.take_along_axis(d, near, axis=1)
+    with np.errstate(divide="ignore"):
+        w = 1.0 / dist
+    # A target on an anchor takes that anchor alone.
+    w[dist[:, 0] < 1e-9] = np.eye(1, _INTERP_ANCHORS)
     mat = np.zeros((targets.shape[0], anchors.shape[0]))
-    for i, p in enumerate(targets):
-        d = np.linalg.norm(anchors - p, axis=1)
-        near = np.argsort(d)[:_INTERP_ANCHORS]
-        if d[near[0]] < 1e-9:
-            mat[i, near[0]] = 1.0
-            continue
-        w = 1.0 / d[near]
-        mat[i, near] = w / w.sum()
+    np.put_along_axis(mat, near, w / w.sum(axis=1, keepdims=True), axis=1)
     return mat
 
 
 def build_template(config: MeshConfig, rng_seed: int) -> MeshTemplate:
     """Deterministically build the capsule-chain template for (config, seed)."""
     rng = np.random.default_rng(rng_seed)
-    heights, radii, seg_length = _ring_profile(config, rng)
+    heights, radii, seg_start = _ring_profile(config, rng)
 
     verts, faces = _chain_mesh(heights, radii)
     stride = config.full_rings // config.coarse_rings
@@ -179,35 +176,23 @@ def build_template(config: MeshConfig, rng_seed: int) -> MeshTemplate:
     edge_lengths = np.linalg.norm(verts[edges[:, 0]] - verts[edges[:, 1]], axis=1)
     edge_lengths = np.round(edge_lengths / _LENGTH_QUANTUM) * _LENGTH_QUANTUM
 
-    upsample = _nearest_interp_matrix(verts, coarse_verts)
+    per_seg = config.full_rings // JOINTS * RING_SIZE  # ring vertices per segment
+    segment_ids = np.concatenate(
+        [[0], np.repeat(np.arange(JOINTS), per_seg), [JOINTS - 1]]).astype(np.int32)
+    members = (segment_ids == np.arange(JOINTS)[:, None]).astype(np.float64)
 
-    per_seg = config.full_rings // JOINTS
-    segment_ids = np.empty(verts.shape[0], dtype=np.int32)
-    segment_ids[0] = 0
-    segment_ids[-1] = JOINTS - 1
-    for k in range(config.full_rings):
-        seg = k // per_seg
-        segment_ids[1 + k * RING_SIZE : 1 + (k + 1) * RING_SIZE] = seg
-
-    regressor = np.zeros((JOINTS, verts.shape[0]))
-    for j in range(JOINTS):
-        members = segment_ids == j
-        regressor[j, members] = 1.0 / members.sum()
-
-    bounds = np.concatenate([[heights[0]], np.cumsum(seg_length)[:-1] + heights[0]])
-    pivots = np.stack([np.zeros_like(bounds), bounds, np.zeros_like(bounds)], axis=1)
-
+    zeros = np.zeros(JOINTS)
     return MeshTemplate(
         rest_vertices=verts,
         faces=faces,
         coarse_rest_vertices=coarse_verts,
         coarse_faces=coarse_faces,
-        upsample_matrix=upsample,
-        joint_regressor=regressor,
+        upsample_matrix=_nearest_interp_matrix(verts, coarse_verts),
+        joint_regressor=members / members.sum(axis=1, keepdims=True),
         edges=edges,
         edge_lengths=edge_lengths,
         segment_ids=segment_ids,
-        rest_pivots=pivots,
+        rest_pivots=np.stack([zeros, seg_start, zeros], axis=1),
     )
 
 
@@ -274,13 +259,16 @@ def pose_vertices(template: MeshTemplate, pose_params) -> np.ndarray:
     """Deform the rest mesh by per-joint rigid rotations along the chain.
 
     The pose is 1-D: the first joints-1 parameters bend about x at each
-    internal pivot, the next joints-1 about z, and missing ones are 0.
+    internal pivot, the next joints-1 about z, and missing ones are 0.  A pose
+    with a NaN or infinite entry raises NumericsError.
     """
     pose = np.asarray(pose_params, dtype=np.float64)
     nj = template.n_joints
     if pose.ndim != 1 or pose.size > 2 * (nj - 1):
         raise ShapeError(f"pose_vertices takes a 1-D pose of at most {2 * (nj - 1)} "
                          f"entries, got shape {pose.shape}")
+    if not np.isfinite(pose).all():
+        raise NumericsError(f"pose_vertices needs a finite pose, got {pose}")
     thx, thz = np.pad(pose, (0, 2 * (nj - 1) - pose.size)).reshape(2, nj - 1)
 
     verts = template.rest_vertices.copy()

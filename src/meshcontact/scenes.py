@@ -297,6 +297,8 @@ def downsample_mask(mask: np.ndarray, grid_side: int) -> np.ndarray:
             or mask.shape[0] < grid_side or mask.shape[0] % grid_side):
         raise ShapeError(f"downsample_mask needs a grid side >= 1 and a square mask whose side "
                          f"is a multiple of it, got {grid_side} and shape {mask.shape}")
+    if mask.dtype.kind not in "iu":  # a float mask leaked numpy's cast TypeError from bincount
+        raise ContractError(f"downsample_mask needs integer class ids, got dtype {mask.dtype}")
     cell = mask.shape[0] // grid_side
     blocks = (mask.reshape(grid_side, cell, grid_side, cell)
               .transpose(0, 2, 1, 3).reshape(grid_side * grid_side, -1))

@@ -11,7 +11,7 @@ import pytest
 
 from meshcontact import autodiff as ad
 from meshcontact import mesh, scenes
-from meshcontact.errors import ConfigError, ContractError, ShapeError
+from meshcontact.errors import ConfigError, ContractError, NumericsError, ShapeError
 
 
 @pytest.fixture(scope="module")
@@ -279,6 +279,15 @@ class TestPose:
         with pytest.raises(ShapeError, match=re.escape(f"got shape {shape}")):
             mesh.pose_vertices(template, np.zeros(shape))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("entry", [2, 9], ids=["x-bend", "z-bend"])
+    def test_non_finite_pose_rejected(self, template, entry, value):
+        # A NaN bend returned NaN coordinates in silence; an infinite one warned from cos.
+        pose = np.zeros(2 * (template.n_joints - 1))
+        pose[entry] = value
+        with pytest.raises(NumericsError, match="finite pose"):
+            mesh.pose_vertices(template, pose)
+
     @pytest.mark.parametrize("extents", [None, (98, 26)], ids=["default", "98-26"])
     def test_segment_ids_never_decrease(self, extents):
         """`pose_vertices` rotates the tail verts[first[j]:] for segments >= j."""
@@ -309,21 +318,34 @@ class TestCoarseAdjacency:
         assert np.array_equal(mesh.coarse_adjacency(template), coarse_adjacency_loop(template))
 
 
+def template_digest(built):
+    """SHA-256 over each field's name, dtype, shape and bytes."""
+    digest = hashlib.sha256()
+    for name in ("rest_vertices", "faces", "coarse_rest_vertices", "coarse_faces",
+                 "upsample_matrix", "joint_regressor", "edges", "edge_lengths",
+                 "segment_ids", "rest_pivots"):
+        array = getattr(built, name)
+        for part in (name, str(array.dtype), str(array.shape)):
+            digest.update(part.encode())
+        digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
 class TestSerialization:
-    """The built arrays' bytes are pinned: a template is never stored, so this digest
-    is what fixes it across changes."""
+    """The built arrays' bytes are pinned: a template is never stored, so these digests
+    are what fix it across changes."""
 
     def test_default_template_bytes_pinned(self, template):
-        digest = hashlib.sha256()
-        for name in ("rest_vertices", "faces", "coarse_rest_vertices", "coarse_faces",
-                     "upsample_matrix", "joint_regressor", "edges", "edge_lengths",
-                     "segment_ids", "rest_pivots"):
-            array = getattr(template, name)
-            for part in (name, str(array.dtype), str(array.shape)):
-                digest.update(part.encode())
-            digest.update(array.tobytes())
-        assert digest.hexdigest() == (
+        assert template_digest(template) == (
             "c49588847f2450f90bde489b6e32f5a76a1a7006b10622ac074e71afb31ad9f7")
+
+    @pytest.mark.parametrize("extents, expected", [
+        ((98, 26), "1511efed9dca6001961430d55041eccf8607ecdb2564f297f753ef929d8037a7"),
+        ((194, 50), "dc38808d2c5b7fc93f22a574c0674c3991d681a58bc6b007258353c79ed4a320"),
+    ], ids=["98-26", "194-50"])
+    def test_other_template_bytes_pinned(self, extents, expected):
+        """(98, 26) is the benchmark's second mesh."""
+        assert template_digest(build(extents)) == expected
 
 
 def test_package_does_not_load_csgraph():

@@ -284,6 +284,12 @@ class TestDownsample:
         with pytest.raises(ContractError):
             scenes.downsample_mask(mask, 2)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.bool_], ids=["float", "bool"])
+    def test_non_integer_mask_rejected(self, dtype):
+        # A float mask leaked numpy's TypeError from the int cast in bincount.
+        with pytest.raises(ContractError, match=np.dtype(dtype).name):
+            scenes.downsample_mask(np.zeros((8, 8), dtype=dtype), 2)
+
     @pytest.mark.parametrize("shape, grid_side", [((8, 10), 2), ((10, 8), 2), ((2, 2), 4),
                                                   ((16,), 2), ((6, 6), 4), ((8, 8), 0),
                                                   ((8, 8), -4)],
