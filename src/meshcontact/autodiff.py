@@ -173,66 +173,43 @@ def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
 # elementwise arithmetic
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
+def _broadcast_op(op, a: Tensor, b: Tensor, fn, grad_a, grad_b) -> Tensor:
+    """`fn(a.data, b.data)` under numpy broadcasting, recorded on the tape as `op`.
+
+    `grad_a(g, x, y)` and `grad_b(g, x, y)` give the gradient of each input at the output's
+    shape, from the output gradient `g` and the input arrays `x` and `y`.  Each is called
+    only if its input requires grad, and summed back to that input's shape.
+    """
+    ad, bd = a.data, b.data
     try:
-        out = a.data + b.data
+        out = fn(ad, bd)
     except ValueError as exc:
-        raise ShapeError(f"add of shapes {a.shape} and {b.shape}: no broadcast") from exc
+        raise ShapeError(f"{op} of shapes {a.shape} and {b.shape}: no broadcast") from exc
 
     def bwd(g):
         return (
-            _unbroadcast(g, a.shape) if a.requires_grad else None,
-            _unbroadcast(g, b.shape) if b.requires_grad else None,
+            _unbroadcast(grad_a(g, ad, bd), a.shape) if a.requires_grad else None,
+            _unbroadcast(grad_b(g, ad, bd), b.shape) if b.requires_grad else None,
         )
 
-    return _emit("add", (a, b), out, bwd)
+    return _emit(op, (a, b), out, bwd)
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    return _broadcast_op("add", a, b, np.add, lambda g, x, y: g, lambda g, x, y: g)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        out = a.data - b.data
-    except ValueError as exc:
-        raise ShapeError(f"sub of shapes {a.shape} and {b.shape}: no broadcast") from exc
-
-    def bwd(g):
-        return (
-            _unbroadcast(g, a.shape) if a.requires_grad else None,
-            _unbroadcast(-g, b.shape) if b.requires_grad else None,
-        )
-
-    return _emit("sub", (a, b), out, bwd)
+    return _broadcast_op("sub", a, b, np.subtract, lambda g, x, y: g, lambda g, x, y: -g)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        out = a.data * b.data
-    except ValueError as exc:
-        raise ShapeError(f"mul of shapes {a.shape} and {b.shape}: no broadcast") from exc
-    ad, bd = a.data, b.data
-
-    def bwd(g):
-        return (
-            _unbroadcast(g * bd, a.shape) if a.requires_grad else None,
-            _unbroadcast(g * ad, b.shape) if b.requires_grad else None,
-        )
-
-    return _emit("mul", (a, b), out, bwd)
+    return _broadcast_op("mul", a, b, np.multiply, lambda g, x, y: g * y, lambda g, x, y: g * x)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        out = a.data / b.data
-    except ValueError as exc:
-        raise ShapeError(f"div of shapes {a.shape} and {b.shape}: no broadcast") from exc
-    ad, bd = a.data, b.data
-
-    def bwd(g):
-        return (
-            _unbroadcast(g / bd, a.shape) if a.requires_grad else None,
-            _unbroadcast(-g * ad / (bd * bd), b.shape) if b.requires_grad else None,
-        )
-
-    return _emit("div", (a, b), out, bwd)
+    return _broadcast_op(
+        "div", a, b, np.true_divide, lambda g, x, y: g / y, lambda g, x, y: -g * x / (y * y))
 
 
 def neg(a: Tensor) -> Tensor:

@@ -133,11 +133,11 @@ def _project_queries(embed: Tensor, global_vec: Tensor, w: Tensor, b: Tensor) ->
 def tokenize(grid_tokens: Tensor, global_vec: Tensor, template: MeshTemplate,
              params: dict, config: BackboneConfig) -> TokenSequence:
     """Assemble the [image | joint | vertex] token sequence."""
-    if params["backbone.vertex_embed"].shape[0] != template.v_coarse:
-        raise ConfigError(
-            f"vertex embedding rows {params['backbone.vertex_embed'].shape[0]} "
-            f"do not match template coarse count {template.v_coarse}"
-        )
+    for kind, count in (("joint", template.n_joints), ("vertex", template.v_coarse)):
+        rows = params[f"backbone.{kind}_embed"].shape[0]
+        if rows != count:
+            raise ConfigError(
+                f"{kind} embedding rows {rows} do not match template {kind} count {count}")
     image_tokens = ad.add(grid_tokens, params["backbone.pos_embed"])
     joints = _project_queries(
         params["backbone.joint_embed"], global_vec,

@@ -67,6 +67,9 @@ def token_adjacency(template: MeshTemplate, layout: TokenLayout) -> np.ndarray:
     Vertex tokens mix over the mesh graph; image and joint tokens sit on
     isolated self-loops.  Rows sum to 1.
     """
+    if layout.n_vertex != template.v_coarse:
+        raise ShapeError(f"layout has {layout.n_vertex} vertex tokens, "
+                         f"template {template.v_coarse} coarse vertices")
     t = layout.total
     a = np.eye(t)
     s = layout.vertex_start

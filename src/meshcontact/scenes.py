@@ -325,25 +325,22 @@ def _sample_boxes(rng, n_boxes, body_xz_bounds):
     boxes = []
     for _ in range(n_boxes):
         size = rng.uniform([3.0, 2.0, 3.0], [8.0, 6.0, 8.0])
-        sides = []
-        if (x_lo - 1.0) - size[0] > -world:
-            sides.append(("x", -world, x_lo - 1.0 - size[0]))
-        if x_hi + 1.0 < world - size[0]:
-            sides.append(("x", x_hi + 1.0, world - size[0]))
-        if (z_lo - 1.0) - size[2] > -world:
-            sides.append(("z", -world, z_lo - 1.0 - size[2]))
-        if z_hi + 1.0 < world - size[2]:
-            sides.append(("z", z_hi + 1.0, world - size[2]))
+        # (axis, lo, hi) of each corner range beside the body, in the order the draw below
+        # indexes: x then z, low side then high.
+        sides = [
+            (axis, lo, hi)
+            for axis, body_lo, body_hi in ((0, x_lo, x_hi), (2, z_lo, z_hi))
+            for lo, hi in ((-world, body_lo - 1.0 - size[axis]),
+                           (body_hi + 1.0, world - size[axis]))
+            if lo < hi
+        ]
         if not sides:
             continue
         axis, lo, hi = sides[rng.integers(len(sides))]
-        if axis == "x":
-            corner_x = rng.uniform(lo, hi)
-            corner_z = rng.uniform(-world, world - size[2])
-        else:
-            corner_z = rng.uniform(lo, hi)
-            corner_x = rng.uniform(-world, world - size[0])
-        boxes.append([corner_x, 0.0, corner_z, size[0], size[1], size[2]])
+        other = 2 - axis
+        corner = {axis: rng.uniform(lo, hi)}
+        corner[other] = rng.uniform(-world, world - size[other])
+        boxes.append([corner[0], 0.0, corner[2], *size])
     return np.asarray(boxes) if boxes else np.zeros((0, 6))
 
 

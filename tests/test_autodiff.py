@@ -1,5 +1,6 @@
 import copy
 import gc
+import hashlib
 import math
 import pickle
 import re
@@ -485,7 +486,23 @@ def gelu_oracle(x, g):
 
 
 # The encoder's widths: token_dim 32 and its MLP hidden of 128, over 122 tokens.
-@pytest.mark.parametrize("shape", [(122, 32), (122, 128)], ids=["122x32", "122x128"])
+ENCODER_WIDTHS = pytest.mark.parametrize("shape", [(122, 32), (122, 128)],
+                                         ids=["122x32", "122x128"])
+
+# The model's broadcasts: tokens with tokens, tokens scaled by a per-token column (dropout,
+# masking, routing), a 0-d loss weight, and rows plus a bias.
+BROADCAST_SHAPES = [((122, 32), (122, 32)), ((98, 32), (98, 1)), ((), (98, 32)), ((16, 32), (32,))]
+# sha256 over the forward output and both input gradients (None where an input does not require
+# grad) of every shape pair, with grad on both inputs, then on each one alone; recorded when
+# each op had its own copy of the broadcasting rule.
+BROADCAST_DIGESTS = {
+    "add": "dacb0d5ccd2eca9a7618ef43f592787fc025cf2bf8669658bdd6f6a116218e3d",
+    "sub": "51144f00fb998eb20098311db25cd369acdc14574b077aecc5ee9c3e87e61874",
+    "mul": "61d02aa334334dace4cb67fdb362604edb7882901fc069320de36dd1afd1d428",
+    "div": "da76ccecab59c83335857941b8b42f942f7e4677a66d50d47884aed2f20c6c21",
+}
+
+
 class TestBitsMatchOracles:
     def _run(self, op, params, g):
         with ad.tape_scope():
@@ -493,6 +510,28 @@ class TestBitsMatchOracles:
             grads = ad.backward(ad.sum_(ad.mul(out, ad.Tensor(g))), params)
         return (out.data, *(grads[n].data for n in params))
 
+    @pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul, ad.div], ids=lambda op: op.__name__)
+    def test_broadcast_arithmetic_bytes_pinned(self, op):
+        rng = np.random.default_rng(25)
+        digest = hashlib.sha256()
+        for a_shape, b_shape in BROADCAST_SHAPES:
+            # Uniform draws, free of any libm call whose last bit may vary by platform;
+            # b in [0.5, 1.5) is a safe divisor.
+            a_data = rng.random(a_shape) - 0.5
+            b_data = rng.random(b_shape) + 0.5
+            for a_rg, b_rg in [(True, True), (True, False), (False, True)]:
+                a = ad.Tensor(a_data, requires_grad=a_rg)
+                b = ad.Tensor(b_data, requires_grad=b_rg)
+                with ad.tape_scope() as tape:
+                    out = op(a, b)
+                    g = rng.random(out.shape) - 0.5
+                    grads = tape.entries[-1].backward_fn(g)
+                for arr in (out.data, *grads):
+                    digest.update(b"none" if arr is None
+                                  else repr(arr.shape).encode() + arr.tobytes())
+        assert digest.hexdigest() == BROADCAST_DIGESTS[op.__name__]
+
+    @ENCODER_WIDTHS
     def test_layer_norm(self, shape):
         rng = np.random.default_rng([5, shape[1]])
         params = _leaves([6, shape[1]], x=shape, gamma=shape[-1:], beta=shape[-1:])
@@ -503,6 +542,7 @@ class TestBitsMatchOracles:
             assert a.shape == e.shape
             assert np.array_equal(a.view(np.uint64), e.view(np.uint64))
 
+    @ENCODER_WIDTHS
     def test_gelu(self, shape):
         rng = np.random.default_rng([7, shape[1]])
         params = {"x": ad.Tensor(3.0 * rng.normal(size=shape), requires_grad=True)}
@@ -855,6 +895,18 @@ class TestEveryPrimitiveGradient:
 
         def f(p):
             return ad.sum_(ad.mul(ad.add(p["p0"], p["p1"]), p["p1"]))
+
+        _check_primitive("broadcast", f, params)
+
+    @pytest.mark.parametrize("shapes", [((3, 4), (4,)), ((4,), (3, 4)),
+                                        ((3, 4), ()), ((), (3, 4))],
+                             ids=["row-right", "row-left", "0d-right", "0d-left"])
+    def test_broadcast_sub_div(self, shapes):
+        params = self._p(*shapes)
+        params["p1"].data += 3.0  # the divisor stays well away from 0
+
+        def f(p):
+            return ad.sum_(ad.mul(ad.sub(p["p0"], p["p1"]), ad.div(p["p0"], p["p1"])))
 
         _check_primitive("broadcast", f, params)
 

@@ -109,3 +109,13 @@ class TestTokenize:
         g = ad.Tensor(rng.normal(size=(1, 32)))
         with pytest.raises(ConfigError):
             backbone.tokenize(grid, g, small, params, config)
+
+    def test_joint_embedding_mismatch_rejected(self, config, template):
+        # A 5-row joint embedding gave 119 tokens under a layout of 122, with no error.
+        params = make_params(config, template)
+        params["backbone.joint_embed"] = ad.Tensor(params["backbone.joint_embed"].data[:5])
+        rng = np.random.default_rng(6)
+        grid = ad.Tensor(rng.normal(size=(16, 32)))
+        g = ad.Tensor(rng.normal(size=(1, 32)))
+        with pytest.raises(ConfigError, match="joint embedding rows 5 do not match .* count 8"):
+            backbone.tokenize(grid, g, template, params, config)

@@ -119,6 +119,14 @@ class TestGraphResidual:
         expected = ad.gelu(ad.Tensor(pre)).data + h
         assert np.abs(out.data - expected).max() <= 1e-12
 
+    @pytest.mark.parametrize("n_vertex", [26, 98])
+    def test_token_adjacency_of_another_vertex_count(self, n_vertex):
+        # numpy's broadcast ValueError leaked here.
+        template = mesh.build_template(mesh.MeshConfig(v_full=194, v_coarse=50), rng_seed=7)
+        layout = backbone.TokenLayout(n_image=16, n_joint=8, n_vertex=n_vertex)
+        with pytest.raises(ShapeError, match=f"{n_vertex} vertex tokens, template 50 coarse"):
+            encoder.token_adjacency(template, layout)
+
     def test_extent_mismatch(self):
         with pytest.raises(ShapeError):
             encoder.graph_residual(ad.Tensor(np.zeros((4, 8))), np.eye(5), ad.Tensor(np.eye(8)))
