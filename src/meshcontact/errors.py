@@ -51,7 +51,7 @@ class ContractError(MeshContactError):
 
 
 class DataError(MeshContactError):
-    """A dataset, checkpoint, or report file is missing or corrupt. CLI exit code 3."""
+    """A sample file is missing or corrupt, or a sample would not read back. CLI exit code 3."""
 
 
 class GenerationError(MeshContactError):

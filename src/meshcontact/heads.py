@@ -9,6 +9,7 @@ classify the feature grid into scene-semantic and body-part classes.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -39,8 +40,9 @@ class LossWeights:
     def __post_init__(self):
         for f in fields(self):
             w = getattr(self, f.name)
-            if not 0.0 <= w < np.inf:  # NaN fails both comparisons
-                raise ConfigError(f"LossWeights.{f.name} must be finite and >= 0, got {w!r}")
+            if not isinstance(w, numbers.Real) or not 0.0 <= w < np.inf:  # NaN fails both
+                raise ConfigError(f"LossWeights.{f.name} must be a finite real number >= 0, "
+                                  f"got {w!r}")
 
 
 @dataclass

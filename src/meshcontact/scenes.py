@@ -33,13 +33,11 @@ from typing import ClassVar
 import numpy as np
 
 from .backbone import BackboneConfig
-from .errors import (ConfigError, ContractError, DataError, GenerationError, NumericsError,
-                     ShapeError)
+from .errors import ConfigError, ContractError, GenerationError, NumericsError, ShapeError
 from .mesh import JOINTS, MeshTemplate, _rot_x, _rot_z, pose_vertices
 from .tensorio import check_layout, read_tensor_file, write_tensor_file
 
 SAMPLE_MAGIC = b"GCSMP1\x00"
-DATASET_MAGIC = b"GCSET2\x00"
 
 SEM_BACKGROUND, SEM_GROUND, SEM_BOX, SEM_BODY = 0, 1, 2, 3
 
@@ -132,14 +130,6 @@ _SAMPLE_LAYOUT = {
     "bp_grid": ("i", ("G",), (0, SceneConfig.c_bp - 1)),
     "pose": ("f", (_BASE_POSES.shape[1],), None),
     "boxes": ("f", ("n_boxes", 6), None),
-}
-
-# The same tensors with a leading "N" axis, boxes padded; see "sample and dataset files".
-_DATASET_LAYOUT = {
-    **{name: (kind, ("N", *dims), bounds)
-       for name, (kind, dims, bounds) in _SAMPLE_LAYOUT.items()},
-    "boxes": ("f", ("N", "max_boxes", 6), None),
-    "n_boxes": ("i", ("N",), (0, "max_boxes")),
 }
 
 
@@ -393,70 +383,23 @@ def generate_sample(config: SceneConfig, template: MeshTemplate, rng) -> Sample:
     )
 
 
-def generate_dataset(config: SceneConfig, template: MeshTemplate, count: int, seed: int):
-    """Samples from per-index derived RNG streams; independent of generation order."""
-    return [
-        generate_sample(config, template, np.random.default_rng([seed, i]))
-        for i in range(count)
-    ]
-
-
 # ---------------------------------------------------------------------------
-# sample and dataset files
+# sample files
 #
-# A sample file holds one Sample's tensors.  A dataset file holds N samples,
-# each tensor stacked on a leading N axis.  Box counts differ between
-# samples, so `boxes` is zero-padded to (N, max_boxes, 6), max_boxes being
-# the largest count, and the int32 `n_boxes` gives each sample's own count.
-# The layout tables above are the one place for what a valid file holds:
-# `check_layout` checks every kind, shape and value range they give.
-
-
-def _sample_tensors(s: Sample, path) -> dict:
-    """The tensors of `s`, checked as `read_sample` checks them, so a written file reads back."""
-    tensors = {f.name: np.asarray(getattr(s, f.name)) for f in fields(Sample)}
-    check_layout(path, tensors, _SAMPLE_LAYOUT)
-    return tensors
+# A sample file holds one Sample's tensors.  `_SAMPLE_LAYOUT` above is the one
+# place for what a valid file holds: `check_layout` checks every kind, shape
+# and value range it gives.  A set of samples is a seed range, regenerated
+# with `generate_sample(config, template, default_rng([seed, i]))`, not a file.
 
 
 def write_sample(s: Sample, path):
-    write_tensor_file(path, SAMPLE_MAGIC, _sample_tensors(s, path))
+    """Write `s`, checked as `read_sample` checks it, so a written file reads back."""
+    tensors = {f.name: np.asarray(getattr(s, f.name)) for f in fields(Sample)}
+    check_layout(path, tensors, _SAMPLE_LAYOUT)
+    write_tensor_file(path, SAMPLE_MAGIC, tensors)
 
 
 def read_sample(path) -> Sample:
     tensors = read_tensor_file(path, SAMPLE_MAGIC)
     check_layout(path, tensors, _SAMPLE_LAYOUT)
     return Sample(**tensors)
-
-
-def _stack(path, per_sample, name):
-    try:
-        return np.stack([t[name] for t in per_sample])
-    except ValueError as exc:
-        shapes = sorted({t[name].shape for t in per_sample})
-        raise ShapeError(f"{path}: {name!r} differs in shape between samples: {shapes}") from exc
-
-
-def write_dataset(samples, path):
-    """One tensor file holding the samples in order (see `_DATASET_LAYOUT`)."""
-    if not samples:
-        raise ContractError("write_dataset needs at least one sample")
-    per_sample = [_sample_tensors(s, path) for s in samples]
-    tensors = {name: _stack(path, per_sample, name) for name in per_sample[0] if name != "boxes"}
-    n_boxes = np.array([len(s.boxes) for s in samples], dtype=np.int32)
-    boxes = np.zeros((len(samples), n_boxes.max(), 6))
-    for padded, s in zip(boxes, samples):
-        padded[: len(s.boxes)] = s.boxes
-    tensors.update(boxes=boxes, n_boxes=n_boxes)
-    write_tensor_file(path, DATASET_MAGIC, tensors)
-
-
-def read_dataset(path) -> list[Sample]:
-    tensors = read_tensor_file(path, DATASET_MAGIC)
-    extents = check_layout(path, tensors, _DATASET_LAYOUT)
-    if extents["N"] < 1:
-        raise DataError(f"{path}: a dataset holds at least one sample, got N = 0")
-    n_boxes = tensors.pop("n_boxes")
-    boxes = tensors.pop("boxes")
-    return [Sample(**{name: t[i] for name, t in tensors.items()}, boxes=boxes[i, :n])
-            for i, n in enumerate(n_boxes)]

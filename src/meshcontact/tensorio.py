@@ -1,4 +1,4 @@
-"""The one binary file format: sample and dataset files.
+"""The one binary file format: sample files.
 
 A file is a magic followed by one named-tensor table (all little-endian):
 int32 entry count, then per entry a name (int32 length + utf-8 bytes), an
@@ -124,14 +124,14 @@ def read_tensor_file(path, magic: bytes) -> dict:
     return tensors
 
 
-def check_layout(path, tensors: dict, layout: dict) -> dict:
-    """Check `tensors` against `layout` and return the extents it names.
+def check_layout(path, tensors: dict, layout: dict):
+    """Check `tensors` against `layout`; raise `DataError` on the first fault.
 
     `layout` maps every expected tensor name to (dtype kind, shape, bounds).
     An extent is an int, or a name bound by its first use that every later
-    use must equal.  `bounds` is None or the closed range (lo, hi) of the
-    values, each end a number or the name of an extent; every float tensor
-    must also be finite.  Every kind and shape is checked before any value.
+    use must equal.  `bounds` is None or the closed numeric range (lo, hi) of
+    the values; every float tensor must also be finite.  Every kind and shape
+    is checked before any value.
     """
     if set(tensors) != set(layout):
         raise DataError(f"{path}: expected tensors {sorted(layout)}, got {sorted(tensors)}")
@@ -148,7 +148,6 @@ def check_layout(path, tensors: dict, layout: dict) -> dict:
         if kind == "f" and not np.isfinite(arr).all():
             raise DataError(f"{path}: {name!r} has non-finite entries")
         if bounds is not None:
-            lo, hi = (extents[b] if isinstance(b, str) else b for b in bounds)
+            lo, hi = bounds
             if ((arr < lo) | (arr > hi)).any():
                 raise DataError(f"{path}: {name!r} has entries outside [{lo}, {hi}]")
-    return extents

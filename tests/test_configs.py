@@ -35,12 +35,17 @@ from meshcontact.multipath import PathConfig, RoutingParams
     lambda: LossWeights(mesh=-3.0),
     lambda: LossWeights(cls_b=float("inf")),
     lambda: LossWeights(bp=-float("inf")),
+    # A weight that is not a real number raised a bare TypeError from the range check.
+    lambda: LossWeights(mesh=None),
+    lambda: LossWeights(mesh="1"),
+    lambda: LossWeights(mesh=1j),
 ], ids=[
     "paths-5",
     "depth-0", "mlp-0", "token-dim-0",
     "channel-0", "last-channel-0", "token-dim-mismatch",
     "routing-empty",
     "loss-weight-nan", "loss-weight-negative", "loss-weight-inf", "loss-weight-minus-inf",
+    "loss-weight-none", "loss-weight-str", "loss-weight-complex",
 ])
 def test_invalid_value_rejected_on_construction(make):
     with pytest.raises(ConfigError):

@@ -13,9 +13,9 @@ from meshcontact.errors import (ConfigError, ContractError, DataError, NumericsE
                                ShapeError)
 from meshcontact.tensorio import read_tensor_file, write_tensor_file
 
-# SHA-256 of the write_sample bytes of generate_dataset(SceneConfig(), the
-# rng_seed=7 template, 32, seed=2024), recorded from the per-triangle
-# rasterizer that the batched one replaced.
+# SHA-256 of the write_sample bytes of generate_sample(SceneConfig(), the
+# rng_seed=7 template, default_rng([2024, i])) for i in range(32), recorded
+# from the per-triangle rasterizer that the batched one replaced.
 DATASET_SHA256 = (
     "5c1d5c9eba83d01577e7ca31e3db485bfe49e67f2f8ae6865e8d221be287a4e5",
     "12ab3ebcda1cb27a950249e2d65f808fce9165e6100a6f9243f05e58ef2a336c",
@@ -252,7 +252,8 @@ class TestGenerateSample:
 
 class TestContactPrevalence:
     def test_average_prevalence_in_band(self, config, template):
-        samples = scenes.generate_dataset(config, template, 64, seed=123)
+        samples = [scenes.generate_sample(config, template, np.random.default_rng([123, i]))
+                   for i in range(64)]
         rates = [s.gt_contacts.mean() for s in samples]
         avg = float(np.mean(rates))
         assert 0.02 <= avg <= 0.30, f"average contact prevalence {avg:.3f} outside [2%, 30%]"
@@ -302,12 +303,12 @@ class TestDownsample:
             scenes.downsample_mask(np.zeros(shape, dtype=np.int32), grid_side)
 
 
-def edit_dataset(edit):
-    """A corruption that rewrites a dataset file's tensor table after `edit`."""
+def edit_sample(edit):
+    """A corruption that rewrites a sample file's tensor table after `edit`."""
     def corrupt(path):
-        tensors = read_tensor_file(path, scenes.DATASET_MAGIC)
+        tensors = read_tensor_file(path, scenes.SAMPLE_MAGIC)
         edit(tensors)
-        write_tensor_file(path, scenes.DATASET_MAGIC, tensors)
+        write_tensor_file(path, scenes.SAMPLE_MAGIC, tensors)
     return corrupt
 
 
@@ -318,83 +319,84 @@ def set_first(name, value):
     return edit
 
 
+def other_magic(path):
+    """A corruption that gives the file another format's magic."""
+    path.write_bytes(b"GCSET2\x00" + path.read_bytes()[len(scenes.SAMPLE_MAGIC):])
+
+
 class TestDatasetIO:
     def test_round_trip_bit_exact(self, config, template, tmp_path):
-        samples = scenes.generate_dataset(config, template, 3, seed=11)
-        scenes.write_dataset(samples, tmp_path / "ds.bin")
-        back = scenes.read_dataset(tmp_path / "ds.bin")
-        assert len(back) == 3
-        for a, b in zip(samples, back):
+        for i in range(3):
+            s = scenes.generate_sample(config, template, np.random.default_rng([11, i]))
+            scenes.write_sample(s, tmp_path / "s.bin")
+            back = scenes.read_sample(tmp_path / "s.bin")
             for f in dataclasses.fields(scenes.Sample):
-                x, y = getattr(a, f.name), getattr(b, f.name)
-                assert x.dtype == y.dtype and np.array_equal(x, y), f.name
-        assert back[2].boxes.shape == (0, 6)  # the largest count is 2: this one is all padding
-
-    def test_empty_dataset_rejected(self, tmp_path):
-        with pytest.raises(ContractError, match="at least one sample"):
-            scenes.write_dataset([], tmp_path / "ds.bin")
-        assert not (tmp_path / "ds.bin").exists()
+                x, y = getattr(s, f.name), getattr(back, f.name)
+                assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), f.name
+        assert back.boxes.shape == (0, 6) and back.boxes.dtype == np.float64  # [11, 2]: no box
 
     @pytest.mark.parametrize("corrupt, message", [
-        (edit_dataset(set_first("n_boxes", -1)), "'n_boxes' has entries outside \\[0, 2\\]"),
-        (edit_dataset(set_first("n_boxes", 3)), "'n_boxes' has entries outside \\[0, 2\\]"),
-        (edit_dataset(lambda t: t.update(pose=t["pose"][:-1])), "'pose'"),
-        (edit_dataset(lambda t: t.update(sem_mask=t["sem_mask"][:, :, 1:])), "'sem_mask'"),
-        (edit_dataset(lambda t: t.pop("n_boxes")), "expected tensors"),
-        (lambda path: scenes.write_sample(scenes.read_dataset(path)[0], path), "bad magic"),
-        (edit_dataset(lambda t: t.update({k: v[:0] for k, v in t.items()})),
-         "at least one sample"),
-        (edit_dataset(set_first("gt_vertices", np.nan)), "'gt_vertices' has non-finite"),
-        (edit_dataset(set_first("image", 7.0)), "'image' has entries outside"),
-        (edit_dataset(set_first("gt_contacts", 9)), "'gt_contacts' has entries outside"),
-        (edit_dataset(set_first("sem_mask", -4)), "'sem_mask' has entries outside"),
-        (edit_dataset(set_first("bp_grid", -1)), "'bp_grid' has entries outside"),
-        (edit_dataset(set_first("bp_grid", 9)), "'bp_grid' has entries outside \\[0, 8\\]"),
-        (edit_dataset(set_first("bp_mask", 9)), "'bp_mask' has entries outside \\[0, 8\\]"),
-        (edit_dataset(lambda t: t.update(pose=t["pose"][:, :3])), "'pose'"),
-    ], ids=["negative_count", "count_past_max_boxes", "sample_count_mismatch", "mask_extent",
-            "missing_counts", "sample_file", "no_samples", "nan_vertex", "image_above_one",
-            "contact_label_9", "negative_class", "negative_part", "grid_part_9", "mask_part_9",
-            "pose_length_3"])
-    def test_malformed_dataset_rejected(self, config, template, tmp_path, corrupt, message):
-        path = tmp_path / "ds.bin"
-        scenes.write_dataset(scenes.generate_dataset(config, template, 3, seed=11), path)
-        corrupt(path)
-        with pytest.raises(DataError, match=message):
-            scenes.read_dataset(path)
-
-    @pytest.mark.parametrize("edit, message", [
-        (lambda t: t.update({k: np.zeros(2) for k in t}), "'image' is float64 of shape"),
-        (lambda t: t.update(image=t["image"][0]), "'image'"),
-        (lambda t: t.update(sem_mask=t["sem_mask"][:, 1:]), "'sem_mask'"),
-        (lambda t: t.update(bp_mask=t["bp_mask"].astype(np.float64)), "'bp_mask' is float64"),
-        (lambda t: t.update(gt_contacts=t["gt_contacts"][1:]), "'gt_contacts'"),
-        (lambda t: t.update(gt_contacts=t["gt_contacts"].astype(np.int32)), "'gt_contacts'"),
-        (lambda t: t.update(bp_grid=t["bp_grid"][1:]), "'bp_grid'"),
-        (lambda t: t.update(pose=t["pose"][None]), "'pose'"),
-        (lambda t: t.update(boxes=np.zeros((1, 5))), "'boxes'"),
-        (lambda t: t.pop("pose"), "expected tensors"),
-        (set_first("pose", np.inf), "'pose' has non-finite"),
-        (lambda t: t.update(boxes=np.full((1, 6), np.nan)), "'boxes' has non-finite"),
-        (set_first("image", -0.5), "'image' has entries outside"),
-        (set_first("sem_grid", scenes.SceneConfig.c_sem), "'sem_grid' has entries outside"),
-        (set_first("bp_mask", -1), "'bp_mask' has entries outside"),
-        (set_first("bp_mask", scenes.SceneConfig.c_bp), "'bp_mask' has entries outside"),
-        (set_first("bp_grid", scenes.SceneConfig.c_bp), "'bp_grid' has entries outside"),
-        (lambda t: t.update(pose=t["pose"][:3]), "'pose'"),
+        (edit_sample(lambda t: t.update({k: np.zeros(2) for k in t})),
+         "'image' is float64 of shape"),
+        (edit_sample(lambda t: t.update(image=t["image"][0])), "'image'"),
+        (edit_sample(lambda t: t.update(sem_mask=t["sem_mask"][:, 1:])), "'sem_mask'"),
+        (edit_sample(lambda t: t.update(bp_mask=t["bp_mask"].astype(np.float64))),
+         "'bp_mask' is float64"),
+        (edit_sample(lambda t: t.update(gt_contacts=t["gt_contacts"][1:])), "'gt_contacts'"),
+        (edit_sample(lambda t: t.update(gt_contacts=t["gt_contacts"].astype(np.int32))),
+         "'gt_contacts'"),
+        (edit_sample(lambda t: t.update(bp_grid=t["bp_grid"][1:])), "'bp_grid'"),
+        (edit_sample(lambda t: t.update(pose=t["pose"][None])), "'pose'"),
+        (edit_sample(lambda t: t.update(boxes=np.zeros((1, 5)))), "'boxes'"),
+        (edit_sample(lambda t: t.pop("pose")), "expected tensors"),
+        (edit_sample(set_first("pose", np.inf)), "'pose' has non-finite"),
+        (edit_sample(lambda t: t.update(boxes=np.full((1, 6), np.nan))),
+         "'boxes' has non-finite"),
+        (edit_sample(set_first("image", -0.5)), "'image' has entries outside"),
+        (edit_sample(set_first("sem_grid", scenes.SceneConfig.c_sem)),
+         "'sem_grid' has entries outside"),
+        (edit_sample(set_first("bp_mask", -1)), "'bp_mask' has entries outside"),
+        (edit_sample(set_first("bp_mask", scenes.SceneConfig.c_bp)),
+         "'bp_mask' has entries outside"),
+        (edit_sample(set_first("bp_grid", scenes.SceneConfig.c_bp)),
+         "'bp_grid' has entries outside"),
+        (edit_sample(lambda t: t.update(pose=t["pose"][:3])), "'pose'"),
+        (edit_sample(set_first("gt_contacts", 9)), "'gt_contacts' has entries outside \\[0, 1\\]"),
+        (edit_sample(set_first("sem_mask", -4)), "'sem_mask' has entries outside"),
+        (edit_sample(set_first("gt_vertices", np.nan)), "'gt_vertices' has non-finite"),
+        (other_magic, "bad magic"),
     ], ids=["all_float_pairs", "image_rank", "mask_extent", "float_mask", "contacts_extent",
             "int_contacts", "grid_extent", "pose_rank", "box_width", "missing", "inf_pose",
             "nan_boxes", "negative_image", "class_past_c_sem", "negative_part",
-            "mask_part_past_c_bp", "grid_part_past_c_bp", "pose_length_3"])
-    def test_malformed_sample_rejected(self, config, template, tmp_path, edit, message):
+            "mask_part_past_c_bp", "grid_part_past_c_bp", "pose_length_3", "contact_label_9",
+            "negative_class", "nan_vertex", "other_magic"])
+    def test_malformed_sample_rejected(self, config, template, tmp_path, corrupt, message):
         path = tmp_path / "sample.bin"
         scenes.write_sample(scenes.generate_sample(config, template, np.random.default_rng(0)),
                             path)
-        tensors = read_tensor_file(path, scenes.SAMPLE_MAGIC)
-        edit(tensors)
-        write_tensor_file(path, scenes.SAMPLE_MAGIC, tensors)
+        corrupt(path)
         with pytest.raises(DataError, match=message):
             scenes.read_sample(path)
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (edit_sample(lambda t: t.update(sem_mask=t["sem_mask"][1:])), "'sem_mask'"),
+        (edit_sample(set_first("image", 7.0)), "'image' has entries outside"),
+        (edit_sample(set_first("bp_grid", -1)), "'bp_grid' has entries outside"),
+        (edit_sample(set_first("bp_grid", 9)), "'bp_grid' has entries outside \\[0, 8\\]"),
+        (edit_sample(set_first("bp_mask", 9)), "'bp_mask' has entries outside \\[0, 8\\]"),
+        (edit_sample(lambda t: t.update(pose=t["pose"][:3])), "'pose'"),
+    ], ids=["mask_extent", "image_above_one", "negative_part", "grid_part_9", "mask_part_9",
+            "pose_length_3"])
+    def test_malformed_dataset_rejected(self, config, template, tmp_path, corrupt, message):
+        # A sample set is a seed range, one file per sample, each read alone; the
+        # corruption is caught in every file of it, the box-free [11, 2] included.
+        for i in range(3):
+            path = tmp_path / f"{i}.bin"
+            scenes.write_sample(
+                scenes.generate_sample(config, template, np.random.default_rng([11, i])), path)
+            corrupt(path)
+            with pytest.raises(DataError, match=message):
+                scenes.read_sample(path)
 
     @pytest.mark.parametrize("name, edit, message", [
         ("image", lambda x: np.full_like(x, 2.0), "'image' has entries outside"),
@@ -406,49 +408,30 @@ class TestDatasetIO:
         ("bp_grid", lambda x: np.full_like(x, 9), "'bp_grid' has entries outside \\[0, 8\\]"),
     ], ids=["image_above_one", "flat_boxes", "contacts_extent", "nan_pose", "pose_length_3",
             "mask_part_9", "grid_part_9"])
-    @pytest.mark.parametrize("write", [scenes.write_sample,
-                                       lambda s, path: scenes.write_dataset([s, s], path)],
-                             ids=["sample", "dataset"])
-    def test_unreadable_sample_not_written(self, config, template, tmp_path, write, name, edit,
+    def test_unreadable_sample_not_written(self, config, template, tmp_path, name, edit,
                                            message):
         # write_sample wrote these, and read_sample rejected the file.
         s = scenes.generate_sample(config, template, np.random.default_rng(0))
         s = dataclasses.replace(s, **{name: edit(getattr(s, name))})
         with pytest.raises(DataError, match=message):
-            write(s, tmp_path / "out.bin")
+            scenes.write_sample(s, tmp_path / "out.bin")
         assert not (tmp_path / "out.bin").exists()
 
-    def test_dataset_of_different_vertex_counts_rejected(self, config, template, tmp_path):
-        # np.stack raised a bare ValueError naming no field.
-        a = scenes.generate_sample(config, template, np.random.default_rng(0))
-        b = dataclasses.replace(a, gt_vertices=a.gt_vertices[1:], gt_contacts=a.gt_contacts[1:])
-        v = len(a.gt_vertices)
-        with pytest.raises(ShapeError, match=f"'gt_vertices'.*\\({v - 1}, 3\\), \\({v}, 3\\)"):
-            scenes.write_dataset([a, b], tmp_path / "ds.bin")
-        assert not (tmp_path / "ds.bin").exists()
-
-    @pytest.mark.parametrize("read", [scenes.read_sample, scenes.read_dataset])
     @pytest.mark.parametrize("name", ["missing.bin", "."], ids=["missing", "directory"])
-    def test_unreadable_path_rejected(self, tmp_path, read, name):
+    def test_unreadable_path_rejected(self, tmp_path, name):
         path = tmp_path / name
         with pytest.raises(DataError, match="cannot read") as info:
-            read(path)
+            scenes.read_sample(path)
         assert str(path) in str(info.value)
         assert isinstance(info.value.__cause__, OSError)
 
     def test_truncated_sample_reports_offset(self, config, template, tmp_path):
-        path = tmp_path / "ds.bin"
-        scenes.write_dataset(scenes.generate_dataset(config, template, 1, seed=14), path)
+        path = tmp_path / "sample.bin"
+        s = scenes.generate_sample(config, template, np.random.default_rng([14, 0]))
+        scenes.write_sample(s, path)
         path.write_bytes(path.read_bytes()[:100])
         with pytest.raises(DataError, match="offset"):
-            scenes.read_dataset(path)
-
-    def test_same_seed_identical_datasets(self, config, template, tmp_path):
-        a = scenes.generate_dataset(config, template, 2, seed=77)
-        b = scenes.generate_dataset(config, template, 2, seed=77)
-        scenes.write_dataset(a, tmp_path / "a.bin")
-        scenes.write_dataset(b, tmp_path / "b.bin")
-        assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+            scenes.read_sample(path)
 
 
 class TestRasterizer:
@@ -563,12 +546,11 @@ class TestRasterizer:
             assert np.array_equal(image, s.image)
 
     def test_seeded_dataset_bytes_unchanged(self, config, template, tmp_path):
-        samples = scenes.generate_dataset(config, template, 32, seed=2024)
-        scenes.write_dataset(samples, tmp_path / "ds.bin")
-        for written in (samples, scenes.read_dataset(tmp_path / "ds.bin")):
-            digests = []
-            for i, s in enumerate(written):
-                scenes.write_sample(s, tmp_path / f"{i}.bin")
-                digests.append(hashlib.sha256((tmp_path / f"{i}.bin").read_bytes()).hexdigest())
-            assert tuple(digests) == DATASET_SHA256
+        samples = [scenes.generate_sample(config, template, np.random.default_rng([2024, i]))
+                   for i in range(32)]
+        digests = []
+        for i, s in enumerate(samples):
+            scenes.write_sample(s, tmp_path / f"{i}.bin")
+            digests.append(hashlib.sha256((tmp_path / f"{i}.bin").read_bytes()).hexdigest())
+        assert tuple(digests) == DATASET_SHA256
 

