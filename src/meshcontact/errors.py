@@ -51,7 +51,7 @@ class ContractError(MeshContactError):
 
 
 class DataError(MeshContactError):
-    """A sample file is missing or corrupt, or a sample would not read back. CLI exit code 3."""
+    """A sample file is missing, corrupt or unwritable, or would not read back. CLI exit code 3."""
 
 
 class GenerationError(MeshContactError):

@@ -40,7 +40,9 @@ class LossWeights:
     def __post_init__(self):
         for f in fields(self):
             w = getattr(self, f.name)
-            if not isinstance(w, numbers.Real) or not 0.0 <= w < np.inf:  # NaN fails both
+            # bool is a numbers.Real; it is rejected here as in every integer field.
+            if (isinstance(w, bool) or not isinstance(w, numbers.Real)
+                    or not 0.0 <= w < np.inf):  # NaN fails both range tests
                 raise ConfigError(f"LossWeights.{f.name} must be a finite real number >= 0, "
                                   f"got {w!r}")
 

@@ -29,7 +29,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, ContractError, NumericsError, ShapeError, check_int_fields
+from .errors import (ConfigError, ContractError, NumericsError, ShapeError, _is_int,
+                     check_int_fields)
 
 JOINTS = 8  # chain segments; the radius plan, base poses and part palette are written for 8
 RING_SIZE = 6  # vertices per ring
@@ -227,7 +228,7 @@ def geodesic_distances(template: MeshTemplate, sources) -> Tensor:
         raise ContractError("geodesic_distances needs at least one source vertex")
     n = template.v_full
     for s in sources:
-        if isinstance(s, bool) or not isinstance(s, (int, np.integer)):
+        if not _is_int(s):
             raise ContractError(f"source vertex {s!r} is not an integer index")
         if not 0 <= s < n:
             raise ContractError(f"source vertex {s} outside [0, {n})")

@@ -90,7 +90,8 @@ _BASE_POSES = np.array([
     [0.0, -0.35, 0.3, 0.35, -0.3, 0.2, 0.0] + [0.0, 0.2, -0.2, 0.0, 0.0],  # S-bend
 ])
 
-_MODES = ("standing", "leaning", "lying")
+# Placement mode -> range of the tilt from upright drawn for it; lying is flat, with no draw.
+_MODES = (("standing", (0.0, 0.12)), ("leaning", (0.45, 0.95)), ("lying", None))
 
 
 @dataclass(frozen=True)
@@ -143,17 +144,12 @@ def surface_distances(points: np.ndarray, boxes: np.ndarray) -> np.ndarray:
     The ground plane y=0 contributes |y|; each box contributes the usual
     Euclidean distance outside and the distance to the nearest face inside.
     """
-    d = np.abs(points[:, 1])
-    for box in boxes:
-        lo = box[:3]
-        hi = box[:3] + box[3:]
-        center = (lo + hi) / 2.0
-        half = (hi - lo) / 2.0
-        q = np.abs(points - center) - half
-        outside = np.linalg.norm(np.maximum(q, 0.0), axis=1)
-        inside = -q.max(axis=1)  # depth below the nearest face when interior
-        d = np.minimum(d, np.where(q.max(axis=1) > 0.0, outside, inside))
-    return d
+    lo = boxes[:, :3]
+    hi = lo + boxes[:, 3:]
+    q = np.abs(points[:, None] - (lo + hi) / 2.0) - (hi - lo) / 2.0  # (points, boxes, 3)
+    q_max = q.max(axis=2)
+    to_box = np.where(q_max > 0.0, np.linalg.norm(np.maximum(q, 0.0), axis=2), -q_max)
+    return np.column_stack([np.abs(points[:, 1]), to_box]).min(axis=1)
 
 
 def contact_labels(points: np.ndarray, boxes: np.ndarray) -> np.ndarray:
@@ -161,12 +157,11 @@ def contact_labels(points: np.ndarray, boxes: np.ndarray) -> np.ndarray:
 
 
 def _support_height(x, z, boxes):
-    h = np.zeros_like(x)
-    for box in boxes:
-        lo, size = box[:3], box[3:]
-        inside = (x >= lo[0]) & (x <= lo[0] + size[0]) & (z >= lo[2]) & (z <= lo[2] + size[2])
-        h = np.where(inside, np.maximum(h, lo[1] + size[1]), h)
-    return h
+    """Top of the highest box whose closed x/z footprint holds each point, else 0 (the ground)."""
+    lo, hi = boxes[:, :3], boxes[:, :3] + boxes[:, 3:]
+    under = ((x[:, None] >= lo[:, 0]) & (x[:, None] <= hi[:, 0])
+             & (z[:, None] >= lo[:, 2]) & (z[:, None] <= hi[:, 2]))
+    return np.max(np.where(under, hi[:, 1], 0.0), axis=1, initial=0.0)
 
 
 def _rot_y(t):
@@ -342,15 +337,10 @@ def generate_sample(config: SceneConfig, template: MeshTemplate, rng) -> Sample:
     pose = base + rng.normal(0.0, POSE_JITTER, size=base.size)
     posed = pose_vertices(template, pose)
 
-    mode = _MODES[rng.integers(len(_MODES))]
+    _, tilt_range = _MODES[rng.integers(len(_MODES))]
     roll = rng.uniform(0.0, 2.0 * math.pi)
     yaw = rng.uniform(0.0, 2.0 * math.pi)
-    if mode == "standing":
-        tilt = rng.uniform(0.0, 0.12)
-    elif mode == "leaning":
-        tilt = rng.uniform(0.45, 0.95)
-    else:
-        tilt = math.pi / 2.0
+    tilt = rng.uniform(*tilt_range) if tilt_range else math.pi / 2.0
     rot = _rot_y(yaw) @ _rot_z(tilt) @ _rot_y(roll)
     verts = posed @ rot.T
     verts[:, 0] += rng.uniform(-3.0, 3.0)

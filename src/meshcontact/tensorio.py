@@ -3,8 +3,8 @@
 A file is a magic followed by one named-tensor table (all little-endian):
 int32 entry count, then per entry a name (int32 length + utf-8 bytes), an
 int32 dtype code, an int32 rank, the int32 extents, and the raw array
-bytes.  Every missing or malformed file raises `DataError`, with the byte
-offset for table parse errors.
+bytes.  Every missing or malformed file, and every path that cannot be
+written, raises `DataError`, with the byte offset for table parse errors.
 
 A format's layout table is the one place for its rules, each tensor's
 dtype kind, shape and value range, and `check_layout` checks them all.
@@ -107,7 +107,10 @@ def write_tensor_file(path, magic: bytes, tensors: dict):
     buf = io.BytesIO()
     buf.write(magic)
     write_tensor_table(buf, tensors)
-    Path(path).write_bytes(buf.getvalue())
+    try:
+        Path(path).write_bytes(buf.getvalue())
+    except OSError as exc:
+        raise DataError(f"{path}: cannot write: {exc.strerror}") from exc
 
 
 def read_tensor_file(path, magic: bytes) -> dict:

@@ -39,13 +39,15 @@ from meshcontact.multipath import PathConfig, RoutingParams
     lambda: LossWeights(mesh=None),
     lambda: LossWeights(mesh="1"),
     lambda: LossWeights(mesh=1j),
+    # True constructed as a weight of 1, though every integer config field rejects a bool.
+    lambda: LossWeights(mesh=True),
 ], ids=[
     "paths-5",
     "depth-0", "mlp-0", "token-dim-0",
     "channel-0", "last-channel-0", "token-dim-mismatch",
     "routing-empty",
     "loss-weight-nan", "loss-weight-negative", "loss-weight-inf", "loss-weight-minus-inf",
-    "loss-weight-none", "loss-weight-str", "loss-weight-complex",
+    "loss-weight-none", "loss-weight-str", "loss-weight-complex", "loss-weight-bool",
 ])
 def test_invalid_value_rejected_on_construction(make):
     with pytest.raises(ConfigError):

@@ -250,6 +250,58 @@ class TestGenerateSample:
             scenes.SceneConfig(c_bp=4)
 
 
+def scalar_support_height(x, z, boxes):
+    """Top of the highest box whose closed x/z footprint holds each point, else 0 (the ground)."""
+    heights = []
+    for xi, zi in zip(x, z):
+        h = 0.0
+        for lo_x, lo_y, lo_z, size_x, size_y, size_z in boxes:
+            if lo_x <= xi <= lo_x + size_x and lo_z <= zi <= lo_z + size_z:
+                h = max(h, lo_y + size_y)
+        heights.append(h)
+    return np.array(heights)
+
+
+# Box sets with integer corners and sizes: none, one, and three that overlap pairwise.
+# The first two share the footprint [2, 4] x [2, 4], where the second's top is higher.
+BOX_SETS = [
+    np.zeros((0, 6)),
+    np.array([[0.0, 0.0, 0.0, 4.0, 2.0, 4.0]]),
+    np.array([[0.0, 0.0, 0.0, 4.0, 2.0, 4.0], [2.0, 1.0, 2.0, 4.0, 4.0, 4.0],
+              [1.0, 0.0, 3.0, 2.0, 6.0, 3.0]]),
+]
+
+
+class TestGeometry:
+    # Every integer point of [-2, 7]^3: the faces, edges and corners of every box in
+    # BOX_SETS, and points inside them, outside them and below the ground.
+    GRID = np.stack(np.meshgrid(*[np.arange(-2.0, 8.0)] * 3, indexing="ij"), -1).reshape(-1, 3)
+
+    def test_surface_distances_match_brute_force(self):
+        rng = np.random.default_rng(0)
+        for boxes in BOX_SETS:
+            # Grid arithmetic is exact, so the two formulas agree to the bit.
+            assert np.array_equal(scenes.surface_distances(self.GRID, boxes),
+                                  [brute_force_distance(p, boxes) for p in self.GRID])
+            points = rng.uniform(-2.0, 7.0, size=(500, 3))
+            np.testing.assert_allclose(scenes.surface_distances(points, boxes),
+                                       [brute_force_distance(p, boxes) for p in points],
+                                       rtol=0, atol=1e-12)
+
+    def test_support_height_matches_scalar_loop(self):
+        rng = np.random.default_rng(0)
+        # Integer points lie on the closed edges of every footprint.
+        xz = np.vstack([self.GRID[:, [0, 2]], rng.uniform(-2.0, 7.0, size=(500, 2))])
+        x, z = xz[:, 0].copy(), xz[:, 1].copy()
+        for boxes in BOX_SETS:
+            got = scenes._support_height(x, z, boxes)
+            assert got.dtype == np.float64 and got.shape == x.shape
+            assert np.array_equal(got, scalar_support_height(x, z, boxes))
+        corners = np.array([0.0, 2.0, 4.0, 6.0, 6.5])
+        assert np.array_equal(scenes._support_height(corners, corners, BOX_SETS[2][:2]),
+                              [2.0, 5.0, 5.0, 5.0, 0.0])
+
+
 class TestContactPrevalence:
     def test_average_prevalence_in_band(self, config, template):
         samples = [scenes.generate_sample(config, template, np.random.default_rng([123, i]))
@@ -422,6 +474,16 @@ class TestDatasetIO:
         path = tmp_path / name
         with pytest.raises(DataError, match="cannot read") as info:
             scenes.read_sample(path)
+        assert str(path) in str(info.value)
+        assert isinstance(info.value.__cause__, OSError)
+
+    @pytest.mark.parametrize("name", [".", "missing/s.bin"], ids=["directory", "missing-parent"])
+    def test_unwritable_path_rejected(self, config, template, tmp_path, name):
+        # IsADirectoryError and FileNotFoundError leaked from the write.
+        path = tmp_path / name
+        s = scenes.generate_sample(config, template, np.random.default_rng(0))
+        with pytest.raises(DataError, match="cannot write") as info:
+            scenes.write_sample(s, path)
         assert str(path) in str(info.value)
         assert isinstance(info.value.__cause__, OSError)
 
