@@ -37,6 +37,7 @@ from .errors import (
     NonDifferentiableOpError,
     NumericsError,
     ShapeError,
+    _is_int,
 )
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -291,6 +292,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
             f"attention needs equal [T x D] q, k, v, got {q.shape}, {k.shape}, {v.shape}"
         )
     t, d = q.shape
+    if not _is_int(heads):
+        raise ContractError(f"attention head count must be an integer, got {heads!r}")
     if heads < 1 or d % heads:
         raise ShapeError(f"head count {heads} does not divide token width {d}")
     if t == 0:
@@ -349,7 +352,7 @@ def transpose(a: Tensor, axes) -> Tensor:
 
     try:
         out = np.transpose(a.data, axes)
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
         raise ShapeError(f"cannot transpose {a.shape} by axes {axes}") from exc
     return _emit("transpose", (a,), out, bwd)
 
@@ -362,7 +365,7 @@ def reshape(a: Tensor, shape) -> Tensor:
 
     try:
         out = a.data.reshape(shape)
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
         raise ShapeError(f"cannot reshape {a.shape} to {shape}") from exc
     return _emit("reshape", (a,), out, bwd)
 
@@ -373,7 +376,7 @@ def concat(tensors, axis=0) -> Tensor:
         raise ContractError("concat of an empty tensor list")
     try:
         out = np.concatenate([t.data for t in tensors], axis=axis)
-    except ValueError as exc:  # numpy's AxisError too
+    except (ValueError, TypeError) as exc:  # numpy's AxisError, or a float or bool axis
         raise ShapeError(f"concat on axis {axis} of shapes {[t.shape for t in tensors]}") from exc
     splits = np.cumsum([t.shape[axis] for t in tensors])[:-1]
 
@@ -386,6 +389,9 @@ def concat(tensors, axis=0) -> Tensor:
 
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     """Contiguous slice [start, start+length) along one axis."""
+    if not all(map(_is_int, (axis, start, length))):  # a bool would index as 0 or 1
+        raise ContractError(f"narrow needs integer axis, start and length, "
+                            f"got {axis!r}, {start!r}, {length!r}")
     if not (-a.ndim <= axis < a.ndim and 0 <= start and 0 <= length
             and start + length <= a.shape[axis]):
         raise ShapeError(
@@ -444,7 +450,7 @@ def mean(a: Tensor, axis=None) -> Tensor:
     shape = a.shape
     try:
         out = a.data.mean(axis=axis)
-    except ValueError as exc:  # numpy's AxisError
+    except (ValueError, TypeError) as exc:  # numpy's AxisError, or a float or bool axis
         raise ShapeError(f"mean over axis {axis} of shape {shape}") from exc
     axes = axis if isinstance(axis, tuple) else (axis,)
     count = a.size if axis is None else math.prod(shape[ax] for ax in axes)

@@ -2,9 +2,12 @@
 
 A file is a magic followed by one named-tensor table (all little-endian):
 int32 entry count, then per entry a name (int32 length + utf-8 bytes), an
-int32 dtype code, an int32 rank, the int32 extents, and the raw array
-bytes.  Every missing or malformed file, and every path that cannot be
-written, raises `DataError`, with the byte offset for table parse errors.
+int32 dtype code, an int32 rank, the int32 extents, and the raw C-order
+array bytes.  The dtype codes are 0 for float64, 1 for int32 and 2 for
+uint8.  No other dtype is written, so a file reads back with the dtypes it
+was written with.  Every missing or malformed file, every path that cannot
+be written and every tensor of another dtype raises `DataError`, with the
+byte offset for table parse errors.
 
 A format's layout table is the one place for its rules, each tensor's
 dtype kind, shape and value range, and `check_layout` checks them all.
@@ -12,7 +15,6 @@ dtype kind, shape and value range, and `check_layout` checks them all.
 
 from __future__ import annotations
 
-import io
 import math
 import struct
 from pathlib import Path
@@ -21,37 +23,36 @@ import numpy as np
 
 from .errors import DataError
 
-_DTYPES = {0: "<f8", 1: "<i4", 2: "u1"}
-_INT32 = np.iinfo(np.int32)
+_DTYPES = (np.dtype("<f8"), np.dtype("<i4"), np.dtype("u1"))  # indexed by dtype code
 
 
-def _dtype_code(name, arr):
-    if arr.dtype.kind == "f":
-        return 0
-    if arr.dtype.kind == "i":
-        return 1
-    if arr.dtype == np.uint8:
-        return 2
-    raise DataError(f"tensor {name!r} has unsupported dtype {arr.dtype}")
-
-
-def write_tensor_table(fh, tensors: dict):
-    fh.write(struct.pack("<i", len(tensors)))
+def write_tensor_file(path, magic: bytes, tensors: dict):
+    """Write `magic` and the table; a table that fails to serialize leaves `path` as it was."""
+    parts = [magic, struct.pack("<i", len(tensors))]
     for name, arr in tensors.items():
         arr = np.asarray(arr)
-        code = _dtype_code(name, arr)
-        if code == 1 and arr.dtype != np.int32 and arr.size and (
-                arr.min() < _INT32.min or arr.max() > _INT32.max):
-            raise DataError(f"tensor {name!r} has values outside the int32 range")
+        if arr.dtype not in _DTYPES:
+            raise DataError(f"{path}: tensor {name!r} has unsupported dtype {arr.dtype}")
         raw = name.encode("utf-8")
-        fh.write(struct.pack("<i", len(raw)))
-        fh.write(raw)
-        fh.write(struct.pack("<ii", code, arr.ndim))
-        fh.write(struct.pack(f"<{arr.ndim}i", *arr.shape))
-        fh.write(np.ascontiguousarray(arr, dtype=_DTYPES[code]).tobytes())
+        parts += [struct.pack("<i", len(raw)), raw,
+                  struct.pack(f"<ii{arr.ndim}i", _DTYPES.index(arr.dtype), arr.ndim, *arr.shape),
+                  arr.tobytes()]
+    try:
+        Path(path).write_bytes(b"".join(parts))
+    except OSError as exc:
+        raise DataError(f"{path}: cannot write: {exc.strerror}") from exc
 
 
-def read_tensor_table(buf: bytes, offset: int = 0) -> tuple[dict, int]:
+def read_tensor_file(path, magic: bytes) -> dict:
+    """The tensor table of a file written by `write_tensor_file` with `magic`."""
+    try:
+        buf = Path(path).read_bytes()
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read: {exc.strerror}") from exc
+    if buf[: len(magic)] != magic:
+        raise DataError(f"{path}: bad magic {buf[: len(magic)]!r}, expected {magic!r}")
+    offset = len(magic)
+
     def need(n, what):
         if offset + n > len(buf):
             raise DataError(f"truncated tensor table: needed {n} bytes for {what} "
@@ -79,7 +80,7 @@ def read_tensor_table(buf: bytes, offset: int = 0) -> tuple[dict, int]:
         offset += nlen
         need(8, "dtype/rank")
         code, ndim = struct.unpack_from("<ii", buf, offset)
-        if code not in _DTYPES:
+        if code not in range(len(_DTYPES)):
             raise DataError(f"unknown dtype code {code} for {name!r} at offset {offset}")
         if ndim < 0:
             raise DataError(f"negative rank {ndim} for {name!r} at offset {offset + 4}")
@@ -89,7 +90,7 @@ def read_tensor_table(buf: bytes, offset: int = 0) -> tuple[dict, int]:
         if min(shape, default=0) < 0:
             raise DataError(f"negative extent in {shape} for {name!r} at offset {offset}")
         offset += 4 * ndim
-        dt = np.dtype(_DTYPES[code])
+        dt = _DTYPES[code]
         nbytes = math.prod(shape) * dt.itemsize
         need(nbytes, f"data of {name!r}")
         flat = np.frombuffer(buf[offset : offset + nbytes], dtype=dt)
@@ -99,32 +100,9 @@ def read_tensor_table(buf: bytes, offset: int = 0) -> tuple[dict, int]:
             raise DataError(f"bad shape {shape} for {name!r} at offset {offset}: {exc}") from exc
         offset += nbytes
         out[name] = arr
-    return out, offset
-
-
-def write_tensor_file(path, magic: bytes, tensors: dict):
-    """Write `magic` and the table; a table that fails to serialize leaves `path` as it was."""
-    buf = io.BytesIO()
-    buf.write(magic)
-    write_tensor_table(buf, tensors)
-    try:
-        Path(path).write_bytes(buf.getvalue())
-    except OSError as exc:
-        raise DataError(f"{path}: cannot write: {exc.strerror}") from exc
-
-
-def read_tensor_file(path, magic: bytes) -> dict:
-    """The tensor table of a file written by `write_tensor_file` with `magic`."""
-    try:
-        buf = Path(path).read_bytes()
-    except OSError as exc:
-        raise DataError(f"{path}: cannot read: {exc.strerror}") from exc
-    if buf[: len(magic)] != magic:
-        raise DataError(f"{path}: bad magic {buf[: len(magic)]!r}, expected {magic!r}")
-    tensors, end = read_tensor_table(buf, len(magic))
-    if end != len(buf):
-        raise DataError(f"{path}: {len(buf) - end} trailing bytes at offset {end}")
-    return tensors
+    if offset != len(buf):
+        raise DataError(f"{path}: {len(buf) - offset} trailing bytes at offset {offset}")
+    return out
 
 
 def check_layout(path, tensors: dict, layout: dict):

@@ -378,6 +378,30 @@ class TestShapeErrors:
         with pytest.raises(ShapeError, match=r"\(2, 3\) by axes " + re.escape(str(axes))):
             ad.transpose(ad.Tensor(np.zeros((2, 3))), axes)
 
+    # narrow read a bool as 0 or 1 in silence (True as axis 1, or as start row 1); every
+    # other case leaked numpy's TypeError.
+    @pytest.mark.parametrize("call, error", [
+        (lambda x: ad.narrow(x, True, 0, 2), ContractError),
+        (lambda x: ad.narrow(x, 0, True, 2), ContractError),
+        (lambda x: ad.narrow(x, 1.0, 0, 2), ContractError),
+        (lambda x: ad.narrow(x, 0, 0, 2.0), ContractError),
+        (lambda x: ad.attention(x, x, x, 2.0), ContractError),
+        (lambda x: ad.attention(x, x, x, True), ContractError),
+        (lambda x: ad.concat([x, x], axis=1.5), ShapeError),
+        (lambda x: ad.concat([x, x], axis=True), ShapeError),
+        (lambda x: ad.mean(x, axis=1.5), ShapeError),
+        (lambda x: ad.mean(x, axis=True), ShapeError),
+        (lambda x: ad.transpose(x, (1.0, 0.0)), ShapeError),
+        (lambda x: ad.reshape(x, (True, 12)), ShapeError),
+        (lambda x: ad.reshape(x, (1.0, 12)), ShapeError),
+    ], ids=["narrow-bool-axis", "narrow-bool-start", "narrow-float-axis", "narrow-float-length",
+            "attention-float-heads", "attention-bool-heads", "concat-float-axis",
+            "concat-bool-axis", "mean-float-axis", "mean-bool-axis", "transpose-float-axes",
+            "reshape-bool-extent", "reshape-float-extent"])
+    def test_non_integer_argument_rejected(self, call, error):
+        with pytest.raises(error):
+            call(ad.Tensor(np.zeros((3, 4))))
+
 
 class TestGatherRows:
     @pytest.mark.parametrize("indices", [np.array([0.9, 2.7]), np.array([True, False])],

@@ -37,3 +37,24 @@ def test_every_defined_name_is_used():
         if words[name] < 2 and not (name.startswith("__") and name.endswith("__"))
     )
     assert not dead, f"defined but never used: {dead}"
+
+
+def unused_imports(path):
+    """Names an import binds in the module at `path` that no expression there reads."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound = {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        or (isinstance(node, ast.ImportFrom) and node.module != "__future__")
+        for alias in node.names
+    }
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return bound - read
+
+
+def test_every_import_is_used():
+    unused = sorted(
+        f"{path.name}:{name}" for path in PACKAGE.glob("*.py") for name in unused_imports(path)
+    )
+    assert not unused, f"imported but never used: {unused}"

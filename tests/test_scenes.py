@@ -458,8 +458,11 @@ class TestDatasetIO:
         ("pose", lambda x: x[:3], "'pose' is float64 of shape \\(3,\\)"),
         ("bp_mask", lambda x: np.full_like(x, 9), "'bp_mask' has entries outside \\[0, 8\\]"),
         ("bp_grid", lambda x: np.full_like(x, 9), "'bp_grid' has entries outside \\[0, 8\\]"),
+        # These two were written, and read back as int32 and float64.
+        ("sem_mask", lambda x: x.astype(np.int64), "'sem_mask' has unsupported dtype int64"),
+        ("image", lambda x: x.astype(np.float32), "'image' has unsupported dtype float32"),
     ], ids=["image_above_one", "flat_boxes", "contacts_extent", "nan_pose", "pose_length_3",
-            "mask_part_9", "grid_part_9"])
+            "mask_part_9", "grid_part_9", "int64_mask", "float32_image"])
     def test_unreadable_sample_not_written(self, config, template, tmp_path, name, edit,
                                            message):
         # write_sample wrote these, and read_sample rejected the file.

@@ -1,6 +1,6 @@
 import importlib
-import io
 import pkgutil
+import re
 import struct
 
 import numpy as np
@@ -11,14 +11,18 @@ from hypothesis import strategies as st
 import meshcontact
 from meshcontact import mesh, scenes
 from meshcontact.errors import DataError
-from meshcontact.tensorio import (check_layout, read_tensor_table, write_tensor_file,
-                                  write_tensor_table)
+from meshcontact.tensorio import check_layout, read_tensor_file, write_tensor_file
 
 
-def table_bytes(tensors):
-    buf = io.BytesIO()
-    write_tensor_table(buf, tensors)
-    return buf.getvalue()
+def table_bytes(tensors, path):
+    """`tensors` written with no magic, so each table offset is a file offset."""
+    write_tensor_file(path, b"", tensors)
+    return path.read_bytes()
+
+
+def read_table(blob: bytes, path) -> dict:
+    path.write_bytes(blob)
+    return read_tensor_file(path, b"")
 
 
 def entry(name_field: bytes, code=0, ndim=1, extents=(1,), data=b"\x00" * 8):
@@ -67,31 +71,35 @@ class TestMalformedTable:
          + entry(struct.pack("<i", 1) + b"a", extents=(2,), data=np.ones(2).tobytes()),
          "repeated tensor name 'a' at offset 41"),
     ])
-    def test_typed_error_with_offset(self, blob, message):
+    def test_typed_error_with_offset(self, tmp_path, blob, message):
         with pytest.raises(DataError, match=message) as info:
-            read_tensor_table(blob)
+            read_table(blob, tmp_path / "t.bin")
         assert "offset" in str(info.value)
 
-    @pytest.mark.parametrize("values", [[2**40 + 5, -2**33], [2**31], [-2**31 - 1]])
-    def test_int_out_of_range_rejected(self, values):
-        with pytest.raises(DataError, match="'x'.*int32 range"):
-            table_bytes({"x": np.array(values, dtype=np.int64)})
-        edges = np.array([-2**31, 2**31 - 1], dtype=np.int64)  # the int32 range itself
-        assert np.array_equal(read_tensor_table(table_bytes({"x": edges}))[0]["x"], edges)
+    # Each was widened to float64 or narrowed to int32, so it read back with another dtype.
+    @pytest.mark.parametrize("dtype", ["float32", "float16", "int64", "int8", "bool", ">f8"],
+                             ids=["float32", "float16", "int64", "int8", "bool", "big-endian-f8"])
+    def test_other_dtypes_rejected(self, tmp_path, dtype):
+        dtype = np.dtype(dtype)
+        path = tmp_path / "t.bin"
+        with pytest.raises(DataError, match="tensor 'x' has unsupported dtype "
+                                            + re.escape(str(dtype))):
+            write_tensor_file(path, b"", {"f": np.ones(2), "x": np.ones(2, dtype=dtype)})
+        assert not path.exists()
 
-    def test_round_trip(self):
+    def test_round_trip(self, tmp_path):
         tensors = {
             "f": np.arange(6.0).reshape(2, 3),
-            "i": np.array([-1, 2], dtype=np.int32),
+            "i": np.array([-2**31, -1, 2, 2**31 - 1], dtype=np.int32),
             "u": np.zeros((0, 4), dtype=np.uint8),
             "scalar": np.float64(2.5),
             "ñame": np.ones(1),
         }
-        blob = table_bytes(tensors)
-        back, end = read_tensor_table(blob)
-        assert end == len(blob)
+        write_tensor_file(tmp_path / "t.bin", b"", tensors)
+        back = read_tensor_file(tmp_path / "t.bin", b"")
         assert list(back) == list(tensors)
         for name, arr in tensors.items():
+            assert back[name].dtype == np.asarray(arr).dtype
             assert back[name].shape == np.shape(arr)
             assert np.array_equal(back[name], arr)
 
@@ -100,8 +108,9 @@ def test_failed_write_keeps_the_old_file(tmp_path):
     path = tmp_path / "table.bin"
     write_tensor_file(path, b"MAGIC\x00", {"x": np.arange(3, dtype=np.int32)})
     good = path.read_bytes()
-    with pytest.raises(DataError, match="'x'.*int32 range"):
+    with pytest.raises(DataError, match="'x' has unsupported dtype int64") as info:
         write_tensor_file(path, b"MAGIC\x00", {"x": np.array([2**31], dtype=np.int64)})
+    assert str(path) in str(info.value)
     assert path.read_bytes() == good
 
 
@@ -132,14 +141,20 @@ _tables = st.dictionaries(st.text(max_size=6), _arrays, max_size=4)
 _flips = st.lists(st.tuples(st.integers(0, 2**20), st.integers(0, 7)), min_size=1, max_size=3)
 
 
+@pytest.fixture(scope="module")
+def table_path(tmp_path_factory):
+    """One file for every example; hypothesis rejects function-scoped fixtures such as tmp_path."""
+    return tmp_path_factory.mktemp("table") / "t.bin"
+
+
 class TestFuzzedTables:
     @settings(max_examples=300, deadline=None)
     @given(tensors=_tables, cut=st.integers(0, 2**20), flips=_flips, truncate=st.booleans())
-    def test_only_data_error_escapes(self, tensors, cut, flips, truncate):
-        blob = table_bytes(tensors)
+    def test_only_data_error_escapes(self, table_path, tensors, cut, flips, truncate):
+        blob = table_bytes(tensors, table_path)
         blob = blob[: cut % len(blob)] if truncate else flip(blob, flips)
         try:
-            read_tensor_table(blob)
+            read_table(blob, table_path)
         except DataError:
             pass
 
