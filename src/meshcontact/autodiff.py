@@ -12,12 +12,17 @@ reverse, summing gradient contributions over fan-out paths, and returns the
 gradient of each tensor in the caller's `params` dict under its key (a
 tensor's `name` is a label).
 
+A backward closure holds only the arrays, requires-grad flags and shapes
+its gradient formulas read, never a tensor: an input's array is kept only
+when a gradient that will be computed reads it.  So the tape keeps no
+activation its backward does not read, and as neither an entry nor its
+closure points at a tensor, a tape and the tensors that point at it through
+`_tape` form no reference cycle for the cyclic GC to find.
+
 A tape is replayed at most once.  `backward` drops each entry's closure as
 it reaches it, so each saved array is freed by reference counting as soon
 as its gradient is computed, and closing the scope drops any closure still
-held.  Entries keep their op kind and node ids, never a tensor, so once its
-closures are dropped a tape and the tensors that point at it through
-`_tape` form no reference cycle for the cyclic GC to find.
+held.  The entries keep their op kinds and node ids.
 
 Without an active tape every primitive is a plain numpy computation, which
 is what inference and finite-difference probing use.
@@ -174,23 +179,29 @@ def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
 # elementwise arithmetic
 
 
-def _broadcast_op(op, a: Tensor, b: Tensor, fn, grad_a, grad_b) -> Tensor:
+def _broadcast_op(op, a: Tensor, b: Tensor, fn, grad_a, grad_b, reads=("", "")) -> Tensor:
     """`fn(a.data, b.data)` under numpy broadcasting, recorded on the tape as `op`.
 
     `grad_a(g, x, y)` and `grad_b(g, x, y)` give the gradient of each input at the output's
     shape, from the output gradient `g` and the input arrays `x` and `y`.  Each is called
-    only if its input requires grad, and summed back to that input's shape.
+    only if its input requires grad, and summed back to that input's shape.  `reads` names
+    the arrays ("x", "y" or both) each formula reads; an array no called formula reads is
+    not kept, and reaches the formulas as None.
     """
     ad, bd = a.data, b.data
     try:
         out = fn(ad, bd)
     except ValueError as exc:
         raise ShapeError(f"{op} of shapes {a.shape} and {b.shape}: no broadcast") from exc
+    a_rg, b_rg, a_shape, b_shape = a.requires_grad, b.requires_grad, a.shape, b.shape
+    read = (reads[0] if a_rg else "") + (reads[1] if b_rg else "")
+    x = ad if "x" in read else None
+    y = bd if "y" in read else None
 
     def bwd(g):
         return (
-            _unbroadcast(grad_a(g, ad, bd), a.shape) if a.requires_grad else None,
-            _unbroadcast(grad_b(g, ad, bd), b.shape) if b.requires_grad else None,
+            _unbroadcast(grad_a(g, x, y), a_shape) if a_rg else None,
+            _unbroadcast(grad_b(g, x, y), b_shape) if b_rg else None,
         )
 
     return _emit(op, (a, b), out, bwd)
@@ -205,12 +216,13 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    return _broadcast_op("mul", a, b, np.multiply, lambda g, x, y: g * y, lambda g, x, y: g * x)
+    return _broadcast_op("mul", a, b, np.multiply, lambda g, x, y: g * y, lambda g, x, y: g * x,
+                         reads=("y", "x"))
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    return _broadcast_op(
-        "div", a, b, np.true_divide, lambda g, x, y: g / y, lambda g, x, y: -g * x / (y * y))
+    return _broadcast_op("div", a, b, np.true_divide, lambda g, x, y: g / y,
+                         lambda g, x, y: -g * x / (y * y), reads=("y", "xy"))
 
 
 def neg(a: Tensor) -> Tensor:
@@ -236,11 +248,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[-1] != b.shape[-2] or a.shape[:-2] != b.shape[:-2]:
         raise ShapeError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
     out = a.data @ b.data
-    ad, bd = a.data, b.data
+    a_rg, b_rg = a.requires_grad, b.requires_grad
+    ad = a.data if b_rg else None  # each operand is kept only for the other's gradient
+    bd = b.data if a_rg else None
 
     def bwd(g):
-        ga = g @ np.swapaxes(bd, -1, -2) if a.requires_grad else None
-        gb = np.swapaxes(ad, -1, -2) @ g if b.requires_grad else None
+        ga = g @ np.swapaxes(bd, -1, -2) if a_rg else None
+        gb = np.swapaxes(ad, -1, -2) @ g if b_rg else None
         return (ga, gb)
 
     return _emit("matmul", (a, b), out, bwd)
@@ -252,16 +266,18 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(
             f"linear needs [n x k] @ [k x m] + [m], got {x.shape}, {w.shape}, {b.shape}"
         )
-    xd, wd = x.data, w.data
+    x_rg, w_rg, b_rg = x.requires_grad, w.requires_grad, b.requires_grad
+    xd = x.data if w_rg else None  # x and w are each kept only for the other's gradient
+    wd = w.data if x_rg else None
 
     def bwd(g):
         return (
-            g @ wd.T if x.requires_grad else None,
-            xd.T @ g if w.requires_grad else None,
-            g.sum(axis=0) if b.requires_grad else None,
+            g @ wd.T if x_rg else None,
+            xd.T @ g if w_rg else None,
+            g.sum(axis=0) if b_rg else None,
         )
 
-    out = xd @ wd
+    out = x.data @ w.data
     out += b.data
     return _emit("linear", (x, w, b), out, bwd)
 
@@ -280,8 +296,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
       scores are recomputed and shifted by each row's max instead.
     - The unnormalized weights multiply the values, and the
       [heads x T x dh] context is divided by the row sums.
-    - The backward keeps the exps, their row sums, the normalized context,
-      the scaled queries and the keys and values split into heads.
+    - The backward keeps the exps, their row sums, the values split into
+      heads and a view of its own output as the normalized context; the
+      scaled queries only for the keys' gradient, and the keys only for the
+      queries'.
     Output and gradients match split -> matmul -> mul -> softmax -> matmul
     -> merge within 1e-13 * max(1, max |result|) * max(1, max |score|):
     each side rounds a score to a few ulps of its size, which the softmax
@@ -323,24 +341,29 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
         s = e @ ones
     ctx = e @ vh
     ctx /= s
+    out = ctx.transpose(1, 0, 2).reshape(t, d)
+    ctx = out.reshape(t, heads, dh).transpose(1, 0, 2)  # read through the output, not a copy
+    q_rg, k_rg, v_rg = q.requires_grad, k.requires_grad, v.requires_grad
+    qs = qh if k_rg else None  # the scaled queries, read only by the keys' gradient
+    kd = k.data if q_rg else None  # and the keys only by the queries'
 
     def bwd(g):
         gc = g.reshape(t, heads, dh).transpose(1, 0, 2) / s
-        gv = np.swapaxes(e, -1, -2) @ gc if v.requires_grad else None
+        gv = np.swapaxes(e, -1, -2) @ gc if v_rg else None
         gs = gc @ np.ascontiguousarray(np.swapaxes(vh, -1, -2))
         # rowsum(dP * P) = rowsum(dO * O), over dh rather than T columns.
         gs -= (gc * ctx).sum(axis=-1, keepdims=True)
         gs *= e
         gq = None
-        if q.requires_grad:
-            gq = gs @ k.data.reshape(t, heads, dh).transpose(1, 0, 2)
+        if q_rg:
+            gq = gs @ kd.reshape(t, heads, dh).transpose(1, 0, 2)
             gq *= scale
-        gk = np.swapaxes(gs, -1, -2) @ qh if k.requires_grad else None
+        gk = np.swapaxes(gs, -1, -2) @ qs if k_rg else None
         return tuple(
             x.transpose(1, 0, 2).reshape(t, d) if x is not None else None for x in (gq, gk, gv)
         )
 
-    return _emit("attention", (q, k, v), ctx.transpose(1, 0, 2).reshape(t, d), bwd)
+    return _emit("attention", (q, k, v), out, bwd)
 
 
 def transpose(a: Tensor, axes) -> Tensor:
@@ -379,10 +402,11 @@ def concat(tensors, axis=0) -> Tensor:
     except (ValueError, TypeError) as exc:  # numpy's AxisError, or a float or bool axis
         raise ShapeError(f"concat on axis {axis} of shapes {[t.shape for t in tensors]}") from exc
     splits = np.cumsum([t.shape[axis] for t in tensors])[:-1]
+    rgs = [t.requires_grad for t in tensors]
 
     def bwd(g):
         parts = np.split(g, splits, axis=axis)
-        return tuple(p if t.requires_grad else None for p, t in zip(parts, tensors))
+        return tuple(p if rg else None for p, rg in zip(parts, rgs))
 
     return _emit("concat", tuple(tensors), out, bwd)
 
@@ -534,14 +558,15 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     xhat = np.multiply(d, inv, out=d)
     out = np.multiply(gamma.data, xhat, out=buf)
     out += beta.data
-    gd = gamma.data
+    x_rg, gamma_rg, beta_rg = x.requires_grad, gamma.requires_grad, beta.requires_grad
+    gd = gamma.data if x_rg else None
+    reduce_axes = tuple(range(x.ndim - 1))
 
     def bwd(g):
-        reduce_axes = tuple(range(x.ndim - 1))
-        dbeta = g.sum(axis=reduce_axes) if beta.requires_grad else None
+        dbeta = g.sum(axis=reduce_axes) if beta_rg else None
         prod = g * xhat  # then dxhat * xhat, then xhat times that product's row mean
-        dgamma = prod.sum(axis=reduce_axes) if gamma.requires_grad else None
-        if not x.requires_grad:
+        dgamma = prod.sum(axis=reduce_axes) if gamma_rg else None
+        if not x_rg:
             return (None, dgamma, dbeta)
         dx = g * gd  # dxhat, then dx in place
         np.multiply(dx, xhat, out=prod)
@@ -651,15 +676,18 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     cols = x.data.reshape(c, ho, k, wo, k).transpose(1, 3, 0, 2, 4).reshape(ho * wo, c * k * k)
     wflat = w.data.reshape(o, c * k * k)
     out = (cols @ wflat.T + b.data).T.reshape(o, ho, wo)
+    x_rg, w_rg, b_rg, w_shape = x.requires_grad, w.requires_grad, b.requires_grad, w.shape
+    cols = cols if w_rg else None  # the patches, read only by the kernel's gradient
+    wflat = wflat if x_rg else None  # and the kernel only by the input's
 
     def bwd(g):
         gflat = g.reshape(o, ho * wo).T  # (ho*wo, O)
-        gw = (gflat.T @ cols).reshape(w.shape) if w.requires_grad else None
+        gw = (gflat.T @ cols).reshape(w_shape) if w_rg else None
         gx = None
-        if x.requires_grad:  # each patch's gradient back to where the patch came from
+        if x_rg:  # each patch's gradient back to where the patch came from
             gx = (gflat @ wflat).reshape(ho, wo, c, k, k).transpose(2, 0, 3, 1, 4)
             gx = gx.reshape(c, h, wid)
-        gb = g.sum(axis=(1, 2)) if b.requires_grad else None
+        gb = g.sum(axis=(1, 2)) if b_rg else None
         return (gx, gw, gb)
 
     return _emit("conv2d", (x, w, b), out, bwd)

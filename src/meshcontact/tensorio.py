@@ -91,9 +91,10 @@ def read_tensor_file(path, magic: bytes) -> dict:
             raise DataError(f"negative extent in {shape} for {name!r} at offset {offset}")
         offset += 4 * ndim
         dt = _DTYPES[code]
-        nbytes = math.prod(shape) * dt.itemsize
+        count = math.prod(shape)
+        nbytes = count * dt.itemsize
         need(nbytes, f"data of {name!r}")
-        flat = np.frombuffer(buf[offset : offset + nbytes], dtype=dt)
+        flat = np.frombuffer(buf, dtype=dt, count=count, offset=offset)  # a view, copied once
         try:
             arr = flat.reshape(shape).copy()
         except ValueError as exc:  # a zero-size shape numpy cannot represent

@@ -1,6 +1,8 @@
 import copy
 import gc
 import hashlib
+import inspect
+import itertools
 import math
 import pickle
 import re
@@ -827,6 +829,129 @@ class TestTapeRelease:
             ad.backward(loss, {"x": x})
             with pytest.raises(ContractError, match="tape already replayed"):
                 ad.backward(loss, {"x": x})
+
+
+# Every primitive, called on tensors of the given shapes.
+_PRIMITIVES = {
+    "add": (ad.add, [(3, 4), (4,)]),
+    "sub": (ad.sub, [(3, 1), (3, 4)]),
+    "mul": (ad.mul, [(3, 4), (4,)]),
+    "div": (ad.div, [(3, 4), (3, 4)]),
+    "neg": (ad.neg, [(3, 4)]),
+    "matmul": (ad.matmul, [(2, 3, 4), (2, 4, 5)]),
+    "linear": (ad.linear, [(5, 4), (4, 3), (3,)]),
+    "attention": (lambda q, k, v: ad.attention(q, k, v, 2), [(5, 4)] * 3),
+    "transpose": (lambda a: ad.transpose(a, (1, 0)), [(3, 4)]),
+    "reshape": (lambda a: ad.reshape(a, (4, 3)), [(3, 4)]),
+    "concat": (lambda a, b: ad.concat([a, b], axis=1), [(3, 2), (3, 1)]),
+    "narrow": (lambda a: ad.narrow(a, 1, 1, 2), [(3, 4)]),
+    "gather_rows": (lambda a: ad.gather_rows(a, [0, 3, 1]), [(3, 4)]),
+    "sum_": (ad.sum_, [(3, 4)]),
+    "mean": (lambda a: ad.mean(a, axis=0), [(3, 4)]),
+    "softmax": (ad.softmax, [(3, 4)]),
+    "log_softmax": (ad.log_softmax, [(3, 4)]),
+    "layer_norm": (ad.layer_norm, [(3, 4), (4,), (4,)]),
+    "gelu": (ad.gelu, [(3, 4)]),
+    "sigmoid": (ad.sigmoid, [(3, 4)]),
+    "exp": (ad.exp, [(3, 4)]),
+    "log": (ad.log, [(3, 4)]),
+    "clip": (lambda x: ad.clip(x, 0.8, 1.5), [(3, 4)]),
+    "hard_threshold": (lambda x: ad.hard_threshold(x, 1.0), [(3, 4)]),
+    "conv2d": (ad.conv2d, [(2, 4, 6), (3, 2, 2, 2), (3,)]),
+}
+# Input i's array is kept by the closure exactly when an input named in KEPT_FOR[op][i]
+# requires grad, since only those inputs' gradients read it; other inputs' arrays never are.
+_KEPT_FOR = {
+    "mul": ((1,), (0,)),
+    "div": ((1,), (0, 1)),
+    "matmul": ((1,), (0,)),
+    "linear": ((1,), (0,), ()),
+    "attention": ((), (0,), (0, 1, 2)),  # the keys for the queries' gradient, the values always
+    "layer_norm": ((), (0,), ()),
+    "conv2d": ((), (0,), ()),  # the kernel for the input's gradient; the patches are a copy
+    "gelu": ((0,),),
+    "log": ((0,),),
+}
+_FLAG_CASES = [
+    (op, flags)
+    for op, (_, shapes) in _PRIMITIVES.items()
+    for flags in itertools.product((False, True), repeat=len(shapes))
+    if any(flags)
+]
+
+
+def _held(fn):
+    """Every object the closure of `fn` holds, through nested functions, lists and tuples."""
+    todo = [cell.cell_contents for cell in fn.__closure__ or ()]
+    while todo:
+        obj = todo.pop()
+        yield obj
+        if isinstance(obj, (list, tuple)):
+            todo += obj
+        elif inspect.isfunction(obj):
+            todo += [cell.cell_contents for cell in obj.__closure__ or ()]
+
+
+def test_every_primitive_is_in_the_closure_table():
+    recorded = {
+        name for name, f in vars(ad).items()
+        if inspect.isfunction(f) and not name.startswith("_")
+        and {"_emit", "_broadcast_op"} & set(f.__code__.co_names)
+    }
+    assert recorded == set(_PRIMITIVES)
+
+
+@pytest.mark.parametrize("op, flags", _FLAG_CASES,
+                         ids=[f"{op}-{''.join('TF'[not f] for f in flags)}"
+                              for op, flags in _FLAG_CASES])
+def test_closure_keeps_only_what_its_gradients_read(op, flags):
+    """No tensor, so no tape-tensor cycle; an input's array only for a gradient that reads it."""
+    f, shapes = _PRIMITIVES[op]
+    rng = np.random.default_rng(3)
+    inputs = [ad.Tensor(rng.uniform(0.5, 2.0, size=s), requires_grad=rg)
+              for s, rg in zip(shapes, flags)]
+    with ad.tape_scope() as tape:
+        f(*inputs)
+        (entry,) = tape.entries
+        held = list(_held(entry.backward_fn))
+    assert not [o for o in held if isinstance(o, ad.Tensor)]
+    arrays = [o for o in held if isinstance(o, np.ndarray)]
+    if op in ("add", "sub"):
+        assert not arrays
+    for t, readers in zip(inputs, _KEPT_FOR.get(op, ((),) * len(inputs))):
+        kept = any(np.may_share_memory(a, t.data) for a in arrays)
+        assert kept == any(flags[i] for i in readers), (shapes, flags)
+
+
+def _root(a):
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+def test_encoder_block_tape_within_its_memory_budget():
+    # The unique array bytes one default block's closures keep alive at 122 tokens: the
+    # attention's exps (4 x 122 x 122) and row sums (4 x 122 x 1); eleven 122 x 32 arrays,
+    # each layer norm's normalized input and output, the attention's scaled queries, keys,
+    # values and output, and the graph residual's A @ H and its GELU's input and CDF; the
+    # MLP's hidden, its CDF and its GELU (122 x 128 each); and the layer norms' row scales.
+    budget = 476_288 + 3_904 + 11 * 31_232 + 3 * 124_928 + 2 * 976
+    cfg = encoder.EncoderConfig()
+    rng = np.random.default_rng(0)
+    params = {k: ad.Tensor(v, requires_grad=True)
+              for k, v in encoder.init_encoder_params("enc", cfg, rng).items()}
+    tokens = ad.Tensor(rng.normal(size=(122, cfg.token_dim)), requires_grad=True)
+    adjacency = np.full((122, 122), 1.0 / 122)
+    leaves = {id(_root(a)) for a in [adjacency, tokens.data, *(p.data for p in params.values())]}
+    with ad.tape_scope() as tape:
+        encoder.encoder_block(tokens, adjacency, params, "enc.block0", cfg)
+        held = {}
+        for entry in tape.entries:
+            for obj in _held(entry.backward_fn):
+                a = obj.data if isinstance(obj, ad.Tensor) else obj
+                if isinstance(a, np.ndarray) and id(_root(a)) not in leaves:
+                    held[id(_root(a))] = _root(a).nbytes
+    assert sum(held.values()) <= budget
 
 
 class TestGradientCheck:

@@ -70,6 +70,9 @@ class TestMalformedTable:
                                       data=np.zeros(2).tobytes())
          + entry(struct.pack("<i", 1) + b"a", extents=(2,), data=np.ones(2).tobytes()),
          "repeated tensor name 'a' at offset 41"),
+        # Zero-size, but numpy cannot hold its extents' product.
+        (struct.pack("<i", 1) + entry(struct.pack("<i", 1) + b"a", ndim=4,
+                                      extents=(0,) + (2**31 - 1,) * 3, data=b""), "bad shape"),
     ])
     def test_typed_error_with_offset(self, tmp_path, blob, message):
         with pytest.raises(DataError, match=message) as info:
