@@ -367,16 +367,16 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
 
 
 def transpose(a: Tensor, axes) -> Tensor:
-    axes = tuple(axes)
+    try:
+        axes = tuple(axes)
+        out = np.transpose(a.data, axes)
+    except (ValueError, TypeError) as exc:
+        raise ShapeError(f"cannot transpose {a.shape} by axes {axes}") from exc
     inv = np.argsort(axes)
 
     def bwd(g):
         return (np.transpose(g, inv),)
 
-    try:
-        out = np.transpose(a.data, axes)
-    except (ValueError, TypeError) as exc:
-        raise ShapeError(f"cannot transpose {a.shape} by axes {axes}") from exc
     return _emit("transpose", (a,), out, bwd)
 
 

@@ -4,7 +4,7 @@ Each block applies, in order: layer norm, multi-head self-attention with a
 residual connection, a graph-convolution residual over the mesh adjacency,
 a second layer norm, and an MLP with a residual connection.  Two
 independently initialized encoder stacks consume the same token sequence;
-their vertex-token outputs are fused with the fixed weights FUSION_WEIGHTS.
+their vertex-token outputs are fused as m_a + FUSION_WEIGHT_B * m_b.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .errors import ConfigError, ContractError, ShapeError, check_int_fields
 from .mesh import MeshTemplate, coarse_adjacency
 
 # The paper's fixed fusion of the two encoders' vertex tokens: 1.0 * m_a + 0.1 * m_b.
-FUSION_WEIGHTS = (1.0, 0.1)
+FUSION_WEIGHT_B = 0.1
 
 
 @dataclass(frozen=True)
@@ -113,31 +113,25 @@ def encoder_block(tokens: Tensor, adjacency: np.ndarray, params: dict, prefix: s
     return ad.add(x, h)
 
 
-def run_encoder(tokens: Tensor, adjacency: np.ndarray, params: dict, prefix: str,
-                config: EncoderConfig) -> Tensor:
-    x = tokens
-    for b in range(config.depth):
-        x = encoder_block(x, adjacency, params, f"{prefix}.block{b}", config)
-    return x
-
-
 def dual_encode(sequence: TokenSequence, adjacency: np.ndarray, params: dict,
                 config: EncoderConfig):
     """Run both encoder stacks and fuse their vertex tokens.
 
     Returns (fused, m_a, m_b): the fixed-weight combination
-    FUSION_WEIGHTS[0]*m_a + FUSION_WEIGHTS[1]*m_b plus the individual
-    per-encoder vertex features, which the per-encoder losses consume.
+    m_a + FUSION_WEIGHT_B * m_b plus the individual per-encoder vertex
+    features, which the per-encoder losses consume.
     """
     layout = sequence.layout
     if adjacency.shape[0] != layout.total:
         raise ContractError(
             f"adjacency built for {adjacency.shape[0]} tokens, sequence has {layout.total}"
         )
-    out_a = run_encoder(sequence.tokens, adjacency, params, "enc_a", config)
-    out_b = run_encoder(sequence.tokens, adjacency, params, "enc_b", config)
-    m_a = ad.narrow(out_a, 0, layout.vertex_start, layout.n_vertex)
-    m_b = ad.narrow(out_b, 0, layout.vertex_start, layout.n_vertex)
-    wa, wb = FUSION_WEIGHTS
-    fused = ad.add(ad.mul(Tensor(wa), m_a), ad.mul(Tensor(wb), m_b))
+    vertex = []
+    for prefix in ("enc_a", "enc_b"):
+        x = sequence.tokens
+        for b in range(config.depth):
+            x = encoder_block(x, adjacency, params, f"{prefix}.block{b}", config)
+        vertex.append(ad.narrow(x, 0, layout.vertex_start, layout.n_vertex))
+    m_a, m_b = vertex
+    fused = ad.add(m_a, ad.mul(Tensor(FUSION_WEIGHT_B), m_b))
     return fused, m_a, m_b

@@ -33,7 +33,10 @@ def write_tensor_file(path, magic: bytes, tensors: dict):
         arr = np.asarray(arr)
         if arr.dtype not in _DTYPES:
             raise DataError(f"{path}: tensor {name!r} has unsupported dtype {arr.dtype}")
-        raw = name.encode("utf-8")
+        try:
+            raw = name.encode("utf-8")
+        except (AttributeError, UnicodeEncodeError) as exc:
+            raise DataError(f"{path}: tensor name {name!r} is not a UTF-8 string") from exc
         parts += [struct.pack("<i", len(raw)), raw,
                   struct.pack(f"<ii{arr.ndim}i", _DTYPES.index(arr.dtype), arr.ndim, *arr.shape),
                   arr.tobytes()]

@@ -394,12 +394,15 @@ class TestShapeErrors:
         (lambda x: ad.mean(x, axis=1.5), ShapeError),
         (lambda x: ad.mean(x, axis=True), ShapeError),
         (lambda x: ad.transpose(x, (1.0, 0.0)), ShapeError),
+        (lambda x: ad.transpose(x, None), ShapeError),
+        (lambda x: ad.transpose(x, 5), ShapeError),
         (lambda x: ad.reshape(x, (True, 12)), ShapeError),
         (lambda x: ad.reshape(x, (1.0, 12)), ShapeError),
     ], ids=["narrow-bool-axis", "narrow-bool-start", "narrow-float-axis", "narrow-float-length",
             "attention-float-heads", "attention-bool-heads", "concat-float-axis",
             "concat-bool-axis", "mean-float-axis", "mean-bool-axis", "transpose-float-axes",
-            "reshape-bool-extent", "reshape-float-extent"])
+            "transpose-none-axes", "transpose-int-axes", "reshape-bool-extent",
+            "reshape-float-extent"])
     def test_non_integer_argument_rejected(self, call, error):
         with pytest.raises(error):
             call(ad.Tensor(np.zeros((3, 4))))

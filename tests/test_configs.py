@@ -20,7 +20,7 @@ from meshcontact.multipath import PathConfig, RoutingParams
 
 @pytest.mark.parametrize("make", [
     lambda: PathConfig(n_paths=5),
-    # run_encoder returned its input unchanged at depth 0, and parameter init
+    # The encoders returned their input unchanged at depth 0, and parameter init
     # divided by zero at a zero width.
     lambda: EncoderConfig(depth=0),
     lambda: EncoderConfig(mlp_hidden=0),

@@ -190,7 +190,16 @@ class TestDualEncode:
         seq = self._sequence(rng)
         params = make_params(SMALL)
         fused, m_a, m_b = encoder.dual_encode(seq, np.eye(12), params, SMALL)
-        assert np.abs(fused.data - (1.0 * m_a.data + 0.1 * m_b.data)).max() <= 1e-12
+        assert np.array_equal(fused.data, m_a.data + encoder.FUSION_WEIGHT_B * m_b.data)
+
+    def test_tape_entries(self):
+        config = encoder.EncoderConfig(token_dim=8, heads=2, depth=2, mlp_hidden=16)
+        seq = self._sequence(np.random.default_rng(14))
+        with ad.tape_scope() as tape:
+            encoder.dual_encode(seq, np.eye(12), make_params(config), config)
+        # 16 entries per block (TestEncoderBlock), two narrows, one mul and one add.
+        assert len(tape.entries) == 2 * 16 * config.depth + 4
+        assert [e.op for e in tape.entries[-2:]] == ["mul", "add"]
 
     def test_fused_from_constant_parts(self):
         ones = ad.Tensor(np.ones((4, 3)))
@@ -199,7 +208,7 @@ class TestDualEncode:
         assert np.abs(fused.data - 1.1).max() <= 1e-12
 
     def test_paper_fusion_weights_default(self):
-        assert encoder.FUSION_WEIGHTS == (1.0, 0.1)
+        assert encoder.FUSION_WEIGHT_B == 0.1
 
     def test_adjacency_layout_mismatch(self):
         rng = np.random.default_rng(10)

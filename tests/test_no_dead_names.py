@@ -1,4 +1,5 @@
-"""Every function, class and module-level constant the package defines is used somewhere.
+"""Every function, class and module-level constant the package defines is used somewhere,
+and every import and parameter is read.
 
 A name that occurs only at its own definition, across the package, its tests
 and the benchmark, is dead code: delete it, or use it.
@@ -58,3 +59,24 @@ def test_every_import_is_used():
         f"{path.name}:{name}" for path in PACKAGE.glob("*.py") for name in unused_imports(path)
     )
     assert not unused, f"imported but never used: {unused}"
+
+
+def unread_parameters(path):
+    """`function(parameter)` for each parameter of a module-level function or method at
+    `path` that its body never reads; `self`, `cls` and nested closures are skipped."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    scopes = [tree.body] + [node.body for node in tree.body if isinstance(node, ast.ClassDef)]
+    for fn in (node for body in scopes for node in body if isinstance(node, ast.FunctionDef)):
+        a = fn.args
+        params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if p]
+        read = {n.id for stmt in fn.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        yield from (f"{path.stem}.{fn.name}({p})" for p in params
+                    if p not in read and p not in ("self", "cls"))
+
+
+def test_every_parameter_is_read():
+    unread = sorted(u for path in PACKAGE.glob("*.py") for u in unread_parameters(path))
+    # tokenize's config is unread, but meshbench/wiring.py and meshbench/test_meshbench.py
+    # pass it positionally; it goes with the benchmark revision (ROADMAP item 7).
+    assert unread == ["backbone.tokenize(config)"], f"parameters never read: {unread}"

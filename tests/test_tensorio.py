@@ -90,6 +90,14 @@ class TestMalformedTable:
             write_tensor_file(path, b"", {"f": np.ones(2), "x": np.ones(2, dtype=dtype)})
         assert not path.exists()
 
+    # An int name leaked AttributeError and a lone surrogate UnicodeEncodeError.
+    @pytest.mark.parametrize("name", [5, "\ud800"], ids=["int", "surrogate"])
+    def test_bad_name_rejected(self, tmp_path, name):
+        path = tmp_path / "t.bin"
+        with pytest.raises(DataError, match=re.escape(f"{path}: tensor name {name!r}")):
+            write_tensor_file(path, b"", {"f": np.ones(2), name: np.ones(2)})
+        assert not path.exists()
+
     def test_round_trip(self, tmp_path):
         tensors = {
             "f": np.arange(6.0).reshape(2, 3),
