@@ -122,16 +122,20 @@ def loss_mesh(pred_vertices: Tensor, gt_vertices) -> Tensor:
 
 
 def loss_contact(probs: Tensor, labels) -> Tensor:
-    """Mean binary cross-entropy with probabilities clamped away from {0,1}."""
+    """Mean binary cross-entropy with probabilities clamped away from {0,1}.
+
+    Taken as -mean(log p_true), with p_true = (2y - 1) p + (1 - y) the probability of each
+    label.  Labels are exactly 0 or 1, so p_true is exactly p or 1 - p: loss and gradient
+    equal the two-log form -mean(y log p + (1 - y) log(1 - p)) bit for bit.
+    """
     y = np.asarray(labels, dtype=np.float64)
     _check_target(probs, y)
     bad = (y != 0.0) & (y != 1.0)  # NaN too: a label of 2 or NaN gave a loss with no error
     if bad.any():
         raise ContractError(f"contact labels must be 0 or 1, got {np.unique(y[bad])}")
     p = ad.clip(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    pos = ad.mul(Tensor(y), ad.log(p))
-    neg = ad.mul(Tensor(1.0 - y), ad.log(ad.sub(Tensor(1.0), p)))
-    return ad.neg(ad.mean(ad.add(pos, neg)))
+    p_true = ad.add(ad.mul(Tensor(2.0 * y - 1.0), p), Tensor(1.0 - y))
+    return ad.neg(ad.mean(ad.log(p_true)))
 
 
 def loss_segmentation(logits: Tensor, gt_mask) -> Tensor:

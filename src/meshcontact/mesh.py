@@ -166,6 +166,9 @@ def _nearest_interp_matrix(targets, anchors):
 
 def build_template(config: MeshConfig, rng_seed: int) -> MeshTemplate:
     """Deterministically build the capsule-chain template for (config, seed)."""
+    # True seeded as 1, and SeedSequence leaked a TypeError for 1.5 and a ValueError for -1.
+    if not _is_int(rng_seed) or rng_seed < 0:
+        raise ContractError(f"build_template needs an integer seed >= 0, got {rng_seed!r}")
     rng = np.random.default_rng(rng_seed)
     heights, radii, seg_start = _ring_profile(config, rng)
 

@@ -33,7 +33,8 @@ from typing import ClassVar
 import numpy as np
 
 from .backbone import BackboneConfig
-from .errors import ConfigError, ContractError, GenerationError, NumericsError, ShapeError
+from .errors import (ConfigError, ContractError, GenerationError, NumericsError, ShapeError,
+                     _is_int)
 from .mesh import JOINTS, MeshTemplate, _rot_x, _rot_z, pose_vertices
 from .tensorio import check_layout, read_tensor_file, write_tensor_file
 
@@ -276,23 +277,25 @@ def _rasterize(px, py, depth, n):
     return winner
 
 
-def downsample_mask(mask: np.ndarray, grid_side: int) -> np.ndarray:
-    """Majority class id per grid cell; ties break toward the lowest id."""
+def downsample_mask(mask: np.ndarray, grid_side: int, n_classes: int) -> np.ndarray:
+    """Majority class id in [0, n_classes) per grid cell; ties break toward the lowest id."""
+    if not _is_int(grid_side):  # 2.0 and True leaked a bare TypeError from reshape
+        raise ContractError(f"downsample_mask needs an integer grid side, got {grid_side!r}")
     if (mask.ndim != 2 or mask.shape[0] != mask.shape[1] or grid_side < 1
             or mask.shape[0] < grid_side or mask.shape[0] % grid_side):
         raise ShapeError(f"downsample_mask needs a grid side >= 1 and a square mask whose side "
                          f"is a multiple of it, got {grid_side} and shape {mask.shape}")
     if mask.dtype.kind not in "iu":  # a float mask leaked numpy's cast TypeError from bincount
         raise ContractError(f"downsample_mask needs integer class ids, got dtype {mask.dtype}")
+    lo, hi = mask.min(), mask.max()
+    if lo < 0 or hi >= n_classes:
+        raise ContractError(f"mask class id {lo if lo < 0 else hi} is outside [0, {n_classes})")
     cell = mask.shape[0] // grid_side
     blocks = (mask.reshape(grid_side, cell, grid_side, cell)
               .transpose(0, 2, 1, 3).reshape(grid_side * grid_side, -1))
-    if blocks.min() < 0:
-        raise ContractError(f"mask class ids must be >= 0, got {blocks.min()}")
-    k = int(blocks.max()) + 1
-    counts = np.bincount((np.arange(len(blocks))[:, None] * k + blocks).reshape(-1),
-                         minlength=len(blocks) * k)
-    return counts.reshape(len(blocks), k).argmax(axis=1).astype(np.int32)
+    counts = np.bincount((np.arange(len(blocks))[:, None] * n_classes + blocks).reshape(-1),
+                         minlength=len(blocks) * n_classes)
+    return counts.reshape(len(blocks), n_classes).argmax(axis=1).astype(np.int32)
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +369,8 @@ def generate_sample(config: SceneConfig, template: MeshTemplate, rng) -> Sample:
         gt_contacts=contacts,
         sem_mask=sem_mask,
         bp_mask=bp_mask,
-        sem_grid=downsample_mask(sem_mask, config.backbone.grid_side),
-        bp_grid=downsample_mask(bp_mask, config.backbone.grid_side),
+        sem_grid=downsample_mask(sem_mask, config.backbone.grid_side, config.c_sem),
+        bp_grid=downsample_mask(bp_mask, config.backbone.grid_side, config.c_bp),
         pose=pose,
         boxes=boxes,
     )

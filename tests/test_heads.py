@@ -13,6 +13,15 @@ def template():
     return mesh.build_template(mesh.MeshConfig(), rng_seed=7)
 
 
+def two_log_contact_loss(probs, labels):
+    """The two-branch binary cross-entropy, -mean(y log p + (1 - y) log(1 - p)), as an oracle."""
+    y = np.asarray(labels, dtype=np.float64)
+    p = ad.clip(probs, heads.PROB_CLAMP, 1.0 - heads.PROB_CLAMP)
+    pos = ad.mul(ad.Tensor(y), ad.log(p))
+    neg = ad.mul(ad.Tensor(1.0 - y), ad.log(ad.sub(ad.Tensor(1.0), p)))
+    return ad.neg(ad.mean(ad.add(pos, neg)))
+
+
 def make_params(seed=0, token_dim=32, c_sem=4, c_bp=9):
     raw = heads.init_head_params(token_dim, c_sem, c_bp, np.random.default_rng(seed))
     return {k: ad.Tensor(v, requires_grad=True, name=k) for k, v in raw.items()}
@@ -144,6 +153,36 @@ class TestLosses:
         assert heads.loss_contact(ad.Tensor(probs), labels).item().hex() == "0x1.0671b7f03459ap+0"
         probs[:5] = [0.0, 1.0, 1e-9, 1 - 1e-12, 0.5]
         assert heads.loss_contact(ad.Tensor(probs), labels).item().hex() == "0x1.a18bc93367e26p+0"
+
+    def test_contact_loss_bits_match_two_log_oracle(self):
+        # Loss and gradient of the one-log form equal the two-branch form's bit for bit, through
+        # clamped probabilities and through saturated sigmoids, whose clamp gradient is zero.
+        for seed in range(200):
+            rng = np.random.default_rng([13, seed])
+            n = int(rng.integers(1, 60))
+            labels = (rng.random(n) < 0.3).astype(np.uint8 if seed % 2 else np.float64)
+            saturated = seed % 4 >= 2
+            if saturated:
+                values = rng.normal(0.0, 20.0, size=n)  # logits
+            else:
+                values = rng.uniform(size=n)
+                values[:4] = [0.0, 1.0, 1e-9, 1 - 1e-12][:n]
+                rng.shuffle(values)
+            leaf = ad.Tensor(values, requires_grad=True)
+            results = []
+            for loss_fn in (heads.loss_contact, two_log_contact_loss):
+                with ad.tape_scope():
+                    loss = loss_fn(ad.sigmoid(leaf) if saturated else leaf, labels)
+                    grad = ad.backward(loss, params={"leaf": leaf})["leaf"].data
+                results.append((loss.item().hex(), grad.tobytes()))
+            assert results[0] == results[1], seed
+
+    def test_contact_loss_records_one_log(self):
+        probs = ad.Tensor(np.full(8, 0.25), requires_grad=True)
+        with ad.tape_scope() as tape:
+            heads.loss_contact(probs, np.arange(8) % 2)
+        ops = [e.op for e in tape.entries]
+        assert len(ops) == 6 and ops.count("log") == 1
 
     @pytest.mark.parametrize("bad", [2.0, -1.0, 0.5, np.nan], ids=["2", "-1", "half", "nan"])
     def test_contact_loss_rejects_non_binary_labels(self, bad):

@@ -123,6 +123,12 @@ class TestBuildTemplate:
             )
             assert areas.min() > 1e-6
 
+    @pytest.mark.parametrize("seed", [True, 1.5, -1], ids=["bool", "float", "negative"])
+    def test_bad_seed_rejected(self, seed):
+        # True seeded as 1 in silence; 1.5 and -1 leaked SeedSequence's TypeError and ValueError.
+        with pytest.raises(ContractError, match="integer seed >= 0"):
+            mesh.build_template(mesh.MeshConfig(), rng_seed=seed)
+
     def test_face_indices_in_range(self, template):
         assert template.faces.min() >= 0
         assert template.faces.max() < template.v_full

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import re
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -318,7 +319,7 @@ class TestDownsample:
         mask[0, 2] = 2
         mask[0, 3] = 2
         mask[1, 2:] = 1  # cell (0,1): two 2s and two 1s -> tie -> 1
-        out = scenes.downsample_mask(mask, 2)
+        out = scenes.downsample_mask(mask, 2, 4)
         assert out[0] == 3
         assert out[1] == 1
         assert out[2] == 0 and out[3] == 0
@@ -328,20 +329,46 @@ class TestDownsample:
         rng = np.random.default_rng(grid_side)
         for _ in range(20):
             mask = rng.integers(0, rng.integers(1, 10), size=(64, 64)).astype(np.int32)
-            assert np.array_equal(scenes.downsample_mask(mask, grid_side),
+            assert np.array_equal(scenes.downsample_mask(mask, grid_side, 10),
                                   loop_downsample(mask, grid_side))
 
     def test_negative_id_rejected(self):
         mask = np.zeros((4, 4), dtype=np.int32)
         mask[3, 3] = -1
-        with pytest.raises(ContractError):
-            scenes.downsample_mask(mask, 2)
+        with pytest.raises(ContractError, match=r"id -1 is outside \[0, 4\)"):
+            scenes.downsample_mask(mask, 2, 4)
+
+    @pytest.mark.parametrize("bad", [4, 5])
+    def test_id_from_n_classes_rejected(self, bad):
+        mask = np.zeros((4, 4), dtype=np.uint8)
+        mask[3, 3] = bad
+        with pytest.raises(ContractError, match=rf"id {bad} is outside \[0, 4\)"):
+            scenes.downsample_mask(mask, 2, 4)
+
+    def test_huge_id_rejected_without_counting(self):
+        # Counts sized by the largest id made one pixel of 10**6 cost a 128 MB peak.
+        mask = np.zeros((64, 64), dtype=np.int32)
+        mask[5, 7] = 10**6
+        tracemalloc.start()
+        try:
+            with pytest.raises(ContractError, match="1000000"):
+                scenes.downsample_mask(mask, 16, scenes.SceneConfig.c_sem)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("grid_side", [2.0, True], ids=["float", "bool"])
+    def test_non_integer_grid_side_rejected(self, grid_side):
+        # Each leaked a bare TypeError.
+        with pytest.raises(ContractError, match="integer grid side"):
+            scenes.downsample_mask(np.zeros((8, 8), dtype=np.int32), grid_side, 4)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.bool_], ids=["float", "bool"])
     def test_non_integer_mask_rejected(self, dtype):
         # A float mask leaked numpy's TypeError from the int cast in bincount.
         with pytest.raises(ContractError, match=np.dtype(dtype).name):
-            scenes.downsample_mask(np.zeros((8, 8), dtype=dtype), 2)
+            scenes.downsample_mask(np.zeros((8, 8), dtype=dtype), 2, 4)
 
     @pytest.mark.parametrize("shape, grid_side", [((8, 10), 2), ((10, 8), 2), ((2, 2), 4),
                                                   ((16,), 2), ((6, 6), 4), ((8, 8), 0),
@@ -352,7 +379,7 @@ class TestDownsample:
         # A wide mask, and a square one whose side the grid does not divide, were cropped in
         # silence; a zero grid side leaked ZeroDivisionError, and the others numpy's ValueError.
         with pytest.raises(ShapeError, match=re.escape(str(shape))):
-            scenes.downsample_mask(np.zeros(shape, dtype=np.int32), grid_side)
+            scenes.downsample_mask(np.zeros(shape, dtype=np.int32), grid_side, 4)
 
 
 def edit_sample(edit):
