@@ -133,23 +133,18 @@ def _project_queries(embed: Tensor, global_vec: Tensor, w: Tensor, b: Tensor) ->
 def tokenize(grid_tokens: Tensor, global_vec: Tensor, template: MeshTemplate,
              params: dict, config: BackboneConfig) -> TokenSequence:
     """Assemble the [image | joint | vertex] token sequence."""
+    segments = [ad.add(grid_tokens, params["backbone.pos_embed"])]
     for kind, count in (("joint", template.n_joints), ("vertex", template.v_coarse)):
         rows = params[f"backbone.{kind}_embed"].shape[0]
         if rows != count:
             raise ConfigError(
                 f"{kind} embedding rows {rows} do not match template {kind} count {count}")
-    image_tokens = ad.add(grid_tokens, params["backbone.pos_embed"])
-    joints = _project_queries(
-        params["backbone.joint_embed"], global_vec,
-        params["backbone.joint_proj.w"], params["backbone.joint_proj.b"],
-    )
-    verts = _project_queries(
-        params["backbone.vertex_embed"], global_vec,
-        params["backbone.vertex_proj.w"], params["backbone.vertex_proj.b"],
-    )
+        segments.append(_project_queries(
+            params[f"backbone.{kind}_embed"], global_vec,
+            params[f"backbone.{kind}_proj.w"], params[f"backbone.{kind}_proj.b"]))
     layout = TokenLayout(
         n_image=grid_tokens.shape[0],
         n_joint=template.n_joints,
         n_vertex=template.v_coarse,
     )
-    return TokenSequence(tokens=ad.concat([image_tokens, joints, verts], axis=0), layout=layout)
+    return TokenSequence(tokens=ad.concat(segments, axis=0), layout=layout)

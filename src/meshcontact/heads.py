@@ -60,16 +60,11 @@ def init_head_params(token_dim: int, c_sem: int, c_bp: int, rng) -> dict:
     if c_sem < 2 or c_bp < 2:
         raise ConfigError(f"decoders need >= 2 classes, got sem={c_sem} bp={c_bp}")
     scale = np.sqrt(1.0 / token_dim)
-    return {
-        "heads.contact.w": rng.normal(0.0, scale, size=(token_dim, 1)),
-        "heads.contact.b": np.zeros(1),
-        "heads.mesh.w": rng.normal(0.0, scale, size=(token_dim, 3)),
-        "heads.mesh.b": np.zeros(3),
-        "heads.sem.w": rng.normal(0.0, scale, size=(token_dim, c_sem)),
-        "heads.sem.b": np.zeros(c_sem),
-        "heads.bp.w": rng.normal(0.0, scale, size=(token_dim, c_bp)),
-        "heads.bp.b": np.zeros(c_bp),
-    }
+    params = {}
+    for head, width in (("contact", 1), ("mesh", 3), ("sem", c_sem), ("bp", c_bp)):
+        params[f"heads.{head}.w"] = rng.normal(0.0, scale, size=(token_dim, width))
+        params[f"heads.{head}.b"] = np.zeros(width)
+    return params
 
 
 def contact_head(features: Tensor, template: mesh.MeshTemplate, params: dict,

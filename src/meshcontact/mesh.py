@@ -226,7 +226,11 @@ def regress_joints(full_vertices: Tensor, template: MeshTemplate) -> Tensor:
 
 def geodesic_distances(template: MeshTemplate, sources) -> Tensor:
     """Multi-source shortest-path distance (cm) over the mesh edge graph."""
-    sources = list(sources)
+    try:
+        sources = list(sources)
+    except TypeError as exc:
+        raise ContractError(f"geodesic_distances needs `sources` to be an iterable of vertex "
+                            f"indices, got {sources!r}") from exc
     if not sources:
         raise ContractError("geodesic_distances needs at least one source vertex")
     n = template.v_full
@@ -249,14 +253,14 @@ def geodesic_distances(template: MeshTemplate, sources) -> Tensor:
 # posing (used by the scene generator)
 
 
-def _rot_x(t):
+def _rotation(axis: str, t) -> np.ndarray:
+    """The right-handed rotation by `t` radians about `axis`, one of "x", "y" and "z"."""
+    i, j = {"x": (1, 2), "y": (2, 0), "z": (0, 1)}[axis]  # the rotated plane, i toward j
     c, s = np.cos(t), np.sin(t)
-    return np.array([[1, 0, 0], [0, c, -s], [0, s, c]])
-
-
-def _rot_z(t):
-    c, s = np.cos(t), np.sin(t)
-    return np.array([[c, -s, 0], [s, c, 0], [0, 0, 1]])
+    rot = np.eye(3)
+    rot[i, i] = rot[j, j] = c
+    rot[j, i], rot[i, j] = s, -s
+    return rot
 
 
 def pose_vertices(template: MeshTemplate, pose_params) -> np.ndarray:
@@ -283,7 +287,7 @@ def pose_vertices(template: MeshTemplate, pose_params) -> np.ndarray:
     for j, tx, tz in zip(range(1, nj), thx, thz):
         if tx == 0.0 and tz == 0.0:
             continue
-        rot = _rot_x(tx) @ _rot_z(tz)
+        rot = _rotation("x", tx) @ _rotation("z", tz)
         p = pivots[j]
         verts[first[j]:] = (verts[first[j]:] - p) @ rot.T + p
         pivots[j + 1:] = (pivots[j + 1:] - p) @ rot.T + p

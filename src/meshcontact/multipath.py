@@ -45,6 +45,8 @@ def perturb(features: Tensor, kind: str, rng) -> Tensor:
     The random draws are constants of the step: gradients flow through the
     surviving features, never through the sampling itself.
     """
+    if features.ndim != 2:  # a (t,) keep column would broadcast a vector to (t, t)
+        raise ShapeError(f"perturb needs (tokens x dim) features, got shape {features.shape}")
     if kind == "identity":
         return features
     t = features.shape[0]

@@ -35,7 +35,7 @@ import numpy as np
 from .backbone import BackboneConfig
 from .errors import (ConfigError, ContractError, GenerationError, NumericsError, ShapeError,
                      _is_int)
-from .mesh import JOINTS, MeshTemplate, _rot_x, _rot_z, pose_vertices
+from .mesh import JOINTS, MeshTemplate, _rotation, pose_vertices
 from .tensorio import check_layout, read_tensor_file, write_tensor_file
 
 SAMPLE_MAGIC = b"GCSMP1\x00"
@@ -69,7 +69,7 @@ _MATERIAL_BP = np.array([*range(1, JOINTS + 1), 0, 0, 0], dtype=np.int32)
 
 # Fixed oblique orthographic camera: tilt about x, then drop depth.
 _CAM_TILT = 0.6
-_CAMERA = _rot_x(_CAM_TILT).T  # world row vectors @ _CAMERA = camera coordinates
+_CAMERA = _rotation("x", _CAM_TILT).T  # world row vectors @ _CAMERA = camera coordinates
 _VIEW_X = (-13.0, 13.0)
 _VIEW_V = (-9.0, 17.0)
 
@@ -163,11 +163,6 @@ def _support_height(x, z, boxes):
     under = ((x[:, None] >= lo[:, 0]) & (x[:, None] <= hi[:, 0])
              & (z[:, None] >= lo[:, 2]) & (z[:, None] <= hi[:, 2]))
     return np.max(np.where(under, hi[:, 1], 0.0), axis=1, initial=0.0)
-
-
-def _rot_y(t):
-    c, s = math.cos(t), math.sin(t)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +286,8 @@ def downsample_mask(mask: np.ndarray, grid_side: int, n_classes: int) -> np.ndar
     if lo < 0 or hi >= n_classes:
         raise ContractError(f"mask class id {lo if lo < 0 else hi} is outside [0, {n_classes})")
     cell = mask.shape[0] // grid_side
-    blocks = (mask.reshape(grid_side, cell, grid_side, cell)
+    # As intp: int64 + uint64 promotes to float64, which bincount rejects.
+    blocks = (mask.astype(np.intp, copy=False).reshape(grid_side, cell, grid_side, cell)
               .transpose(0, 2, 1, 3).reshape(grid_side * grid_side, -1))
     counts = np.bincount((np.arange(len(blocks))[:, None] * n_classes + blocks).reshape(-1),
                          minlength=len(blocks) * n_classes)
@@ -344,7 +340,7 @@ def generate_sample(config: SceneConfig, template: MeshTemplate, rng) -> Sample:
     roll = rng.uniform(0.0, 2.0 * math.pi)
     yaw = rng.uniform(0.0, 2.0 * math.pi)
     tilt = rng.uniform(*tilt_range) if tilt_range else math.pi / 2.0
-    rot = _rot_y(yaw) @ _rot_z(tilt) @ _rot_y(roll)
+    rot = _rotation("y", yaw) @ _rotation("z", tilt) @ _rotation("y", roll)
     verts = posed @ rot.T
     verts[:, 0] += rng.uniform(-3.0, 3.0)
     verts[:, 2] += rng.uniform(-3.0, 3.0)

@@ -56,54 +56,50 @@ def read_tensor_file(path, magic: bytes) -> dict:
         raise DataError(f"{path}: bad magic {buf[: len(magic)]!r}, expected {magic!r}")
     offset = len(magic)
 
-    def need(n, what):
+    def take(n, what):
+        """The offset of the next `n` bytes, which `offset` then moves past."""
+        nonlocal offset
         if offset + n > len(buf):
             raise DataError(f"truncated tensor table: needed {n} bytes for {what} "
                             f"at offset {offset}, file has {len(buf)}")
+        offset += n
+        return offset - n
 
-    need(4, "entry count")
-    (count,) = struct.unpack_from("<i", buf, offset)
-    offset += 4
+    at = take(4, "entry count")
+    (count,) = struct.unpack_from("<i", buf, at)
     if count < 0:
-        raise DataError(f"negative tensor count at offset {offset - 4}")
+        raise DataError(f"negative tensor count at offset {at}")
     out = {}
     for _ in range(count):
-        need(4, "name length")
-        (nlen,) = struct.unpack_from("<i", buf, offset)
+        at = take(4, "name length")
+        (nlen,) = struct.unpack_from("<i", buf, at)
         if nlen < 0:
-            raise DataError(f"negative name length {nlen} at offset {offset}")
-        offset += 4
-        need(nlen, "name")
+            raise DataError(f"negative name length {nlen} at offset {at}")
+        at = take(nlen, "name")
         try:
-            name = buf[offset : offset + nlen].decode("utf-8")
+            name = buf[at : at + nlen].decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise DataError(f"tensor name is not valid utf-8 at offset {offset}") from exc
+            raise DataError(f"tensor name is not valid utf-8 at offset {at}") from exc
         if name in out:
-            raise DataError(f"repeated tensor name {name!r} at offset {offset}")
-        offset += nlen
-        need(8, "dtype/rank")
-        code, ndim = struct.unpack_from("<ii", buf, offset)
+            raise DataError(f"repeated tensor name {name!r} at offset {at}")
+        at = take(8, "dtype/rank")
+        code, ndim = struct.unpack_from("<ii", buf, at)
         if code not in range(len(_DTYPES)):
-            raise DataError(f"unknown dtype code {code} for {name!r} at offset {offset}")
+            raise DataError(f"unknown dtype code {code} for {name!r} at offset {at}")
         if ndim < 0:
-            raise DataError(f"negative rank {ndim} for {name!r} at offset {offset + 4}")
-        offset += 8
-        need(4 * ndim, "extents")
-        shape = struct.unpack_from(f"<{ndim}i", buf, offset)
+            raise DataError(f"negative rank {ndim} for {name!r} at offset {at + 4}")
+        at = take(4 * ndim, "extents")
+        shape = struct.unpack_from(f"<{ndim}i", buf, at)
         if min(shape, default=0) < 0:
-            raise DataError(f"negative extent in {shape} for {name!r} at offset {offset}")
-        offset += 4 * ndim
+            raise DataError(f"negative extent in {shape} for {name!r} at offset {at}")
         dt = _DTYPES[code]
-        count = math.prod(shape)
-        nbytes = count * dt.itemsize
-        need(nbytes, f"data of {name!r}")
-        flat = np.frombuffer(buf, dtype=dt, count=count, offset=offset)  # a view, copied once
+        size = math.prod(shape)
+        at = take(size * dt.itemsize, f"data of {name!r}")
+        flat = np.frombuffer(buf, dtype=dt, count=size, offset=at)  # a view, copied once
         try:
-            arr = flat.reshape(shape).copy()
+            out[name] = flat.reshape(shape).copy()
         except ValueError as exc:  # a zero-size shape numpy cannot represent
-            raise DataError(f"bad shape {shape} for {name!r} at offset {offset}: {exc}") from exc
-        offset += nbytes
-        out[name] = arr
+            raise DataError(f"bad shape {shape} for {name!r} at offset {at}: {exc}") from exc
     if offset != len(buf):
         raise DataError(f"{path}: {len(buf) - offset} trailing bytes at offset {offset}")
     return out

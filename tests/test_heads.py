@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -104,6 +105,16 @@ class TestDecoders:
     def test_class_count_validation(self):
         with pytest.raises(ConfigError):
             heads.init_head_params(8, 1, 9, np.random.default_rng(0))
+
+    def test_init_bytes_pinned(self):
+        # Keys, their order, dtypes, shapes and bytes, recorded from the one-dict-literal form
+        # that wrote each head's weight and bias out by hand.
+        digest = hashlib.sha256()
+        for k, v in heads.init_head_params(32, 4, 9, np.random.default_rng(0)).items():
+            digest.update(f"{k}|{v.dtype.str}|{v.shape}|".encode())
+            digest.update(v.tobytes())
+        assert digest.hexdigest() == (
+            "7595ba77603af3b53ee912ab132902fb9610f43ecdfd61c43ea690dfccf8d8b5")
 
 
 class TestLosses:

@@ -1,5 +1,6 @@
 import collections
 import hashlib
+import math
 import os
 import re
 import subprocess
@@ -46,6 +47,21 @@ def coarse_adjacency_loop(template):
     return a / a.sum(axis=1, keepdims=True)
 
 
+def rot_x(t):
+    c, s = np.cos(t), np.sin(t)
+    return np.array([[1, 0, 0], [0, c, -s], [0, s, c]])
+
+
+def rot_y(t):
+    c, s = math.cos(t), math.sin(t)
+    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+
+
+def rot_z(t):
+    c, s = np.cos(t), np.sin(t)
+    return np.array([[c, -s, 0], [s, c, 0], [0, 0, 1]])
+
+
 def pose_vertices_mask_loop(template, pose):
     """Boolean-mask oracle for `mesh.pose_vertices`: each bend gathers and scatters the
     vertices of segments >= j and the pivots after j."""
@@ -62,7 +78,7 @@ def pose_vertices_mask_loop(template, pose):
     for j in range(1, nj):
         if thx[j] == 0.0 and thz[j] == 0.0:
             continue
-        rot = mesh._rot_x(thx[j]) @ mesh._rot_z(thz[j])
+        rot = rot_x(thx[j]) @ rot_z(thz[j])
         p = pivots[j]
         vmask = seg >= j
         verts[vmask] = (verts[vmask] - p) @ rot.T + p
@@ -234,6 +250,11 @@ class TestGeodesics:
         with pytest.raises(ContractError):
             mesh.geodesic_distances(template, [])
 
+    def test_non_iterable_sources_rejected(self, template):
+        # A bare index leaked TypeError("'int' object is not iterable").
+        with pytest.raises(ContractError, match="`sources`.* got 3"):
+            mesh.geodesic_distances(template, 3)
+
     @pytest.mark.parametrize("source", [1.5, 1.0, True, np.float64(1.0), "1"],
                              ids=["fraction", "whole-float", "bool", "numpy-float", "str"])
     def test_non_integer_source_rejected(self, template, source):
@@ -254,6 +275,16 @@ class TestGeodesics:
         d = mesh.geodesic_distances(template, [0]).data
         for (u, v), w in zip(template.edges, template.edge_lengths):
             assert abs(d[u] - d[v]) <= w + 1e-9
+
+
+class TestRotation:
+    @pytest.mark.parametrize("axis, literal", [("x", rot_x), ("y", rot_y), ("z", rot_z)])
+    def test_matches_literal_matrix_bit_for_bit(self, axis, literal):
+        # rot_y is the scene generator's former math.cos/math.sin copy; x and z used np.cos.
+        angles = [0.0, math.pi / 2, -math.pi / 2, math.pi,
+                  *np.random.default_rng(11).uniform(-2 * math.pi, 2 * math.pi, 200)]
+        for t in angles:
+            assert mesh._rotation(axis, t).tobytes() == literal(t).tobytes(), (axis, t)
 
 
 class TestPose:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -27,6 +28,13 @@ class TestPerturb:
         out = mp.perturb(ad.Tensor(np.zeros((n, 1))), "embedding_noise", np.random.default_rng(2))
         assert abs(out.data.mean()) <= 3.0 * mp.NOISE_SIGMA / math.sqrt(n)
         assert out.data.std() == pytest.approx(mp.NOISE_SIGMA, rel=0.02)
+
+    @pytest.mark.parametrize("kind", mp.PATH_KINDS)
+    @pytest.mark.parametrize("shape", [(6,), (2, 3, 4), ()], ids=["1-d", "3-d", "scalar"])
+    def test_features_not_tokens_by_dim_rejected(self, kind, shape):
+        # (6,) features came back (6, 6): the (t, 1) keep column broadcast against them.
+        with pytest.raises(ShapeError, match=re.escape(str(shape))):
+            mp.perturb(ad.Tensor(np.ones(shape)), kind, np.random.default_rng(0))
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):

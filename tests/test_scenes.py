@@ -155,7 +155,8 @@ def world_from_pixels(px, py, depth, image_size=64):
     u = np.asarray(px, dtype=float) / image_size * 26.0 - 13.0
     v = (1.0 - np.asarray(py, dtype=float) / image_size) * 26.0 - 9.0
     cam = np.stack([u, v, np.asarray(depth, dtype=float)], axis=1)
-    return cam @ mesh._rot_x(scenes._CAM_TILT)
+    c, s = np.cos(scenes._CAM_TILT), np.sin(scenes._CAM_TILT)
+    return cam @ np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])  # the camera's x tilt
 
 
 def triangle_soup(triangles, segments):
@@ -357,6 +358,14 @@ class TestDownsample:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int16, np.uint16, np.int32,
+                                       np.uint32, np.int64, np.uint64])
+    def test_every_integer_width_matches_int32(self, dtype):
+        # A uint64 mask leaked numpy's cast TypeError: int64 + uint64 promotes to float64.
+        mask = np.random.default_rng(12).integers(0, 9, size=(64, 64)).astype(np.int32)
+        assert np.array_equal(scenes.downsample_mask(mask.astype(dtype), 16, 9),
+                              scenes.downsample_mask(mask, 16, 9))
 
     @pytest.mark.parametrize("grid_side", [2.0, True], ids=["float", "bool"])
     def test_non_integer_grid_side_rejected(self, grid_side):
