@@ -39,7 +39,6 @@ from scipy.special import erf
 
 from .errors import (
     ContractError,
-    NonDifferentiableOpError,
     NumericsError,
     ShapeError,
     _is_int,
@@ -641,10 +640,10 @@ def clip(x: Tensor, lo: float, hi: float) -> Tensor:
 
 
 def hard_threshold(x: Tensor, tau: float) -> Tensor:
-    """Binarize x >= tau to {0,1}. Forward-only: backward raises."""
+    """Binarize x >= tau to {0,1}. Forward-only: backward raises ContractError."""
 
     def bwd(g):
-        raise NonDifferentiableOpError("hard_threshold has no gradient")
+        raise ContractError("hard_threshold has no gradient")
 
     return _emit("hard_threshold", (x,), (x.data >= tau).astype(np.float64), bwd)
 

@@ -60,7 +60,3 @@ class GenerationError(MeshContactError):
 
 class NumericsError(MeshContactError):
     """Non-finite values where finite ones are required. CLI exit code 4."""
-
-
-class NonDifferentiableOpError(MeshContactError):
-    """Backward pass reached an op with no defined gradient (e.g. hard thresholding)."""

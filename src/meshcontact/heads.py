@@ -117,7 +117,7 @@ def loss_mesh(pred_vertices: Tensor, gt_vertices) -> Tensor:
 
 
 def loss_contact(probs: Tensor, labels) -> Tensor:
-    """Mean binary cross-entropy with probabilities clamped away from {0,1}.
+    """Mean binary cross-entropy of a contact head's clamped probabilities, taken as given.
 
     Taken as -mean(log p_true), with p_true = (2y - 1) p + (1 - y) the probability of each
     label.  Labels are exactly 0 or 1, so p_true is exactly p or 1 - p: loss and gradient
@@ -128,8 +128,11 @@ def loss_contact(probs: Tensor, labels) -> Tensor:
     bad = (y != 0.0) & (y != 1.0)  # NaN too: a label of 2 or NaN gave a loss with no error
     if bad.any():
         raise ContractError(f"contact labels must be 0 or 1, got {np.unique(y[bad])}")
-    p = ad.clip(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    p_true = ad.add(ad.mul(Tensor(2.0 * y - 1.0), p), Tensor(1.0 - y))
+    bad = ~((probs.data > 0.0) & (probs.data < 1.0))  # NaN too; 0 or 1 gives an infinite loss
+    if bad.any():
+        raise ContractError(f"contact probabilities must lie strictly inside (0, 1), "
+                            f"got {np.unique(probs.data[bad])}")
+    p_true = ad.add(ad.mul(Tensor(2.0 * y - 1.0), probs), Tensor(1.0 - y))
     return ad.neg(ad.mean(ad.log(p_true)))
 
 

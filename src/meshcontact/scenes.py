@@ -276,6 +276,9 @@ def downsample_mask(mask: np.ndarray, grid_side: int, n_classes: int) -> np.ndar
     """Majority class id in [0, n_classes) per grid cell; ties break toward the lowest id."""
     if not _is_int(grid_side):  # 2.0 and True leaked a bare TypeError from reshape
         raise ContractError(f"downsample_mask needs an integer grid side, got {grid_side!r}")
+    if not _is_int(n_classes) or n_classes < 1:  # 4.0 and np.uint64(4) leaked a cast TypeError
+        raise ContractError(f"downsample_mask needs an integer class count >= 1, got {n_classes!r}")
+    n_classes = int(n_classes)  # np.uint64 times the int64 cell offsets is float64
     if (mask.ndim != 2 or mask.shape[0] != mask.shape[1] or grid_side < 1
             or mask.shape[0] < grid_side or mask.shape[0] % grid_side):
         raise ShapeError(f"downsample_mask needs a grid side >= 1 and a square mask whose side "

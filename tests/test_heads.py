@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -133,7 +134,7 @@ class TestLosses:
 
     def test_contact_loss_perfect_and_uniform(self):
         labels = np.array([1.0, 0.0, 1.0, 0.0])
-        perfect = ad.Tensor(labels.copy())
+        perfect = ad.Tensor(np.clip(labels, heads.PROB_CLAMP, 1.0 - heads.PROB_CLAMP))
         assert heads.loss_contact(perfect, labels).item() <= 1e-6
         half = ad.Tensor(np.full(4, 0.5))
         assert heads.loss_contact(half, labels).item() == pytest.approx(math.log(2.0), rel=1e-12)
@@ -157,17 +158,20 @@ class TestLosses:
             heads.loss_contact(ad.Tensor(np.full(4, 0.5)), np.ones((4, 1)))
 
     def test_contact_loss_bits_on_binary_labels(self):
-        # Pins the float64 bits of the loss for 0/1 labels, clamped probabilities included.
+        # Pins the float64 bits of the loss for 0/1 labels, the head's clamp endpoints included;
+        # these are the values an in-loss clip made of 0.0, 1.0, 1e-9 and 1 - 1e-12.
         rng = np.random.default_rng(12)
         probs = rng.uniform(size=50)
         labels = (rng.random(50) < 0.3).astype(np.uint8)
         assert heads.loss_contact(ad.Tensor(probs), labels).item().hex() == "0x1.0671b7f03459ap+0"
-        probs[:5] = [0.0, 1.0, 1e-9, 1 - 1e-12, 0.5]
+        lo, hi = heads.PROB_CLAMP, 1.0 - heads.PROB_CLAMP
+        probs[:5] = [lo, hi, lo, hi, 0.5]
         assert heads.loss_contact(ad.Tensor(probs), labels).item().hex() == "0x1.a18bc93367e26p+0"
 
     def test_contact_loss_bits_match_two_log_oracle(self):
-        # Loss and gradient of the one-log form equal the two-branch form's bit for bit, through
-        # clamped probabilities and through saturated sigmoids, whose clamp gradient is zero.
+        # Loss and gradient of the one-log form equal the two-branch form's bit for bit on what
+        # the contact head returns: probabilities at its clamp endpoints, and saturated sigmoids
+        # clamped as the head clamps them, whose clamp gradient is zero.
         for seed in range(200):
             rng = np.random.default_rng([13, seed])
             n = int(rng.integers(1, 60))
@@ -179,11 +183,14 @@ class TestLosses:
                 values = rng.uniform(size=n)
                 values[:4] = [0.0, 1.0, 1e-9, 1 - 1e-12][:n]
                 rng.shuffle(values)
+                values = np.clip(values, heads.PROB_CLAMP, 1.0 - heads.PROB_CLAMP)
             leaf = ad.Tensor(values, requires_grad=True)
             results = []
             for loss_fn in (heads.loss_contact, two_log_contact_loss):
                 with ad.tape_scope():
-                    loss = loss_fn(ad.sigmoid(leaf) if saturated else leaf, labels)
+                    probs = (ad.clip(ad.sigmoid(leaf), heads.PROB_CLAMP, 1.0 - heads.PROB_CLAMP)
+                             if saturated else leaf)
+                    loss = loss_fn(probs, labels)
                     grad = ad.backward(loss, params={"leaf": leaf})["leaf"].data
                 results.append((loss.item().hex(), grad.tobytes()))
             assert results[0] == results[1], seed
@@ -193,7 +200,32 @@ class TestLosses:
         with ad.tape_scope() as tape:
             heads.loss_contact(probs, np.arange(8) % 2)
         ops = [e.op for e in tape.entries]
-        assert len(ops) == 6 and ops.count("log") == 1
+        assert len(ops) == 5 and ops.count("log") == 1 and "clip" not in ops
+
+    @pytest.mark.parametrize("bad", [0.0, 1.0, np.nan, -0.1, 1.5],
+                             ids=["0", "1", "nan", "negative", "above-1"])
+    def test_contact_loss_rejects_probabilities_outside_unit_interval(self, bad):
+        # The loss clipped 0 and 1 to the head's range in silence, and 1.5 and -0.1 with them.
+        probs = ad.Tensor(np.array([0.25, bad, 0.5, 0.75]), requires_grad=True)
+        with ad.tape_scope() as tape:
+            with pytest.raises(ContractError, match=r"strictly inside \(0, 1\), got " +
+                               re.escape(str(np.array([bad])))):
+                heads.loss_contact(probs, np.array([0, 1, 0, 1]))
+        assert tape.entries == []
+
+    @pytest.mark.parametrize("logit", [40.0, -40.0, -800.0])
+    def test_contact_loss_finite_at_head_clamp_endpoints(self, template, logit):
+        # A saturated sigmoid (1.0 at 40, 4e-18 at -40, 0.0 at -800) is clamped by the head alone.
+        params = make_params()
+        params["heads.contact.w"] = ad.Tensor(np.zeros((32, 1)))
+        params["heads.contact.b"] = ad.Tensor(np.array([logit]))
+        feats = ad.Tensor(np.zeros((template.v_coarse, 32)))
+        probs = heads.contact_head(feats, template, params).probs
+        endpoint = heads.PROB_CLAMP if logit < 0 else 1.0 - heads.PROB_CLAMP
+        assert np.array_equal(probs.data, np.full(template.v_full, endpoint))
+        for label in (0, 1):
+            loss = heads.loss_contact(probs, np.full(template.v_full, label)).item()
+            assert np.isfinite(loss) and loss > 0.0
 
     @pytest.mark.parametrize("bad", [2.0, -1.0, 0.5, np.nan], ids=["2", "-1", "half", "nan"])
     def test_contact_loss_rejects_non_binary_labels(self, bad):

@@ -1,5 +1,5 @@
 """Every function, class and module-level constant the package defines is used somewhere,
-and every import and parameter is read.
+every parameter is read, and every import is read, in the tests and the benchmark too.
 
 A name that occurs only at its own definition, across the package, its tests
 and the benchmark, is dead code: delete it, or use it.
@@ -55,8 +55,11 @@ def unused_imports(path):
 
 
 def test_every_import_is_used():
+    # The tests and the benchmark too: an import that outlives its last use there is dead.
+    paths = [path for top in (PACKAGE, ROOT / "tests", ROOT / "meshbench")
+             for path in top.glob("*.py")]
     unused = sorted(
-        f"{path.name}:{name}" for path in PACKAGE.glob("*.py") for name in unused_imports(path)
+        f"{path.relative_to(ROOT)}:{name}" for path in paths for name in unused_imports(path)
     )
     assert not unused, f"imported but never used: {unused}"
 

@@ -373,6 +373,22 @@ class TestDownsample:
         with pytest.raises(ContractError, match="integer grid side"):
             scenes.downsample_mask(np.zeros((8, 8), dtype=np.int32), grid_side, 4)
 
+    @pytest.mark.parametrize("n_classes", [np.uint64(4), np.int32(4)], ids=["uint64", "int32"])
+    def test_numpy_integer_class_count_matches_int(self, n_classes):
+        # np.uint64(4) promoted the cell offsets to float64 and leaked numpy's cast TypeError.
+        mask = np.random.default_rng(13).integers(0, 4, size=(8, 8)).astype(np.int32)
+        out = scenes.downsample_mask(mask, 2, n_classes)
+        assert out.dtype == np.int32
+        assert np.array_equal(out, scenes.downsample_mask(mask, 2, 4))
+
+    @pytest.mark.parametrize("n_classes", [4.0, 4.5, True, 0, -1],
+                             ids=["float", "fraction", "bool", "zero", "negative"])
+    def test_bad_class_count_rejected(self, n_classes):
+        # 4.0 and 4.5 leaked numpy's cast TypeError, True "an integer is required".
+        with pytest.raises(ContractError, match=re.escape(f"integer class count >= 1, "
+                                                          f"got {n_classes!r}")):
+            scenes.downsample_mask(np.zeros((8, 8), dtype=np.int32), 2, n_classes)
+
     @pytest.mark.parametrize("dtype", [np.float64, np.bool_], ids=["float", "bool"])
     def test_non_integer_mask_rejected(self, dtype):
         # A float mask leaked numpy's TypeError from the int cast in bincount.
