@@ -282,19 +282,21 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
-    """Multi-head scaled dot-product attention of [T x D] queries, keys and values.
+    """Multi-head scaled dot-product attention of [Tq x D] queries on [Tk x D] keys and values.
 
-    Splits the width into `heads` heads of dh = D / heads, takes the softmax
-    of the scaled scores per head and merges the heads' contexts back to
-    [T x D], as one tape entry.
-    - The scale 1/sqrt(dh) multiplies the queries, not the [heads x T x T]
+    `k` and `v` must have equal shapes and `q` their width D; the output and
+    the queries' gradient are [Tq x D], the keys' and values' gradients
+    [Tk x D]. Splits the width into `heads` heads of dh = D / heads, takes the
+    softmax of the scaled scores per head and merges the heads' contexts back
+    to [Tq x D], as one tape entry.
+    - The scale 1/sqrt(dh) multiplies the queries, not the [heads x Tq x Tk]
       scores.
     - Each head's scores are shifted by the head's max before the exp.
       That is exact to rounding while every row's max lies within ~600 of
       its head's; if a row's sum of exps falls below `_SAFE_ROW_SUM`, the
       scores are recomputed and shifted by each row's max instead.
     - The unnormalized weights multiply the values, and the
-      [heads x T x dh] context is divided by the row sums.
+      [heads x Tq x dh] context is divided by the row sums.
     - The backward keeps the exps, their row sums, the values split into
       heads and a view of its own output as the normalized context; the
       scaled queries only for the keys' gradient, and the keys only for the
@@ -304,23 +306,22 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     each side rounds a score to a few ulps of its size, which the softmax
     turns into a relative error of that size.
     """
-    if q.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
-        raise ShapeError(
-            f"attention needs equal [T x D] q, k, v, got {q.shape}, {k.shape}, {v.shape}"
-        )
-    t, d = q.shape
+    if q.ndim != 2 or k.ndim != 2 or v.shape != k.shape or q.shape[1] != k.shape[1]:
+        raise ShapeError(f"attention needs [Tq x D] q and equal [Tk x D] k, v, "
+                         f"got {q.shape}, {k.shape}, {v.shape}")
+    (tq, d), tk = q.shape, k.shape[0]
     if not _is_int(heads):
         raise ContractError(f"attention head count must be an integer, got {heads!r}")
     if heads < 1 or d % heads:
         raise ShapeError(f"head count {heads} does not divide token width {d}")
-    if t == 0:
-        raise ContractError(f"attention along empty axis of shape {(heads, t, t)}")
+    if tq == 0 or tk == 0:
+        raise ContractError(f"attention along empty axis of shape {(heads, tq, tk)}")
     dh = d // heads
     scale = 1.0 / np.sqrt(dh)
-    qh = (q.data * scale).reshape(t, heads, dh).transpose(1, 0, 2)  # (heads, T, dh)
-    kt = np.ascontiguousarray(k.data.reshape(t, heads, dh).transpose(1, 2, 0))  # (heads, dh, T)
-    vh = v.data.reshape(t, heads, dh).transpose(1, 0, 2)
-    ones = np.ones((t, 1))
+    qh = (q.data * scale).reshape(tq, heads, dh).transpose(1, 0, 2)  # (heads, Tq, dh)
+    kt = np.ascontiguousarray(k.data.reshape(tk, heads, dh).transpose(1, 2, 0))  # (heads, dh, Tk)
+    vh = v.data.reshape(tk, heads, dh).transpose(1, 0, 2)
+    ones = np.ones((tk, 1))
 
     def scores():
         # An inf input can make BLAS multiply inf by 0 in its packing; the max check rejects it.
@@ -332,7 +333,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     _check_max("attention", m)
     e -= m[:, None, None]
     np.exp(e, out=e)
-    s = e @ ones  # (heads, T, 1) row sums
+    s = e @ ones  # (heads, Tq, 1) row sums
     if (s < _SAFE_ROW_SUM).any():  # a row's max sits far below its head's
         e = scores()
         _max_shift("attention", e, out=e)
@@ -340,27 +341,26 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
         s = e @ ones
     ctx = e @ vh
     ctx /= s
-    out = ctx.transpose(1, 0, 2).reshape(t, d)
-    ctx = out.reshape(t, heads, dh).transpose(1, 0, 2)  # read through the output, not a copy
+    out = ctx.transpose(1, 0, 2).reshape(tq, d)
+    ctx = out.reshape(tq, heads, dh).transpose(1, 0, 2)  # read through the output, not a copy
     q_rg, k_rg, v_rg = q.requires_grad, k.requires_grad, v.requires_grad
     qs = qh if k_rg else None  # the scaled queries, read only by the keys' gradient
     kd = k.data if q_rg else None  # and the keys only by the queries'
 
     def bwd(g):
-        gc = g.reshape(t, heads, dh).transpose(1, 0, 2) / s
+        gc = g.reshape(tq, heads, dh).transpose(1, 0, 2) / s
         gv = np.swapaxes(e, -1, -2) @ gc if v_rg else None
         gs = gc @ np.ascontiguousarray(np.swapaxes(vh, -1, -2))
-        # rowsum(dP * P) = rowsum(dO * O), over dh rather than T columns.
+        # rowsum(dP * P) = rowsum(dO * O), over dh rather than Tk columns.
         gs -= (gc * ctx).sum(axis=-1, keepdims=True)
         gs *= e
         gq = None
         if q_rg:
-            gq = gs @ kd.reshape(t, heads, dh).transpose(1, 0, 2)
+            gq = gs @ kd.reshape(tk, heads, dh).transpose(1, 0, 2)
             gq *= scale
         gk = np.swapaxes(gs, -1, -2) @ qs if k_rg else None
-        return tuple(
-            x.transpose(1, 0, 2).reshape(t, d) if x is not None else None for x in (gq, gk, gv)
-        )
+        return tuple(x.transpose(1, 0, 2).reshape(t, d) if x is not None else None
+                     for x, t in ((gq, tq), (gk, tk), (gv, tk)))
 
     return _emit("attention", (q, k, v), out, bwd)
 

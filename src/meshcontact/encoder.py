@@ -5,6 +5,15 @@ residual connection, a graph-convolution residual over the mesh adjacency,
 a second layer norm, and an MLP with a residual connection.  Two
 independently initialized encoder stacks consume the same token sequence;
 their vertex-token outputs are fused as m_a + FUSION_WEIGHT_B * m_b.
+
+Only the vertex tokens are read after the encoders, so the last block of
+each stack computes only the vertex rows: every token still serves as a key
+and a value, but only the vertex tokens are queries, and the graph residual,
+layer norm and MLP run on the vertex rows alone.  That is exact up to
+rounding: attention, layer norm and the MLP act on each query row on its
+own, and `token_adjacency` links no vertex token to an image or joint token.
+It rounds differently because the attention's per-head max shift is taken
+over fewer rows, and BLAS rounds a product differently by its row count.
 """
 
 from __future__ import annotations
@@ -77,14 +86,21 @@ def token_adjacency(template: MeshTemplate, layout: TokenLayout) -> np.ndarray:
     return a
 
 
-def mhsa(tokens: Tensor, params: dict, prefix: str, heads: int) -> Tensor:
-    """Multi-head scaled dot-product self-attention with output projection."""
-    q, k, v = (
-        ad.linear(tokens, params[f"{prefix}.attn.w{n}"], params[f"{prefix}.attn.b{n}"])
-        for n in "qkv"
-    )
-    ctx = ad.attention(q, k, v, heads)
-    return ad.linear(ctx, params[f"{prefix}.attn.wo"], params[f"{prefix}.attn.bo"])
+def _rows_from(x: Tensor, start: int) -> Tensor:
+    return ad.narrow(x, 0, start, x.shape[0] - start) if start else x
+
+
+def mhsa(tokens: Tensor, params: dict, prefix: str, heads: int, start: int = 0) -> Tensor:
+    """Multi-head scaled dot-product self-attention with output projection.
+
+    Every token is a key and a value; only the tokens from row `start` on are
+    queries, so the output has one row per token from `start` on.
+    """
+    def project(x, n):
+        return ad.linear(x, params[f"{prefix}.attn.w{n}"], params[f"{prefix}.attn.b{n}"])
+
+    q = project(_rows_from(tokens, start), "q")
+    return project(ad.attention(q, project(tokens, "k"), project(tokens, "v"), heads), "o")
 
 
 def graph_residual(tokens: Tensor, adjacency: np.ndarray, wg: Tensor) -> Tensor:
@@ -98,15 +114,26 @@ def graph_residual(tokens: Tensor, adjacency: np.ndarray, wg: Tensor) -> Tensor:
 
 
 def encoder_block(tokens: Tensor, adjacency: np.ndarray, params: dict, prefix: str,
-                  config: EncoderConfig) -> Tensor:
+                  config: EncoderConfig, start: int = 0) -> Tensor:
+    """One block, computed for the rows from `start` on: the first row the caller reads.
+
+    Layer norm 1 and the keys and values take every row; everything after
+    them takes rows `start:` only, with the graph residual over
+    `adjacency[start:, start:]`.  That drops no term only if no kept row
+    mixes with a dropped one, which is checked.
+    """
+    if start and np.any(adjacency[start:, :start]):
+        raise ContractError(
+            f"adjacency links rows from {start} on to rows before it; they cannot be dropped"
+        )
     x = ad.add(
-        tokens,
+        _rows_from(tokens, start),
         mhsa(
             ad.layer_norm(tokens, params[f"{prefix}.ln1.gamma"], params[f"{prefix}.ln1.beta"]),
-            params, prefix, config.heads,
+            params, prefix, config.heads, start,
         ),
     )
-    x = graph_residual(x, adjacency, params[f"{prefix}.graph.wg"])
+    x = graph_residual(x, adjacency[start:, start:], params[f"{prefix}.graph.wg"])
     h = ad.layer_norm(x, params[f"{prefix}.ln2.gamma"], params[f"{prefix}.ln2.beta"])
     h = ad.gelu(ad.linear(h, params[f"{prefix}.mlp.w1"], params[f"{prefix}.mlp.b1"]))
     h = ad.linear(h, params[f"{prefix}.mlp.w2"], params[f"{prefix}.mlp.b2"])
@@ -117,9 +144,10 @@ def dual_encode(sequence: TokenSequence, adjacency: np.ndarray, params: dict,
                 config: EncoderConfig):
     """Run both encoder stacks and fuse their vertex tokens.
 
-    Returns (fused, m_a, m_b): the fixed-weight combination
-    m_a + FUSION_WEIGHT_B * m_b plus the individual per-encoder vertex
-    features, which the per-encoder losses consume.
+    The last block of each stack computes only the vertex rows.  Returns
+    (fused, m_a, m_b): the fixed-weight combination m_a + FUSION_WEIGHT_B * m_b
+    plus the individual per-encoder vertex features, which the per-encoder
+    losses consume.
     """
     layout = sequence.layout
     if adjacency.shape[0] != layout.total:
@@ -130,8 +158,9 @@ def dual_encode(sequence: TokenSequence, adjacency: np.ndarray, params: dict,
     for prefix in ("enc_a", "enc_b"):
         x = sequence.tokens
         for b in range(config.depth):
-            x = encoder_block(x, adjacency, params, f"{prefix}.block{b}", config)
-        vertex.append(ad.narrow(x, 0, layout.vertex_start, layout.n_vertex))
+            start = layout.vertex_start if b == config.depth - 1 else 0
+            x = encoder_block(x, adjacency, params, f"{prefix}.block{b}", config, start)
+        vertex.append(x)
     m_a, m_b = vertex
     fused = ad.add(m_a, ad.mul(Tensor(FUSION_WEIGHT_B), m_b))
     return fused, m_a, m_b

@@ -122,16 +122,16 @@ def composed_linear(x, w, b):
 
 def composed_attention(q, k, v, heads, scale=None):
     """Attention as split -> matmul -> mul -> softmax -> matmul -> merge entries."""
-    t, d = q.shape
+    tq, d = q.shape
     dh = d // heads
     scale = 1.0 / np.sqrt(dh) if scale is None else scale
 
     def split(x, axes=(1, 0, 2)):  # (T, D) -> (heads, T, dh), or (heads, dh, T) for K
-        return ad.transpose(ad.reshape(x, (t, heads, dh)), axes)
+        return ad.transpose(ad.reshape(x, (x.shape[0], heads, dh)), axes)
 
     scores = ad.mul(ad.matmul(split(q), split(k, (1, 2, 0))), ad.Tensor(scale))
     ctx = ad.matmul(ad.softmax(scores), split(v))
-    return ad.reshape(ad.transpose(ctx, (1, 0, 2)), (t, d))
+    return ad.reshape(ad.transpose(ctx, (1, 0, 2)), (tq, d))
 
 
 # The fused attention scales the queries, shifts by a per-head max and normalizes the context,
@@ -204,12 +204,20 @@ class TestLinear:
             ad.linear(x, w, b)
 
 
+# (heads, query rows, key rows, width): self-attention, then fewer and more queries than keys.
+_ATTENTION_CASES = [(1, 1, 1, 4), (1, 5, 5, 4), (2, 1, 1, 4), (2, 5, 5, 4), (4, 1, 1, 4),
+                    (4, 5, 5, 4), (4, 122, 122, 32),
+                    (4, 1, 5, 32), (4, 98, 122, 32), (2, 5, 3, 4)]
+
+
 class TestAttention:
-    @pytest.mark.parametrize("heads, t, d", [(1, 1, 4), (1, 5, 4), (2, 1, 4), (2, 5, 4),
-                                             (4, 1, 4), (4, 5, 4), (4, 122, 32)])
-    def test_matches_composed_ops_within_tolerance(self, heads, t, d):
-        params = _leaves(30 + t, q=(t, d), k=(t, d), v=(t, d))
-        probe = np.random.default_rng(31).normal(size=(t, d))
+    @pytest.mark.parametrize(
+        "heads, tq, tk, d", _ATTENTION_CASES,
+        ids=[f"{h}-{tq}-{d}" if tq == tk else f"{h}-{tq}x{tk}-{d}"
+             for h, tq, tk, d in _ATTENTION_CASES])
+    def test_matches_composed_ops_within_tolerance(self, heads, tq, tk, d):
+        params = _leaves(30 + tq, q=(tq, d), k=(tk, d), v=(tk, d))
+        probe = np.random.default_rng(31).normal(size=(tq, d))
         fused = _forward_and_grads(
             lambda p: ad.attention(p["q"], p["k"], p["v"], heads), params, probe)
         chain = _forward_and_grads(
@@ -239,10 +247,12 @@ class TestAttention:
 
         _check_primitive(f"attention heads={heads} T={t}", f, params)
 
-    @pytest.mark.parametrize("case", ["7x8", "fallback"])
+    @pytest.mark.parametrize("case", ["7x8", "fallback", "q3-kv5"])
     def test_gradient_check(self, case):
         if case == "7x8":
             params = _leaves(43, q=(7, 8), k=(7, 8), v=(7, 8))
+        elif case == "q3-kv5":
+            params = _leaves(47, q=(3, 4), k=(5, 4), v=(5, 4))
         else:
             params = {n: ad.Tensor(a, requires_grad=True, name=n)
                       for n, a in zip("qkv", _fallback_qkv(44))}
@@ -312,13 +322,20 @@ class TestAttention:
         with pytest.raises(ContractError, match="attention along empty axis"):
             ad.attention(z, z, z, 2)
 
+    @pytest.mark.parametrize("tq, tk", [(0, 3), (3, 0)], ids=["no-queries", "no-keys"])
+    def test_empty_query_or_key_rows_rejected(self, tq, tk):
+        kv = ad.Tensor(np.zeros((tk, 4)))
+        with pytest.raises(ContractError, match=rf"empty axis of shape \(2, {tq}, {tk}\)"):
+            ad.attention(ad.Tensor(np.zeros((tq, 4))), kv, kv, 2)
+
     @pytest.mark.parametrize("shapes,heads", [
         (((3, 4), (2, 4), (3, 4)), 2),
         (((3, 4), (3, 4), (3, 2)), 2),
         (((4,), (4,), (4,)), 1),
         (((3, 4), (3, 4), (3, 4)), 3),
         (((3, 4), (3, 4), (3, 4)), 0),
-    ], ids=["k-rows", "v-width", "1-d", "heads-3-of-4", "heads-0"])
+        (((3, 2), (3, 4), (3, 4)), 2),
+    ], ids=["k-rows", "v-width", "1-d", "heads-3-of-4", "heads-0", "q-width"])
     def test_shape_mismatch_rejected(self, shapes, heads):
         q, k, v = (ad.Tensor(np.zeros(s)) for s in shapes)
         with pytest.raises(ShapeError):

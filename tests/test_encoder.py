@@ -3,7 +3,7 @@ import pytest
 
 from meshcontact import autodiff as ad
 from meshcontact import backbone, encoder, mesh
-from meshcontact.errors import ConfigError, ShapeError
+from meshcontact.errors import ConfigError, ContractError, ShapeError
 
 SMALL = encoder.EncoderConfig(token_dim=8, heads=2, depth=1, mlp_hidden=16)
 
@@ -177,6 +177,29 @@ class TestEncoderBlock:
         report = ad.gradient_check(f, params)
         assert report.passed, report
 
+    def test_dropped_rows_that_kept_rows_mix_with_rejected(self):
+        params = make_params(SMALL, prefixes=("enc_a",))
+        tokens = ad.Tensor(np.random.default_rng(15).normal(size=(6, 8)))
+        with pytest.raises(ContractError, match="links rows from 2 on to rows before it"):
+            encoder.encoder_block(tokens, np.full((6, 6), 1.0 / 6), params, "enc_a.block0",
+                                  SMALL, start=2)
+
+    @pytest.mark.parametrize("mesh_config", [mesh.MeshConfig(), mesh.MeshConfig(98, 26)],
+                             ids=["386-98", "98-26"])
+    def test_token_adjacency_lets_the_vertex_rows_stand_alone(self, mesh_config):
+        template = mesh.build_template(mesh_config, rng_seed=0)
+        layout = backbone.TokenLayout(n_image=16, n_joint=template.n_joints,
+                                      n_vertex=template.v_coarse)
+        adjacency = encoder.token_adjacency(template, layout)
+        params = make_params(SMALL, prefixes=("enc_a",))
+        tokens = ad.Tensor(np.random.default_rng(16).normal(size=(layout.total, 8)))
+        full = encoder.encoder_block(tokens, adjacency, params, "enc_a.block0", SMALL)
+        rows = encoder.encoder_block(tokens, adjacency, params, "enc_a.block0", SMALL,
+                                     start=layout.vertex_start)
+        assert rows.shape == (layout.n_vertex, 8)
+        ref = full.data[layout.vertex_start:]
+        assert np.abs(rows.data - ref).max() <= 1e-12 * np.abs(ref).max()
+
 
 class TestDualEncode:
     def _sequence(self, rng, t=12, d=8, n_vertex=5, n_joint=3):
@@ -197,8 +220,9 @@ class TestDualEncode:
         seq = self._sequence(np.random.default_rng(14))
         with ad.tape_scope() as tape:
             encoder.dual_encode(seq, np.eye(12), make_params(config), config)
-        # 16 entries per block (TestEncoderBlock), two narrows, one mul and one add.
-        assert len(tape.entries) == 2 * 16 * config.depth + 4
+        # 16 entries per block (TestEncoderBlock), two narrows per encoder (its last block
+        # narrows the query rows and the residual rows to the vertex tokens), one mul and one add.
+        assert len(tape.entries) == 2 * 16 * config.depth + 2 * 2 + 2 == 70
         assert [e.op for e in tape.entries[-2:]] == ["mul", "add"]
 
     def test_fused_from_constant_parts(self):
