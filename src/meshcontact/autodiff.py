@@ -305,6 +305,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     -> merge within 1e-13 * max(1, max |result|) * max(1, max |score|):
     each side rounds a score to a few ulps of its size, which the softmax
     turns into a relative error of that size.
+    Adding one vector to every key row adds one constant to each query's
+    scores, which the softmax cancels: the output keeps that tolerance, and
+    the keys' gradient sums to zero over rows, so keys need no bias.
     """
     if q.ndim != 2 or k.ndim != 2 or v.shape != k.shape or q.shape[1] != k.shape[1]:
         raise ShapeError(f"attention needs [Tq x D] q and equal [Tk x D] k, v, "

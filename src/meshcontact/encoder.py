@@ -6,6 +6,10 @@ a second layer norm, and an MLP with a residual connection.  Two
 independently initialized encoder stacks consume the same token sequence;
 their vertex-token outputs are fused as m_a + FUSION_WEIGHT_B * m_b.
 
+Queries, values and the attention output have biases; keys have none.  A key
+bias b_k adds the same q . b_k to every score of a query row, which the
+softmax cancels, so no output depends on it (BEiT fixes it at zero likewise).
+
 Only the vertex tokens are read after the encoders, so the last block of
 each stack computes only the vertex rows: every token still serves as a key
 and a value, but only the vertex tokens are queries, and the graph residual,
@@ -50,6 +54,7 @@ class EncoderConfig:
 
 
 def init_encoder_params(prefix: str, config: EncoderConfig, rng) -> dict:
+    """Per block: ln1, attn wq/wk/wv/wo and bq/bv/bo, graph.wg, ln2 and mlp w1/b1/w2/b2."""
     d, h = config.token_dim, config.mlp_hidden
     params = {}
     for b in range(config.depth):
@@ -58,7 +63,7 @@ def init_encoder_params(prefix: str, config: EncoderConfig, rng) -> dict:
         params[f"{p}.ln1.beta"] = np.zeros(d)
         for name in ("wq", "wk", "wv", "wo"):
             params[f"{p}.attn.{name}"] = rng.normal(0.0, np.sqrt(1.0 / d), size=(d, d))
-        for name in ("bq", "bk", "bv", "bo"):
+        for name in ("bq", "bv", "bo"):
             params[f"{p}.attn.{name}"] = np.zeros(d)
         params[f"{p}.graph.wg"] = rng.normal(0.0, np.sqrt(1.0 / d), size=(d, d))
         params[f"{p}.ln2.gamma"] = np.ones(d)
@@ -94,13 +99,16 @@ def mhsa(tokens: Tensor, params: dict, prefix: str, heads: int, start: int = 0) 
     """Multi-head scaled dot-product self-attention with output projection.
 
     Every token is a key and a value; only the tokens from row `start` on are
-    queries, so the output has one row per token from `start` on.
+    queries, so the output has one row per token from `start` on.  Keys take
+    no bias: it would shift each query's scores by one constant, which the
+    softmax ignores.
     """
     def project(x, n):
         return ad.linear(x, params[f"{prefix}.attn.w{n}"], params[f"{prefix}.attn.b{n}"])
 
     q = project(_rows_from(tokens, start), "q")
-    return project(ad.attention(q, project(tokens, "k"), project(tokens, "v"), heads), "o")
+    k = ad.matmul(tokens, params[f"{prefix}.attn.wk"])
+    return project(ad.attention(q, k, project(tokens, "v"), heads), "o")
 
 
 def graph_residual(tokens: Tensor, adjacency: np.ndarray, wg: Tensor) -> Tensor:

@@ -235,6 +235,26 @@ class TestAttention:
         chain = composed_attention(params["q"], params["k"], params["v"], heads, scale).data
         assert not _within_attention_tolerance(fused, chain)
 
+    @pytest.mark.parametrize("heads, tq, tk, d", [(1, 5, 5, 4), (2, 3, 5, 4), (4, 98, 122, 32)],
+                             ids=["1-5-4", "2-3x5-4", "4-98x122-32"])
+    def test_shifting_every_key_by_one_vector_changes_nothing(self, heads, tq, tk, d):
+        # k + c adds q . c to every score of a query row; the softmax cancels it, so a key
+        # bias is dead and the keys' gradient sums to zero over rows. With one key row that
+        # gradient is all rounding, so every case has several.
+        params = _leaves(60 + tq, q=(tq, d), k=(tk, d), v=(tk, d))
+        q, k, v = (params[n] for n in "qkv")
+        c = 3.0 * np.random.default_rng(61).normal(size=d)
+        shifted = ad.attention(q, ad.Tensor(k.data + c), v, heads).data
+        qh = q.data.reshape(tq, heads, -1).transpose(1, 0, 2)
+        kh = (k.data + c).reshape(tk, heads, -1).transpose(1, 2, 0)
+        largest = np.abs(qh @ kh).max() / np.sqrt(d // heads)
+        assert _within_attention_tolerance(shifted, ad.attention(q, k, v, heads).data, largest)
+        probe = np.random.default_rng(62).normal(size=(tq, d))
+        gk = _forward_and_grads(lambda p: ad.attention(p["q"], p["k"], p["v"], heads),
+                                params, probe)[1]["k"]
+        bound = 1e-13 * np.abs(q.data).max() * np.abs(gk).max() * tq
+        assert np.abs(gk.sum(axis=0)).max() <= bound
+
     @pytest.mark.parametrize("t", [1, 5])
     @pytest.mark.parametrize("heads", [1, 2, 4])
     def test_gradient(self, heads, t):

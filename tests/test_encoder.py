@@ -27,7 +27,7 @@ def zeroed(params, keys):
 class TestMhsa:
     def test_zero_query_key_gives_uniform_attention(self):
         params = make_params(SMALL, prefixes=("enc_a",))
-        params = zeroed(params, [".attn.wq", ".attn.wk", ".attn.bq", ".attn.bk", ".attn.bo"])
+        params = zeroed(params, [".attn.wq", ".attn.wk", ".attn.bq", ".attn.bo"])
         rng = np.random.default_rng(1)
         tokens = ad.Tensor(rng.normal(size=(5, 8)))
         out = encoder.mhsa(tokens, params, "enc_a.block0", SMALL.heads)
@@ -39,7 +39,7 @@ class TestMhsa:
 
     def test_single_token(self):
         params = make_params(SMALL, prefixes=("enc_a",))
-        params = zeroed(params, [".attn.bq", ".attn.bk", ".attn.bv", ".attn.bo"])
+        params = zeroed(params, [".attn.bq", ".attn.bv", ".attn.bo"])
         rng = np.random.default_rng(2)
         token = ad.Tensor(rng.normal(size=(1, 8)))
         out = encoder.mhsa(token, params, "enc_a.block0", SMALL.heads)
@@ -56,7 +56,7 @@ class TestMhsa:
         wo = np.array([[1.0, 0.0], [1.0, 1.0]])
         for name, w in [("wq", wq), ("wk", wk), ("wv", wv), ("wo", wo)]:
             params[f"enc_a.block0.attn.{name}"] = ad.Tensor(w)
-        for name in ("bq", "bk", "bv", "bo"):
+        for name in ("bq", "bv", "bo"):
             params[f"enc_a.block0.attn.{name}"] = ad.Tensor(np.zeros(2))
         x = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         out = encoder.mhsa(ad.Tensor(x), params, "enc_a.block0", 1)
@@ -88,7 +88,7 @@ class TestMhsa:
         tokens = ad.Tensor(np.random.default_rng(12).normal(size=(6, 8)))
         with ad.tape_scope() as tape:
             taped = encoder.mhsa(tokens, params, "enc_a.block0", SMALL.heads)
-        assert [e.op for e in tape.entries] == ["linear"] * 3 + ["attention", "linear"]
+        assert [e.op for e in tape.entries] == ["linear", "matmul", "linear", "attention", "linear"]
         untaped = encoder.mhsa(tokens, params, "enc_a.block0", SMALL.heads)
         assert np.array_equal(taped.data, untaped.data)
 

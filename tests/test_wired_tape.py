@@ -1,4 +1,4 @@
-"""The op kinds one wired training step records, pinned.
+"""The op kinds one wired training step records, pinned, and every parameter live.
 
 A change to what the model records shows up here as a count, not only as a
 slower benchmark.  The wiring is imported from meshbench/ as
@@ -13,20 +13,29 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from meshcontact import autodiff as ad
 from meshcontact import scenes
+from meshcontact.mesh import MeshConfig
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "meshbench"))
 
 import wiring  # noqa: E402
 
 TRAIN_STEP_OPS = {
-    "linear": 108, "add": 70, "matmul": 41, "gelu": 38, "layer_norm": 32, "mul": 26,
+    "linear": 92, "add": 70, "matmul": 57, "gelu": 38, "layer_norm": 32, "mul": 26,
     "narrow": 28, "attention": 16, "mean": 6, "reshape": 5, "concat": 4, "clip": 2, "neg": 4,
     "conv2d": 2, "sigmoid": 2, "log": 2, "log_softmax": 2, "gather_rows": 2,
     "transpose": 1, "softmax": 1, "sub": 1,
 }
+
+
+def _setup(mesh_config):
+    model = wiring.Model(wiring.ModelConfig(mesh=mesh_config))
+    params = wiring.init_params(model, np.random.default_rng(3))
+    sample = scenes.generate_sample(wiring.SCENE, model.template, np.random.default_rng([9, 0]))
+    return model, params, sample
 
 
 def test_train_step_op_kinds_pinned(monkeypatch):
@@ -40,11 +49,29 @@ def test_train_step_op_kinds_pinned(monkeypatch):
             yield tape
 
     monkeypatch.setattr(ad, "tape_scope", recording_scope)
-    model = wiring.Model(wiring.ModelConfig())
-    params = wiring.init_params(model, np.random.default_rng(3))
-    sample = scenes.generate_sample(wiring.SCENE, model.template, np.random.default_rng([9, 0]))
+    model, params, sample = _setup(MeshConfig())
     _, entries = wiring.train_step(model, params, wiring.Adam(params), sample,
                                    np.random.default_rng([1, 0]))
     (tape,) = tapes
     assert entries == len(tape.entries) == sum(TRAIN_STEP_OPS.values()) == 393
     assert collections.Counter(e.op for e in tape.entries) == TRAIN_STEP_OPS
+
+
+# After one step every parameter's largest |gradient| is at least 2.9e-3 here. A parameter
+# no output depends on, such as a key bias, gets only rounding noise: at most 3.2e-16.
+LIVE_GRADIENT = 1e-10
+
+
+@pytest.mark.parametrize("mesh_config", [MeshConfig(), MeshConfig(v_full=98, v_coarse=26)],
+                         ids=["386-98", "98-26"])
+def test_every_parameter_has_a_live_gradient(mesh_config):
+    class RecordingAdam(wiring.Adam):
+        def step(self, params, grads):
+            self.grads = {k: np.abs(g.data).max() for k, g in grads.items()}
+            super().step(params, grads)
+
+    model, params, sample = _setup(mesh_config)
+    adam = RecordingAdam(params)
+    wiring.train_step(model, params, adam, sample, np.random.default_rng([1, 0]))
+    assert adam.grads.keys() == params.keys()
+    assert {k for k, g in adam.grads.items() if not g > LIVE_GRADIENT} == set()
