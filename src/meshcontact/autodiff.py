@@ -15,9 +15,11 @@ tensor's `name` is a label).
 A backward closure holds only the arrays, requires-grad flags and shapes
 its gradient formulas read, never a tensor: an input's array is kept only
 when a gradient that will be computed reads it.  So the tape keeps no
-activation its backward does not read, and as neither an entry nor its
-closure points at a tensor, a tape and the tensors that point at it through
-`_tape` form no reference cycle for the cyclic GC to find.
+activation its backward does not read.  Nor does it keep what the backward
+can cheaply rebuild: attention rebuilds its exps from the queries and keys
+it keeps, and GELU keeps one derivative, not its input and CDF.  As neither
+an entry nor its closure points at a tensor, a tape and the tensors that
+point at it through `_tape` form no reference cycle for the cyclic GC to find.
 
 A tape is replayed at most once.  `backward` drops each entry's closure as
 it reaches it, so each saved array is freed by reference counting as soon
@@ -297,10 +299,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
       scores are recomputed and shifted by each row's max instead.
     - The unnormalized weights multiply the values, and the
       [heads x Tq x dh] context is divided by the row sums.
-    - The backward keeps the exps, their row sums, the values split into
-      heads and a view of its own output as the normalized context; the
-      scaled queries only for the keys' gradient, and the keys only for the
-      queries'.
+    - The backward keeps the scaled queries, the keys, the values, the row
+      sums, the shift the forward subtracted (per head, or per row after
+      the fallback) and a view of its own output as the normalized context.
+      It keeps no [heads x Tq x Tk] array: it rebuilds each head's exps,
+      one head at a time, from the scaled queries, the keys and that shift,
+      with the operands laid out as in the forward, so the exps and every
+      gradient are those of a backward that saved them, bit for bit.
     Output and gradients match split -> matmul -> mul -> softmax -> matmul
     -> merge within 1e-13 * max(1, max |result|) * max(1, max |score|):
     each side rounds a score to a few ulps of its size, which the softmax
@@ -322,7 +327,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     dh = d // heads
     scale = 1.0 / np.sqrt(dh)
     qh = (q.data * scale).reshape(tq, heads, dh).transpose(1, 0, 2)  # (heads, Tq, dh)
-    kt = np.ascontiguousarray(k.data.reshape(tk, heads, dh).transpose(1, 2, 0))  # (heads, dh, Tk)
+    kh = k.data.reshape(tk, heads, dh).transpose(1, 0, 2)  # a view, kept; kt, a copy, is not
+    kt = np.ascontiguousarray(kh.transpose(0, 2, 1))  # (heads, dh, Tk)
     vh = v.data.reshape(tk, heads, dh).transpose(1, 0, 2)
     ones = np.ones((tk, 1))
 
@@ -332,14 +338,16 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
             return qh @ kt
 
     e = scores()
-    m = e.max(axis=(1, 2))
-    _check_max("attention", m)
-    e -= m[:, None, None]
+    shift = e.max(axis=(1, 2), keepdims=True)  # (heads, 1, 1)
+    _check_max("attention", shift)
+    e -= shift
     np.exp(e, out=e)
     s = e @ ones  # (heads, Tq, 1) row sums
     if (s < _SAFE_ROW_SUM).any():  # a row's max sits far below its head's
         e = scores()
-        _max_shift("attention", e, out=e)
+        shift = e.max(axis=-1, keepdims=True)  # (heads, Tq, 1)
+        _check_max("attention", shift)
+        e -= shift
         np.exp(e, out=e)
         s = e @ ones
     ctx = e @ vh
@@ -347,23 +355,33 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     out = ctx.transpose(1, 0, 2).reshape(tq, d)
     ctx = out.reshape(tq, heads, dh).transpose(1, 0, 2)  # read through the output, not a copy
     q_rg, k_rg, v_rg = q.requires_grad, k.requires_grad, v.requires_grad
-    qs = qh if k_rg else None  # the scaled queries, read only by the keys' gradient
-    kd = k.data if q_rg else None  # and the keys only by the queries'
 
     def bwd(g):
         gc = g.reshape(tq, heads, dh).transpose(1, 0, 2) / s
-        gv = np.swapaxes(e, -1, -2) @ gc if v_rg else None
-        gs = gc @ np.ascontiguousarray(np.swapaxes(vh, -1, -2))
+        vt = np.ascontiguousarray(np.swapaxes(vh, -1, -2))
         # rowsum(dP * P) = rowsum(dO * O), over dh rather than Tk columns.
-        gs -= (gc * ctx).sum(axis=-1, keepdims=True)
-        gs *= e
-        gq = None
+        dot = (gc * ctx).sum(axis=-1, keepdims=True)
+        gq = np.empty((tq, d)) if q_rg else None  # each head fills its own columns
+        gk = np.empty((tk, d)) if k_rg else None
+        gv = np.empty((tk, d)) if v_rg else None
+        for h in range(heads):
+            cols = slice(h * dh, (h + 1) * dh)
+            # This head's exps, rebuilt from operands laid out as the forward's.
+            e = qh[h] @ np.ascontiguousarray(kh[h].T)
+            e -= shift[h]
+            np.exp(e, out=e)
+            if v_rg:
+                np.matmul(e.T, gc[h], out=gv[:, cols])
+            gs = gc[h] @ vt[h]
+            gs -= dot[h]
+            gs *= e
+            if q_rg:
+                np.matmul(gs, kh[h], out=gq[:, cols])
+            if k_rg:
+                np.matmul(gs.T, qh[h], out=gk[:, cols])
         if q_rg:
-            gq = gs @ kd.reshape(tk, heads, dh).transpose(1, 0, 2)
             gq *= scale
-        gk = np.swapaxes(gs, -1, -2) @ qs if k_rg else None
-        return tuple(x.transpose(1, 0, 2).reshape(t, d) if x is not None else None
-                     for x, t in ((gq, tq), (gk, tk), (gv, tk)))
+        return (gq, gk, gv)
 
     return _emit("attention", (q, k, v), out, bwd)
 
@@ -498,8 +516,8 @@ def _check_max(op, m: np.ndarray):
         raise NumericsError(f"{op} input contains NaN or a row whose max is not finite")
 
 
-def _max_shift(op, x: np.ndarray, out=None) -> np.ndarray:
-    """x minus its max along the last axis, into `out` (a new array if None).
+def _max_shift(op, x: np.ndarray) -> np.ndarray:
+    """x minus its max along the last axis, as a new array.
 
     Rejects what a softmax cannot normalize: no axis, NaN, which the max
     propagates, so one NaN anywhere in a row is caught without a second scan,
@@ -509,7 +527,7 @@ def _max_shift(op, x: np.ndarray, out=None) -> np.ndarray:
         raise ContractError(f"{op} along empty axis of shape {x.shape}")
     m = x.max(axis=-1, keepdims=True)
     _check_max(op, m)
-    return np.subtract(x, m, out=out)
+    return x - m
 
 
 def softmax(x: Tensor) -> Tensor:
@@ -582,25 +600,32 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Exact Gaussian error linear unit x * Phi(x)."""
+    """Exact Gaussian error linear unit x * Phi(x).
+
+    Only when it records a tape entry does the forward also build the derivative
+    Phi(x) + x * phi(x). The entry keeps that one array, and its backward multiplies
+    it by the output gradient.
+    """
     xd = x.data
     # Each buffer is an array even for a 0-d x, which a plain product would make a scalar.
     cdf = np.multiply(xd, _INV_SQRT2, out=np.empty(xd.shape))
     erf(cdf, out=cdf)
     cdf += 1.0
     cdf *= 0.5
-
-    def bwd(g):
-        d = np.multiply(-0.5, xd, out=np.empty(xd.shape))  # the pdf, then the gradient
+    out = xd * cdf
+    d = None
+    if x.requires_grad and active_tape() is not None:
+        d = np.multiply(-0.5, xd, out=np.empty(xd.shape))  # the pdf, then the derivative
         d *= xd
         np.exp(d, out=d)
         d *= _INV_SQRT2PI
         d *= xd
         d += cdf
-        d *= g
-        return (d,)
 
-    return _emit("gelu", (x,), xd * cdf, bwd)
+    def bwd(g):
+        return (d * g,)
+
+    return _emit("gelu", (x,), out, bwd)
 
 
 def sigmoid(x: Tensor) -> Tensor:

@@ -162,6 +162,46 @@ def _fallback_qkv(seed):
     return q, k, v
 
 
+def saved_exps_attention(q, k, v, heads, g, flags):
+    """attention's output and (gq, gk, gv) as it computed them when its tape kept the exps.
+
+    Arrays in, arrays out; `flags` says which of q, k and v require grad.
+    """
+    (tq, d), tk = q.shape, k.shape[0]
+    dh = d // heads
+    scale = 1.0 / np.sqrt(dh)
+    qh = (q * scale).reshape(tq, heads, dh).transpose(1, 0, 2)
+    kt = np.ascontiguousarray(k.reshape(tk, heads, dh).transpose(1, 2, 0))
+    vh = v.reshape(tk, heads, dh).transpose(1, 0, 2)
+    ones = np.ones((tk, 1))
+    e = qh @ kt
+    e -= e.max(axis=(1, 2))[:, None, None]
+    np.exp(e, out=e)
+    s = e @ ones
+    if (s < ad._SAFE_ROW_SUM).any():
+        e = qh @ kt
+        e -= e.max(axis=-1, keepdims=True)
+        np.exp(e, out=e)
+        s = e @ ones
+    ctx = e @ vh
+    ctx /= s
+    out = ctx.transpose(1, 0, 2).reshape(tq, d)
+    ctx = out.reshape(tq, heads, dh).transpose(1, 0, 2)
+    q_rg, k_rg, v_rg = flags
+    gc = g.reshape(tq, heads, dh).transpose(1, 0, 2) / s
+    gv = np.swapaxes(e, -1, -2) @ gc if v_rg else None
+    gs = gc @ np.ascontiguousarray(np.swapaxes(vh, -1, -2))
+    gs -= (gc * ctx).sum(axis=-1, keepdims=True)
+    gs *= e
+    gq = None
+    if q_rg:
+        gq = gs @ k.reshape(tk, heads, dh).transpose(1, 0, 2)
+        gq *= scale
+    gk = np.swapaxes(gs, -1, -2) @ qh if k_rg else None
+    return out, tuple(x.transpose(1, 0, 2).reshape(t, d) if x is not None else None
+                      for x, t in ((gq, tq), (gk, tk), (gv, tk)))
+
+
 def _leaves(seed, **shapes):
     rng = np.random.default_rng(seed)
     return {n: ad.Tensor(rng.normal(size=s), requires_grad=True, name=n) for n, s in shapes.items()}
@@ -300,6 +340,32 @@ class TestAttention:
         assert _within_attention_tolerance(fused[0], chain[0], largest)
         for name in params:
             assert _within_attention_tolerance(fused[1][name], chain[1][name], largest), name
+
+    @pytest.mark.parametrize("flags", [f for f in itertools.product((False, True), repeat=3)
+                                       if any(f)],
+                             ids=lambda f: "".join("TF"[not x] for x in f))
+    @pytest.mark.parametrize("case", ["4-122-32", "4-98x122-32", "fallback", "fallback-3x4"])
+    def test_rebuilt_exps_match_the_saved_exps_bit_for_bit(self, case, flags):
+        if case.startswith("fallback"):  # every head's own max leaves a row's exps at 0
+            heads, (q, k, v) = 2, _fallback_qkv(48)
+            q = q[:3] if case == "fallback-3x4" else q
+            scores = q[:, :2] @ k[:, :2].T / np.sqrt(2.0)
+            assert np.exp(scores - scores.max()).sum(axis=-1).min() < ad._SAFE_ROW_SUM
+        else:
+            tq, tk = (122, 122) if case == "4-122-32" else (98, 122)
+            rng = np.random.default_rng([70, tq])
+            heads, (q, k, v) = 4, (2.0 * rng.normal(size=(t, 32)) for t in (tq, tk, tk))
+        g = np.random.default_rng(71).normal(size=q.shape)
+        inputs = [ad.Tensor(a, requires_grad=rg) for a, rg in zip((q, k, v), flags)]
+        with ad.tape_scope() as tape:
+            out = ad.attention(*inputs, heads)
+            grads = tape.entries[-1].backward_fn(g)
+        ref_out, ref_grads = saved_exps_attention(q, k, v, heads, g, flags)
+        assert out.data.tobytes() == ref_out.tobytes()
+        for name, got, ref in zip("qkv", grads, ref_grads):
+            assert (got is None) == (ref is None), name
+            if ref is not None:
+                assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), name
 
     def test_gradient_only_where_required(self):
         rng = np.random.default_rng(42)
@@ -548,6 +614,20 @@ def gelu_oracle(x, g):
     cdf = 0.5 * (1.0 + erf(x * (1.0 / math.sqrt(2.0))))
     pdf = np.exp(-0.5 * x * x) * (1.0 / math.sqrt(2.0 * math.pi))
     return x * cdf, g * (cdf + x * pdf)
+
+
+def test_gelu_gradient_bytes_match_its_chain_from_the_input():
+    """gelu's gradient is, bit for bit, the chain (-x/2) * x -> exp -> * 1/sqrt(2 pi) -> * x
+    -> + Phi(x) -> * g, evaluated in that order from x and the CDF."""
+    rng = np.random.default_rng(72)
+    x = np.concatenate([3.0 * rng.normal(size=998), [0.0, 40.0, -40.0, -0.0]]).reshape(-1, 2)
+    g = rng.normal(size=x.shape)
+    with ad.tape_scope() as tape:
+        ad.gelu(ad.Tensor(x, requires_grad=True))
+        (got,) = tape.entries[-1].backward_fn(g)
+    cdf = (erf(x * (1.0 / math.sqrt(2.0))) + 1.0) * 0.5
+    d = np.exp((-0.5 * x) * x) * (1.0 / math.sqrt(2.0 * math.pi))
+    assert got.tobytes() == ((d * x + cdf) * g).tobytes()
 
 
 # The encoder's widths: token_dim 32 and its MLP hidden of 128, over 122 tokens.
@@ -905,10 +985,12 @@ _KEPT_FOR = {
     "div": ((1,), (0, 1)),
     "matmul": ((1,), (0,)),
     "linear": ((1,), (0,), ()),
-    "attention": ((), (0,), (0, 1, 2)),  # the keys for the queries' gradient, the values always
+    # The keys and values always: every gradient reads the exps, which the backward rebuilds
+    # from the keys and the scaled queries (a copy, so the queries' own array is never kept).
+    "attention": ((), (0, 1, 2), (0, 1, 2)),
     "layer_norm": ((), (0,), ()),
     "conv2d": ((), (0,), ()),  # the kernel for the input's gradient; the patches are a copy
-    "gelu": ((0,),),
+    "gelu": ((),),  # its derivative, built in the forward, not its input
     "log": ((0,),),
 }
 _FLAG_CASES = [
@@ -968,29 +1050,36 @@ def _root(a):
     return a
 
 
+def kept_bytes(tape, leaves=()):
+    """The unique bytes of the arrays the tape's closures keep alive, apart from `leaves`."""
+    skip = {id(_root(a)) for a in leaves}
+    held = {}
+    for entry in tape.entries:
+        for obj in _held(entry.backward_fn):
+            a = obj.data if isinstance(obj, ad.Tensor) else obj
+            if isinstance(a, np.ndarray) and id(_root(a)) not in skip:
+                held[id(_root(a))] = _root(a).nbytes
+    return sum(held.values())
+
+
 def test_encoder_block_tape_within_its_memory_budget():
-    # The unique array bytes one default block's closures keep alive at 122 tokens: the
-    # attention's exps (4 x 122 x 122) and row sums (4 x 122 x 1); eleven 122 x 32 arrays,
-    # each layer norm's normalized input and output, the attention's scaled queries, keys,
-    # values and output, and the graph residual's A @ H and its GELU's input and CDF; the
-    # MLP's hidden, its CDF and its GELU (122 x 128 each); and the layer norms' row scales.
-    budget = 476_288 + 3_904 + 11 * 31_232 + 3 * 124_928 + 2 * 976
+    # The unique array bytes one default block's closures keep alive at 122 tokens. No exps:
+    # the attention keeps its row sums (4 x 122 x 1) and per-head shifts (4), and rebuilds
+    # the exps from its scaled queries and keys. Ten 122 x 32 arrays: each layer norm's
+    # normalized input and output, the attention's scaled queries, keys, values and output,
+    # and the graph residual's A @ H and its GELU's derivative; the MLP's GELU derivative
+    # and output (122 x 128 each); and the layer norms' row scales.
+    budget = 3_904 + 32 + 10 * 31_232 + 2 * 124_928 + 2 * 976
     cfg = encoder.EncoderConfig()
     rng = np.random.default_rng(0)
     params = {k: ad.Tensor(v, requires_grad=True)
               for k, v in encoder.init_encoder_params("enc", cfg, rng).items()}
     tokens = ad.Tensor(rng.normal(size=(122, cfg.token_dim)), requires_grad=True)
     adjacency = np.full((122, 122), 1.0 / 122)
-    leaves = {id(_root(a)) for a in [adjacency, tokens.data, *(p.data for p in params.values())]}
     with ad.tape_scope() as tape:
         encoder.encoder_block(tokens, adjacency, params, "enc.block0", cfg)
-        held = {}
-        for entry in tape.entries:
-            for obj in _held(entry.backward_fn):
-                a = obj.data if isinstance(obj, ad.Tensor) else obj
-                if isinstance(a, np.ndarray) and id(_root(a)) not in leaves:
-                    held[id(_root(a))] = _root(a).nbytes
-    assert sum(held.values()) <= budget
+        held = kept_bytes(tape, [adjacency, tokens.data, *(p.data for p in params.values())])
+    assert held <= budget
 
 
 class TestGradientCheck:

@@ -1,7 +1,8 @@
-"""The op kinds one wired training step records, pinned, and every parameter live.
+"""The op kinds one wired training step records, pinned, the bytes its tape keeps,
+bounded, and every parameter live.
 
-A change to what the model records shows up here as a count, not only as a
-slower benchmark.  The wiring is imported from meshbench/ as
+A change to what the model records shows up here as a count or a size, not only
+as a slower benchmark.  The wiring is imported from meshbench/ as
 meshbench/test_meshbench.py imports it.  A change that moves these counts on
 purpose updates the pin and names the change in CHANGES.md; ROADMAP item 26,
 which fuses the contact loss on logits, expects 385 entries.
@@ -22,6 +23,7 @@ from meshcontact.mesh import MeshConfig
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "meshbench"))
 
 import wiring  # noqa: E402
+from test_autodiff import kept_bytes  # noqa: E402
 
 TRAIN_STEP_OPS = {
     "linear": 92, "add": 70, "matmul": 57, "gelu": 38, "layer_norm": 32, "mul": 26,
@@ -55,6 +57,27 @@ def test_train_step_op_kinds_pinned(monkeypatch):
     (tape,) = tapes
     assert entries == len(tape.entries) == sum(TRAIN_STEP_OPS.values()) == 393
     assert collections.Counter(e.op for e in tape.entries) == TRAIN_STEP_OPS
+
+
+# The unique bytes a default step's closures hold at the end of its forward, parameters
+# included: 10,412,668 here. Just above that, so that a change that keeps an O(T^2) buffer,
+# such as the (heads x Tq x Tk) attention exps, on the tape fails this bound.
+STEP_KEPT_BYTES = 10_450_000
+
+
+def test_train_step_tape_within_its_memory_bound(monkeypatch):
+    held = []
+    replay = ad.backward
+
+    def measuring_backward(loss, params):
+        held.append(kept_bytes(ad.active_tape()))
+        return replay(loss, params)
+
+    monkeypatch.setattr(ad, "backward", measuring_backward)
+    model, params, sample = _setup(MeshConfig())
+    wiring.train_step(model, params, wiring.Adam(params), sample, np.random.default_rng([1, 0]))
+    (kept,) = held
+    assert kept <= STEP_KEPT_BYTES
 
 
 # After one step every parameter's largest |gradient| is at least 2.9e-3 here. A parameter
