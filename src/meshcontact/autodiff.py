@@ -296,7 +296,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     - Each head's scores are shifted by the head's max before the exp.
       That is exact to rounding while every row's max lies within ~600 of
       its head's; if a row's sum of exps falls below `_SAFE_ROW_SUM`, the
-      scores are recomputed and shifted by each row's max instead.
+      scores are recomputed and shifted by each row's max instead. The
+      head max comes first because it is about 4x cheaper to take than the
+      row max on the default [4 x 122 x 122] scores; only a row far below
+      its head's max needs the row max.
     - The unnormalized weights multiply the values, and the
       [heads x Tq x dh] context is divided by the row sums.
     - The backward keeps the scaled queries, the keys, the values, the row
@@ -331,25 +334,16 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     kt = np.ascontiguousarray(kh.transpose(0, 2, 1))  # (heads, dh, Tk)
     vh = v.data.reshape(tk, heads, dh).transpose(1, 0, 2)
     ones = np.ones((tk, 1))
-
-    def scores():
+    for axis in ((1, 2), -1):  # each head's max; each row's if a row's max sits far below it
         # An inf input can make BLAS multiply inf by 0 in its packing; the max check rejects it.
         with np.errstate(invalid="ignore"):
-            return qh @ kt
-
-    e = scores()
-    shift = e.max(axis=(1, 2), keepdims=True)  # (heads, 1, 1)
-    _check_max("attention", shift)
-    e -= shift
-    np.exp(e, out=e)
-    s = e @ ones  # (heads, Tq, 1) row sums
-    if (s < _SAFE_ROW_SUM).any():  # a row's max sits far below its head's
-        e = scores()
-        shift = e.max(axis=-1, keepdims=True)  # (heads, Tq, 1)
-        _check_max("attention", shift)
+            e = qh @ kt
+        shift = _checked_max("attention", e, axis)  # (heads, 1, 1), then (heads, Tq, 1)
         e -= shift
         np.exp(e, out=e)
-        s = e @ ones
+        s = e @ ones  # (heads, Tq, 1) row sums; each is >= 1 after a row shift
+        if not (s < _SAFE_ROW_SUM).any():
+            break
     ctx = e @ vh
     ctx /= s
     out = ctx.transpose(1, 0, 2).reshape(tq, d)
@@ -510,24 +504,19 @@ def mean(a: Tensor, axis=None) -> Tensor:
 # nonlinearities
 
 
-def _check_max(op, m: np.ndarray):
-    """Reject a softmax whose maxes `m` hold NaN, which max propagates, or an infinity."""
-    if not np.isfinite(m).all():
-        raise NumericsError(f"{op} input contains NaN or a row whose max is not finite")
+def _checked_max(op, x: np.ndarray, axis=-1) -> np.ndarray:
+    """The max of `x` along `axis`, kept as a size-1 axis: the shift a softmax subtracts.
 
-
-def _max_shift(op, x: np.ndarray) -> np.ndarray:
-    """x minus its max along the last axis, as a new array.
-
-    Rejects what a softmax cannot normalize: no axis, NaN, which the max
-    propagates, so one NaN anywhere in a row is caught without a second scan,
-    and a row whose max is +inf or -inf, which the shift would turn into NaN.
+    Rejects what a softmax cannot normalize: no last axis, NaN, which the max
+    propagates, so one NaN anywhere is caught without a second scan, and a
+    max of +inf or -inf, which the shift would turn into NaN.
     """
     if x.ndim == 0 or x.shape[-1] == 0:
         raise ContractError(f"{op} along empty axis of shape {x.shape}")
-    m = x.max(axis=-1, keepdims=True)
-    _check_max(op, m)
-    return x - m
+    m = x.max(axis=axis, keepdims=True)
+    if not np.isfinite(m).all():
+        raise NumericsError(f"{op} input contains NaN or a row whose max is not finite")
+    return m
 
 
 def softmax(x: Tensor) -> Tensor:
@@ -536,7 +525,7 @@ def softmax(x: Tensor) -> Tensor:
     Outputs are positive and sum to one along the axis.  NaN input, and a
     row whose max is infinite, is rejected rather than turned into NaN.
     """
-    out = _max_shift("softmax", x.data)
+    out = x.data - _checked_max("softmax", x.data)
     np.exp(out, out=out)
     out /= out.sum(axis=-1, keepdims=True)
 
@@ -549,7 +538,7 @@ def softmax(x: Tensor) -> Tensor:
 
 def log_softmax(x: Tensor) -> Tensor:
     """Log of the softmax along the last axis, computed from the max-shifted input."""
-    shifted = _max_shift("log_softmax", x.data)
+    shifted = x.data - _checked_max("log_softmax", x.data)
     lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     out = np.subtract(shifted, lse, out=shifted)
     soft = np.exp(out)

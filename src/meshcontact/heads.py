@@ -125,7 +125,7 @@ def loss_contact(probs: Tensor, labels) -> Tensor:
     """
     y = np.asarray(labels, dtype=np.float64)
     _check_target(probs, y)
-    bad = (y != 0.0) & (y != 1.0)  # NaN too: a label of 2 or NaN gave a loss with no error
+    bad = (y != 0.0) & (y != 1.0)  # NaN too: p_true is a probability only for labels 0 and 1
     if bad.any():
         raise ContractError(f"contact labels must be 0 or 1, got {np.unique(y[bad])}")
     bad = ~((probs.data > 0.0) & (probs.data < 1.0))  # NaN too; 0 or 1 gives an infinite loss

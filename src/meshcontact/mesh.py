@@ -166,7 +166,7 @@ def _nearest_interp_matrix(targets, anchors):
 
 def build_template(config: MeshConfig, rng_seed: int) -> MeshTemplate:
     """Deterministically build the capsule-chain template for (config, seed)."""
-    # True seeded as 1, and SeedSequence leaked a TypeError for 1.5 and a ValueError for -1.
+    # A bool is not a seed, and SeedSequence takes only integers >= 0.
     if not _is_int(rng_seed) or rng_seed < 0:
         raise ContractError(f"build_template needs an integer seed >= 0, got {rng_seed!r}")
     rng = np.random.default_rng(rng_seed)

@@ -274,16 +274,16 @@ def _rasterize(px, py, depth, n):
 
 def downsample_mask(mask: np.ndarray, grid_side: int, n_classes: int) -> np.ndarray:
     """Majority class id in [0, n_classes) per grid cell; ties break toward the lowest id."""
-    if not _is_int(grid_side):  # 2.0 and True leaked a bare TypeError from reshape
+    if not _is_int(grid_side):  # reshape takes only an integer side; a bool is not one
         raise ContractError(f"downsample_mask needs an integer grid side, got {grid_side!r}")
-    if not _is_int(n_classes) or n_classes < 1:  # 4.0 and np.uint64(4) leaked a cast TypeError
+    if not _is_int(n_classes) or n_classes < 1:  # the count sizes the id bound and bincount
         raise ContractError(f"downsample_mask needs an integer class count >= 1, got {n_classes!r}")
     n_classes = int(n_classes)  # np.uint64 times the int64 cell offsets is float64
     if (mask.ndim != 2 or mask.shape[0] != mask.shape[1] or grid_side < 1
             or mask.shape[0] < grid_side or mask.shape[0] % grid_side):
         raise ShapeError(f"downsample_mask needs a grid side >= 1 and a square mask whose side "
                          f"is a multiple of it, got {grid_side} and shape {mask.shape}")
-    if mask.dtype.kind not in "iu":  # a float mask leaked numpy's cast TypeError from bincount
+    if mask.dtype.kind not in "iu":  # bincount counts only integer ids
         raise ContractError(f"downsample_mask needs integer class ids, got dtype {mask.dtype}")
     lo, hi = mask.min(), mask.max()
     if lo < 0 or hi >= n_classes:

@@ -435,7 +435,7 @@ class TestNarrow:
 
 
 class TestShapeErrors:
-    """Shape faults that leaked numpy's bare ValueError raise ShapeError naming the shapes."""
+    """Malformed operands raise ShapeError or ContractError, naming the shapes where they apply."""
 
     @pytest.mark.parametrize("shapes, axis, message", [
         (((2, 3), (2, 4)), 0, r"\[\(2, 3\), \(2, 4\)\]"),
@@ -508,6 +508,25 @@ class TestShapeErrors:
     def test_non_integer_argument_rejected(self, call, error):
         with pytest.raises(error):
             call(ad.Tensor(np.zeros((3, 4))))
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: ad.Tensor(np.zeros(2)).item(), ContractError,
+         r"non-scalar tensor of shape \(2,\)"),
+        (lambda: ad.matmul(ad.Tensor(np.zeros(3)), ad.Tensor(np.zeros((3, 2)))), ShapeError,
+         r">=2-D operands, got \(3,\) @ \(3, 2\)"),
+        (lambda: ad.concat([]), ContractError, "concat of an empty tensor list"),
+        (lambda: ad.gather_rows(ad.Tensor(np.zeros((3, 2))), np.array([0, 1])), ShapeError,
+         r"n indices, got \(3, 2\), \(2,\)"),
+        (lambda: ad.conv2d(ad.Tensor(np.zeros((4, 4))), ad.Tensor(np.zeros((2, 1, 2, 2))),
+                           ad.Tensor(np.zeros(2))), ShapeError, r"x \[C,H,W\] .*got \(4, 4\)"),
+        (lambda: ad.conv2d(ad.Tensor(np.zeros((3, 4, 4))), ad.Tensor(np.zeros((2, 1, 2, 2))),
+                           ad.Tensor(np.zeros(2))), ShapeError,
+         r"channel mismatch: x \(3, 4, 4\) vs w \(2, 1, 2, 2\)"),
+    ], ids=["item-of-a-vector", "matmul-1-d", "concat-nothing", "gather-rows-count",
+            "conv2d-2-d", "conv2d-channels"])
+    def test_operand_of_another_rank_or_count(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call()
 
 
 class TestGatherRows:
@@ -746,6 +765,11 @@ class TestBackward:
             grads = ad.backward(loss, {"x": x})
         assert grads["x"].data == pytest.approx(7.0)
 
+    def test_no_active_tape_rejected(self):
+        x = ad.Tensor([1.0, 2.0], requires_grad=True)
+        with pytest.raises(ContractError, match="backward called with no active tape"):
+            ad.backward(ad.sum_(x), {"x": x})
+
     def test_non_scalar_loss_rejected(self):
         with ad.tape_scope():
             x = ad.Tensor([1.0, 2.0], requires_grad=True, name="x")
@@ -941,6 +965,23 @@ class TestTapeRelease:
             assert [(e.op, e.input_ids, e.output_id) for e in tape.entries] == before
             assert all(e.backward_fn is None for e in tape.entries)
 
+    def test_entry_off_the_loss_path_is_released(self):
+        def run(extra):
+            with ad.tape_scope() as tape:
+                loss, params = _block_loss()
+                if extra:  # a tensor the loss does not read, so backward skips its entry
+                    ad.exp(next(iter(params.values())))
+                grads = ad.backward(loss, params)
+                # Read before the scope closes, which would drop the closure anyway.
+                return tape.entries[-1].op, tape.entries[-1].backward_fn, grads
+
+        (op, fn, grads), garbage = _cyclic_garbage(lambda: run(True))
+        *_, plain = run(False)
+        assert garbage == 0
+        assert op == "exp" and fn is None
+        assert grads.keys() == plain.keys()
+        assert all(np.array_equal(grads[k].data, plain[k].data) for k in plain)
+
     def test_second_backward_rejected(self):
         x = ad.Tensor([1.0, 2.0], requires_grad=True)
         with ad.tape_scope():
@@ -1128,6 +1169,15 @@ class TestGradientCheck:
 
         params = {"x": ad.Tensor([0.2, 0.8], requires_grad=True, name="x")}
         with pytest.raises(ContractError, match="hard_threshold has no gradient"):
+            ad.gradient_check(f, params)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_non_finite_loss_at_the_start_rejected(self):
+        def f(params):
+            return ad.log(params["x"])
+
+        params = {"x": ad.Tensor([-1.0], requires_grad=True, name="x")}
+        with pytest.raises(NumericsError, match="non-finite loss at the unperturbed point"):
             ad.gradient_check(f, params)
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered")

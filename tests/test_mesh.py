@@ -229,6 +229,10 @@ class TestRegressJoints:
             centroid = template.rest_vertices[members].mean(axis=0)
             assert np.abs(joints[j] - centroid).max() <= 1e-9
 
+    def test_shape_mismatch(self, template):
+        with pytest.raises(ShapeError, match=rf"regress_joints expects \({template.v_full}, 3\)"):
+            mesh.regress_joints(ad.Tensor(np.zeros((5, 3))), template)
+
 
 class TestGeodesics:
     def test_all_sources_zero(self, template):
@@ -260,6 +264,11 @@ class TestGeodesics:
     def test_non_integer_source_rejected(self, template, source):
         # 1.5 and True both returned vertex 1's distances.
         with pytest.raises(ContractError, match="not an integer"):
+            mesh.geodesic_distances(template, [0, source])
+
+    @pytest.mark.parametrize("source", [-1, mesh.MeshConfig().v_full], ids=["negative", "v-full"])
+    def test_source_outside_the_mesh_rejected(self, template, source):
+        with pytest.raises(ContractError, match=rf"source vertex {source} outside \[0, "):
             mesh.geodesic_distances(template, [0, source])
 
     def test_matches_floyd_warshall_exactly(self, template):

@@ -194,6 +194,11 @@ class TestFusePaths:
         with pytest.raises(ShapeError, match=r"path 1 has shape \(1, 2\)"):
             mp.weighted_path_sum(paths, ad.Tensor(np.full((3, 2), 0.5)))
 
+    def test_weighted_sum_alpha_of_another_shape(self):
+        paths = [ad.Tensor(np.ones((3, 2))), ad.Tensor(np.ones((3, 2)))]
+        with pytest.raises(ShapeError, match=r"alpha shape \(3, 3\) does not match 2 paths"):
+            mp.weighted_path_sum(paths, ad.Tensor(np.full((3, 3), 0.5)))
+
     def test_gradient_through_routing(self):
         rng = np.random.default_rng(20)
         probe = rng.normal(size=(3, 2))

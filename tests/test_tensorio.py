@@ -73,6 +73,7 @@ class TestMalformedTable:
         # Zero-size, but numpy cannot hold its extents' product.
         (struct.pack("<i", 1) + entry(struct.pack("<i", 1) + b"a", ndim=4,
                                       extents=(0,) + (2**31 - 1,) * 3, data=b""), "bad shape"),
+        (struct.pack("<i", -1), "negative tensor count at offset 0"),
     ])
     def test_typed_error_with_offset(self, tmp_path, blob, message):
         with pytest.raises(DataError, match=message) as info:
