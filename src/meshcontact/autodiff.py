@@ -1,7 +1,7 @@
 """Dense float64 tensors with reverse-mode differentiation on an explicit tape.
 
-Every value in the model is a :class:`Tensor` wrapping a row-major numpy
-array in double precision.  While a :class:`Tape` is active (one per
+Every value in the model is a :class:`Tensor` wrapping a numpy array in
+double precision.  While a :class:`Tape` is active (one per
 training step, opened with :func:`tape_scope`), primitives that touch a
 gradient-carrying tensor append an entry recording the op kind, input and
 output node ids, and a closure over the saved activations.  A tensor takes
@@ -25,6 +25,11 @@ A tape is replayed at most once.  `backward` drops each entry's closure as
 it reaches it, so each saved array is freed by reference counting as soon
 as its gradient is computed, and closing the scope drops any closure still
 held.  The entries keep their op kinds and node ids.
+
+Every primitive but `transpose` (a view) returns a row-major array, since
+numpy sums a reduction in an order its input's layout sets.  Only `linear`,
+`layer_norm`, `gelu` and `attention` work in place, and only into buffers
+they allocate, because each was measured to pay.
 
 Without an active tape every primitive is a plain numpy computation, which
 is what inference and finite-difference probing use.
@@ -484,14 +489,13 @@ def sum_(a: Tensor) -> Tensor:
 
 
 def mean(a: Tensor, axis=None) -> Tensor:
-    """Mean over `axis` (an int or a tuple of ints), or over all entries if None."""
+    """Mean over one axis, or over all entries if `axis` is None."""
     shape = a.shape
     try:
         out = a.data.mean(axis=axis)
+        count = a.size if axis is None else shape[axis]
     except (ValueError, TypeError) as exc:  # numpy's AxisError, or a float or bool axis
         raise ShapeError(f"mean over axis {axis} of shape {shape}") from exc
-    axes = axis if isinstance(axis, tuple) else (axis,)
-    count = a.size if axis is None else math.prod(shape[ax] for ax in axes)
 
     def bwd(g):
         gg = g if axis is None else np.expand_dims(g, axis)
@@ -525,9 +529,8 @@ def softmax(x: Tensor) -> Tensor:
     Outputs are positive and sum to one along the axis.  NaN input, and a
     row whose max is infinite, is rejected rather than turned into NaN.
     """
-    out = x.data - _checked_max("softmax", x.data)
-    np.exp(out, out=out)
-    out /= out.sum(axis=-1, keepdims=True)
+    e = np.exp(x.data - _checked_max("softmax", x.data))
+    out = e / e.sum(axis=-1, keepdims=True)
 
     def bwd(g):
         dot = (g * out).sum(axis=-1, keepdims=True)
@@ -540,7 +543,7 @@ def log_softmax(x: Tensor) -> Tensor:
     """Log of the softmax along the last axis, computed from the max-shifted input."""
     shifted = x.data - _checked_max("log_softmax", x.data)
     lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    out = np.subtract(shifted, lse, out=shifted)
+    out = shifted - lse
     soft = np.exp(out)
 
     def bwd(g):
@@ -596,7 +599,7 @@ def gelu(x: Tensor) -> Tensor:
     it by the output gradient.
     """
     xd = x.data
-    # Each buffer is an array even for a 0-d x, which a plain product would make a scalar.
+    # In place (measured to pay) into allocated arrays: a plain product of a 0-d x is a scalar.
     cdf = np.multiply(xd, _INV_SQRT2, out=np.empty(xd.shape))
     erf(cdf, out=cdf)
     cdf += 1.0
@@ -691,7 +694,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     cols = x.data.reshape(c, ho, k, wo, k).transpose(1, 3, 0, 2, 4).reshape(ho * wo, c * k * k)
     wflat = w.data.reshape(o, c * k * k)
-    out = (cols @ wflat.T + b.data).T.reshape(o, ho, wo)
+    out = np.ascontiguousarray((cols @ wflat.T + b.data).T).reshape(o, ho, wo)
     x_rg, w_rg, b_rg, w_shape = x.requires_grad, w.requires_grad, b.requires_grad, w.shape
     cols = cols if w_rg else None  # the patches, read only by the kernel's gradient
     wflat = wflat if x_rg else None  # and the kernel only by the input's

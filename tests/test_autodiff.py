@@ -495,6 +495,7 @@ class TestShapeErrors:
         (lambda x: ad.concat([x, x], axis=True), ShapeError),
         (lambda x: ad.mean(x, axis=1.5), ShapeError),
         (lambda x: ad.mean(x, axis=True), ShapeError),
+        (lambda x: ad.mean(x, axis=(0, 1)), ShapeError),  # one axis or all, not a tuple
         (lambda x: ad.transpose(x, (1.0, 0.0)), ShapeError),
         (lambda x: ad.transpose(x, None), ShapeError),
         (lambda x: ad.transpose(x, 5), ShapeError),
@@ -502,9 +503,9 @@ class TestShapeErrors:
         (lambda x: ad.reshape(x, (1.0, 12)), ShapeError),
     ], ids=["narrow-bool-axis", "narrow-bool-start", "narrow-float-axis", "narrow-float-length",
             "attention-float-heads", "attention-bool-heads", "concat-float-axis",
-            "concat-bool-axis", "mean-float-axis", "mean-bool-axis", "transpose-float-axes",
-            "transpose-none-axes", "transpose-int-axes", "reshape-bool-extent",
-            "reshape-float-extent"])
+            "concat-bool-axis", "mean-float-axis", "mean-bool-axis", "mean-tuple-axis",
+            "transpose-float-axes", "transpose-none-axes", "transpose-int-axes",
+            "reshape-bool-extent", "reshape-float-extent"])
     def test_non_integer_argument_rejected(self, call, error):
         with pytest.raises(error):
             call(ad.Tensor(np.zeros((3, 4))))
@@ -538,20 +539,14 @@ class TestGatherRows:
             ad.gather_rows(ad.Tensor(np.zeros((2, 3))), indices)
 
 
-class TestMean:
-    @pytest.mark.parametrize("axis", [(0, 1), (0, 2), (2,)])
-    def test_tuple_axis(self, axis):
-        # A tuple axis raised TypeError: the count was shape[axis].
-        params = {"x": ad.Tensor(np.random.default_rng(5).normal(size=(2, 3, 4)),
-                                 requires_grad=True)}
-        out = ad.mean(params["x"], axis=axis)
-        assert np.array_equal(out.data, params["x"].data.mean(axis=axis))
-
-        def f(p):
-            m = ad.mean(p["x"], axis=axis)
-            return ad.sum_(ad.mul(m, m))
-
-        _check_primitive(f"mean axis={axis}", f, params)
+class TestTensor:
+    @pytest.mark.parametrize("tensor, text", [
+        (ad.Tensor(np.zeros((2, 3)), requires_grad=True, name="enc.w"),
+         "Tensor(shape=(2, 3), requires_grad=True, name='enc.w')"),
+        (ad.Tensor(1.0), "Tensor(shape=(), requires_grad=False)"),
+    ], ids=["named", "unnamed"])
+    def test_repr_gives_shape_flag_and_label(self, tensor, text):
+        assert repr(tensor) == text
 
 
 class TestLayerNorm:
@@ -718,8 +713,9 @@ class TestBitsMatchOracles:
 
 
 def test_in_place_ops_leave_their_inputs_and_gradient_untouched():
-    """attention, linear, layer_norm and gelu write only into buffers they allocated: each runs
-    forward on read-only inputs, and its backward on a read-only gradient."""
+    """attention, linear, layer_norm and gelu, which work in place, softmax and log_softmax,
+    which did, and conv2d, which copies its output, write only into buffers they allocated:
+    each runs forward on read-only inputs, and its backward on a read-only gradient."""
     rng = np.random.default_rng(8)
 
     def frozen(shape):
@@ -730,7 +726,10 @@ def test_in_place_ops_leave_their_inputs_and_gradient_untouched():
     cases = [(lambda q, k, v: ad.attention(q, k, v, 4), [(9, 8)] * 3),
              (ad.linear, [(9, 8), (8, 5), (5,)]),
              (ad.layer_norm, [(9, 8), (8,), (8,)]),
-             (ad.gelu, [(9, 8)])]
+             (ad.gelu, [(9, 8)]),
+             (ad.softmax, [(9, 8)]),
+             (ad.log_softmax, [(9, 8)]),
+             (ad.conv2d, [(2, 4, 6), (3, 2, 2, 2), (3,)])]
     for op, shapes in cases:
         inputs = [frozen(s) for s in shapes]
         with ad.tape_scope() as tape:
@@ -1042,6 +1041,15 @@ _FLAG_CASES = [
 ]
 
 
+@pytest.mark.parametrize("op", [op for op in _PRIMITIVES if op != "transpose"])
+def test_every_primitive_but_transpose_returns_a_row_major_array(op):
+    """The module's layout rule: on C-contiguous inputs every output is C-contiguous."""
+    f, shapes = _PRIMITIVES[op]
+    rng = np.random.default_rng(6)
+    out = f(*(ad.Tensor(rng.uniform(0.5, 2.0, size=s)) for s in shapes))
+    assert out.data.flags.c_contiguous
+
+
 def _held(fn):
     """Every object the closure of `fn` holds, through nested functions, lists and tuples."""
     todo = [cell.cell_contents for cell in fn.__closure__ or ()]
@@ -1179,6 +1187,14 @@ class TestGradientCheck:
         params = {"x": ad.Tensor([-1.0], requires_grad=True, name="x")}
         with pytest.raises(NumericsError, match="non-finite loss at the unperturbed point"):
             ad.gradient_check(f, params)
+
+    @pytest.mark.parametrize("per_param, text", [
+        ({"w": 3e-3, "b": 1e-6}, "GradCheckReport(passed=False, max_error=3.000e-03, worst='w')"),
+        ({}, "GradCheckReport(passed=True, max_error=0.000e+00, worst='-')"),
+    ], ids=["failing", "no-params"])
+    def test_report_repr_names_the_worst_parameter(self, per_param, text):
+        # What meshbench's gradient check of the wired loss prints when it fails.
+        assert repr(ad.GradCheckReport(per_param)) == text
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_non_finite_names_parameter(self):

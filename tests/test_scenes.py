@@ -245,6 +245,28 @@ class TestGenerateSample:
         with pytest.raises(ConfigError, match="the template has 7 joints; scenes are drawn for 8"):
             scenes.generate_sample(config, seven_joints, np.random.default_rng(0))
 
+    def test_box_with_no_room_beside_the_body_is_skipped(self, config, template, monkeypatch):
+        # Seed [7, 1137] draws 2 boxes, and no side of the body has room for one of them.
+        drawn = []
+        sample_boxes = scenes._sample_boxes
+
+        def recording(rng, n_boxes, body_xz_bounds):
+            drawn.append(n_boxes)
+            return sample_boxes(rng, n_boxes, body_xz_bounds)
+
+        monkeypatch.setattr(scenes, "_sample_boxes", recording)
+        s = scenes.generate_sample(config, template, np.random.default_rng([7, 1137]))
+        assert drawn == [2] and s.boxes.shape == (1, 6)
+
+    def test_skipped_box_takes_only_its_size_draw(self):
+        # A body spanning the whole +-11 world leaves no side for any box; the skip must draw
+        # nothing past the box's size, so every later draw of the sample stays where it was.
+        rng, reference = np.random.default_rng(4), np.random.default_rng(4)
+        boxes = scenes._sample_boxes(rng, 1, (-11.0, 11.0, -11.0, 11.0))
+        reference.uniform([3.0, 2.0, 3.0], [8.0, 6.0, 8.0])
+        assert boxes.shape == (0, 6) and boxes.dtype == np.float64
+        assert rng.bit_generator.state == reference.bit_generator.state
+
     def test_body_part_count_is_a_constant(self):
         assert scenes.SceneConfig.c_bp == scenes.SceneConfig().c_bp == mesh.JOINTS + 1
         assert [f.name for f in dataclasses.fields(scenes.SceneConfig)] == ["backbone"]
