@@ -377,7 +377,7 @@ def template_digest(built):
     return digest.hexdigest()
 
 
-class TestSerialization:
+class TestTemplateBytes:
     """The built arrays' bytes are pinned: a template is never stored, so these digests
     are what fix it across changes."""
 

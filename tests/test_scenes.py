@@ -513,7 +513,7 @@ class TestDatasetIO:
         (edit_sample(lambda t: t.update(pose=t["pose"][:3])), "'pose'"),
     ], ids=["mask_extent", "image_above_one", "negative_part", "grid_part_9", "mask_part_9",
             "pose_length_3"])
-    def test_malformed_dataset_rejected(self, config, template, tmp_path, corrupt, message):
+    def test_malformed_sample_set_rejected(self, config, template, tmp_path, corrupt, message):
         # A sample set is a seed range, one file per sample, each read alone; the
         # corruption is caught in every file of it, the box-free [11, 2] included.
         for i in range(3):
@@ -662,7 +662,7 @@ class TestRasterizer:
             assert len(first | second) == 4  # together they span the side's four corners
 
     @pytest.mark.parametrize("seed", [1, 21, 97, 4096])
-    def test_many_chunks(self, config, seed):
+    def test_overlapping_triangle_soups_match_scalar_oracle(self, config, seed):
         """Overlapping soups of 80 triangles, one per seed, match the scalar oracle."""
         rng = np.random.default_rng(seed)
         centres = rng.uniform(-5.0, 69.0, size=(80, 1, 2))
@@ -684,7 +684,7 @@ class TestRasterizer:
             image, _, _ = assert_renders_match(s.gt_vertices, template, s.boxes, config)
             assert np.array_equal(image, s.image)
 
-    def test_seeded_dataset_bytes_unchanged(self, config, template, tmp_path):
+    def test_seeded_sample_bytes_unchanged(self, config, template, tmp_path):
         samples = [scenes.generate_sample(config, template, np.random.default_rng([2024, i]))
                    for i in range(32)]
         digests = []

@@ -16,19 +16,16 @@ import numpy as np
 import pytest
 
 from meshcontact import autodiff as ad
-from meshcontact import encoder, scenes
-from meshcontact.mesh import MeshConfig
+from meshcontact import encoder
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "meshbench"))
 
 import wiring  # noqa: E402
+from test_wired_tape import MESH_CONFIGS, MESH_IDS, _setup  # noqa: E402
 
 # Fewer query rows change the attention's per-head max shift, and BLAS rounds a
 # product differently by its row count; both move results by a few ulps.
 BOUND = 1e-12
-
-MESH_CONFIGS = [MeshConfig(), MeshConfig(v_full=98, v_coarse=26)]
-MESH_IDS = ["386-98", "98-26"]
 
 
 def full_rows_dual_encode(sequence, adjacency, params, config,
@@ -47,13 +44,6 @@ def full_rows_dual_encode(sequence, adjacency, params, config,
 
 def _within(x, ref):
     return np.abs(x - ref).max() <= BOUND * np.abs(ref).max()
-
-
-def _setup(mesh_config):
-    model = wiring.Model(wiring.ModelConfig(mesh=mesh_config))
-    params = wiring.init_params(model, np.random.default_rng(3))
-    sample = scenes.generate_sample(wiring.SCENE, model.template, np.random.default_rng([9, 0]))
-    return model, params, sample
 
 
 def _encode_and_grads(model, params, image, encode):

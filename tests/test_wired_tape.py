@@ -33,7 +33,12 @@ TRAIN_STEP_OPS = {
 }
 
 
+MESH_CONFIGS = [MeshConfig(), MeshConfig(v_full=98, v_coarse=26)]
+MESH_IDS = ["386-98", "98-26"]
+
+
 def _setup(mesh_config):
+    """The wired model, its parameters from seed 3, and sample `default_rng([9, 0])`."""
     model = wiring.Model(wiring.ModelConfig(mesh=mesh_config))
     params = wiring.init_params(model, np.random.default_rng(3))
     sample = scenes.generate_sample(wiring.SCENE, model.template, np.random.default_rng([9, 0]))
@@ -85,8 +90,7 @@ def test_train_step_tape_within_its_memory_bound(monkeypatch):
 LIVE_GRADIENT = 1e-10
 
 
-@pytest.mark.parametrize("mesh_config", [MeshConfig(), MeshConfig(v_full=98, v_coarse=26)],
-                         ids=["386-98", "98-26"])
+@pytest.mark.parametrize("mesh_config", MESH_CONFIGS, ids=MESH_IDS)
 def test_every_parameter_has_a_live_gradient(mesh_config):
     class RecordingAdam(wiring.Adam):
         def step(self, params, grads):
