@@ -286,17 +286,35 @@ class TestAttention:
         bound = 1e-13 * np.abs(q.data).max() * np.abs(gk).max() * tq
         assert np.abs(gk.sum(axis=0)).max() <= bound
 
-    def test_fallback_passes_gradient_check(self):
-        # The table's uniform draws never reach the per-row redo; these inputs do.
-        params = {n: ad.Tensor(a, requires_grad=True, name=n)
-                  for n, a in zip("qkv", _fallback_qkv(44))}
+    @pytest.mark.parametrize("t", [1, 5])
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_gradient(self, heads, t):
+        params = _leaves(40 + t, q=(t, 4), k=(t, 4), v=(t, 4))
+        probe = np.random.default_rng(41).normal(size=(t, 4))
+
+        def f(p):
+            out = ad.attention(p["q"], p["k"], p["v"], heads)
+            return ad.sum_(ad.mul(out, ad.Tensor(probe)))
+
+        report = ad.gradient_check(f, params)
+        assert report.passed, f"attention heads={heads} T={t}: {report}"
+
+    @pytest.mark.parametrize("case", ["7x8", "fallback", "q3-kv5"])
+    def test_gradient_check(self, case):
+        if case == "7x8":
+            params = _leaves(43, q=(7, 8), k=(7, 8), v=(7, 8))
+        elif case == "q3-kv5":
+            params = _leaves(47, q=(3, 4), k=(5, 4), v=(5, 4))
+        else:  # the per-row redo, which uniform draws never reach
+            params = {n: ad.Tensor(a, requires_grad=True, name=n)
+                      for n, a in zip("qkv", _fallback_qkv(44))}
         probe = np.random.default_rng(45).normal(size=params["q"].shape)
 
         def f(p):
             return ad.sum_(ad.mul(ad.attention(p["q"], p["k"], p["v"], 2), ad.Tensor(probe)))
 
         report = ad.gradient_check(f, params)
-        assert report.passed, report
+        assert report.passed, f"attention {case}: {report}"
 
     @pytest.mark.parametrize("seed", range(46, 56))
     def test_far_apart_rows_fall_back_to_a_per_row_shift(self, seed):
@@ -986,10 +1004,6 @@ _MORE_GRADIENT_CASES = {
     "mean-all": (ad.mean, [(3, 4)]),  # the losses' form
     "concat-axis-0": (lambda *ts: ad.concat(list(ts), axis=0), [(2, 3), (1, 3), (3, 3)]),
     "matmul-2-d": (ad.matmul, [(3, 4), (4, 2)]),
-    "attention-1-head": (lambda q, k, v: ad.attention(q, k, v, 1), [(5, 4)] * 3),
-    "attention-4-heads": (lambda q, k, v: ad.attention(q, k, v, 4), [(5, 4)] * 3),
-    "attention-1-token": (_PRIMITIVES["attention"][0], [(1, 4)] * 3),
-    "attention-3x5": (_PRIMITIVES["attention"][0], [(3, 4), (5, 4), (5, 4)]),
     "softmax-1-d": (ad.softmax, [(4,)]),
 }
 _DIFFERENTIABLE = {op: row for op, row in _PRIMITIVES.items() if op != "hard_threshold"}
