@@ -130,8 +130,9 @@ def loss_contact(probs: Tensor, labels) -> Tensor:
         raise ContractError(f"contact labels must be 0 or 1, got {np.unique(y[bad])}")
     bad = ~((probs.data > 0.0) & (probs.data < 1.0))  # NaN too; 0 or 1 gives an infinite loss
     if bad.any():
-        raise ContractError(f"contact probabilities must lie strictly inside (0, 1), "
-                            f"got {np.unique(probs.data[bad])}")
+        got = np.unique(probs.data[bad])
+        error = ContractError if np.isfinite(got).all() else NumericsError
+        raise error(f"contact probabilities must lie strictly inside (0, 1), got {got}")
     p_true = ad.add(ad.mul(Tensor(2.0 * y - 1.0), probs), Tensor(1.0 - y))
     return ad.neg(ad.mean(ad.log(p_true)))
 

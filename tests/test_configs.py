@@ -15,6 +15,7 @@ from meshcontact.backbone import BackboneConfig
 from meshcontact.encoder import EncoderConfig
 from meshcontact.errors import ConfigError
 from meshcontact.heads import LossWeights
+from meshcontact.model import ModelConfig
 from meshcontact.multipath import PathConfig, RoutingParams
 
 
@@ -28,6 +29,9 @@ from meshcontact.multipath import PathConfig, RoutingParams
     lambda: BackboneConfig(conv_channels=(0, 32)),
     lambda: BackboneConfig(conv_channels=(16, 0), token_dim=0),
     lambda: BackboneConfig(conv_channels=(16, 32), token_dim=16),
+    # A model whose encoders are narrower than its tokens built, then failed its first
+    # step: layer_norm needs gamma and beta of shape (32,), got (16,), (16,).
+    lambda: ModelConfig(encoder=EncoderConfig(token_dim=16)),
     lambda: RoutingParams(w=Tensor(np.zeros(0)), phi_weight=Tensor(np.eye(2)),
                           phi_bias=Tensor(np.zeros(2))),
     # aggregate_losses returned NaN with no error for a NaN weight.
@@ -44,7 +48,7 @@ from meshcontact.multipath import PathConfig, RoutingParams
 ], ids=[
     "paths-5",
     "depth-0", "mlp-0", "token-dim-0",
-    "channel-0", "last-channel-0", "token-dim-mismatch",
+    "channel-0", "last-channel-0", "token-dim-mismatch", "model-token-dim-mismatch",
     "routing-empty",
     "loss-weight-nan", "loss-weight-negative", "loss-weight-inf", "loss-weight-minus-inf",
     "loss-weight-none", "loss-weight-str", "loss-weight-complex", "loss-weight-bool",

@@ -202,14 +202,26 @@ class TestLosses:
         ops = [e.op for e in tape.entries]
         assert len(ops) == 5 and ops.count("log") == 1 and "clip" not in ops
 
-    @pytest.mark.parametrize("bad", [0.0, 1.0, np.nan, -0.1, 1.5],
-                             ids=["0", "1", "nan", "negative", "above-1"])
+    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, 1.5],
+                             ids=["0", "1", "negative", "above-1"])
     def test_contact_loss_rejects_probabilities_outside_unit_interval(self, bad):
         # The loss clipped 0 and 1 to the head's range in silence, and 1.5 and -0.1 with them.
         probs = ad.Tensor(np.array([0.25, bad, 0.5, 0.75]), requires_grad=True)
         with ad.tape_scope() as tape:
             with pytest.raises(ContractError, match=r"strictly inside \(0, 1\), got " +
                                re.escape(str(np.array([bad])))):
+                heads.loss_contact(probs, np.array([0, 1, 0, 1]))
+        assert tape.entries == []
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus-inf"])
+    def test_contact_loss_rejects_non_finite_probabilities_as_numerics(self, bad):
+        # A NaN probability raised ContractError; errors.py names non-finite values
+        # NumericsError, CLI exit code 4.  A finite value outside (0, 1) beside it does not
+        # change the type.
+        probs = ad.Tensor(np.array([0.25, bad, 1.5, 0.75]), requires_grad=True)
+        with ad.tape_scope() as tape:
+            with pytest.raises(NumericsError, match=r"strictly inside \(0, 1\), got " +
+                               re.escape(str(np.unique([bad, 1.5])))):
                 heads.loss_contact(probs, np.array([0, 1, 0, 1]))
         assert tape.entries == []
 

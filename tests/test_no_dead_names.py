@@ -80,6 +80,7 @@ def unread_parameters(path):
 
 def test_every_parameter_is_read():
     unread = sorted(u for path in PACKAGE.glob("*.py") for u in unread_parameters(path))
-    # tokenize's config is unread, but meshbench/wiring.py and meshbench/test_meshbench.py
-    # pass it positionally; it goes with the benchmark revision (ROADMAP item 7).
+    # tokenize's config is unread, but meshbench/wiring.py, meshbench/test_meshbench.py and
+    # model.tokenize_image pass it positionally; it goes with the benchmark revision
+    # (ROADMAP item 7).
     assert unread == ["backbone.tokenize(config)"], f"parameters never read: {unread}"

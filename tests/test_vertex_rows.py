@@ -3,25 +3,19 @@
 `dual_encode` runs the last block of each encoder on the vertex rows alone.
 The reference here runs every block on all rows and narrows to the vertex
 tokens afterwards, as `dual_encode` did before. Both are compared on the
-wired model at two mesh sizes. Outputs and every parameter gradient agree
+package's model at two mesh sizes. Outputs and every parameter gradient agree
 within `BOUND` times the largest magnitude of the compared array, the
 inferred contact probabilities within `BOUND` relative, and the same bound
 rejects a real change.
 """
-
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from meshcontact import autodiff as ad
 from meshcontact import encoder
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "meshbench"))
-
-import wiring  # noqa: E402
-from test_wired_tape import MESH_CONFIGS, MESH_IDS, _setup  # noqa: E402
+from meshcontact import model as mc
+from test_wired_tape import MESH_CONFIGS, MESH_IDS, _setup
 
 # Fewer query rows change the attention's per-head max shift, and BLAS rounds a
 # product differently by its row count; both move results by a few ulps.
@@ -46,11 +40,10 @@ def _within(x, ref):
     return np.abs(x - ref).max() <= BOUND * np.abs(ref).max()
 
 
-def _encode_and_grads(model, params, image, encode):
+def _encode_and_grads(model, P, image, encode):
     """(fused, m_a, m_b) and every parameter's gradient of a probed sum of all three."""
-    P = wiring.as_tensors(params, requires_grad=True)
     with ad.tape_scope():
-        _, seq = wiring._tokens(model, P, image)
+        _, seq = mc.tokenize_image(model, P, image)
         outs = encode(seq, model.adjacency, P, model.config.encoder)
         rng = np.random.default_rng(4)
         terms = [ad.sum_(ad.mul(o, ad.Tensor(rng.normal(size=o.shape)))) for o in outs]
@@ -74,19 +67,17 @@ def test_outputs_and_gradients_match_the_full_rows_reference(mesh_config):
 
 @pytest.mark.parametrize("mesh_config", MESH_CONFIGS, ids=MESH_IDS)
 def test_inferred_probabilities_match_the_full_rows_reference(mesh_config, monkeypatch):
-    model, params, sample = _setup(mesh_config)
-    P = wiring.as_tensors(params, requires_grad=False)
-    probs, vertices = wiring.infer(model, P, sample.image)
+    model, P, sample = _setup(mesh_config)
+    probs, vertices = mc.infer(model, P, sample.image)
     monkeypatch.setattr(encoder, "dual_encode", full_rows_dual_encode)
-    ref_probs, ref_vertices = wiring.infer(model, P, sample.image)
+    ref_probs, ref_vertices = mc.infer(model, P, sample.image)
     assert (np.abs(probs - ref_probs) <= BOUND * ref_probs).all()
     assert _within(vertices, ref_vertices)
 
 
 def test_bound_rejects_a_perturbed_fusion_weight():
-    model, params, sample = _setup(MESH_CONFIGS[1])
-    P = wiring.as_tensors(params, requires_grad=False)
-    _, seq = wiring._tokens(model, P, sample.image)
+    model, P, sample = _setup(MESH_CONFIGS[1])
+    _, seq = mc.tokenize_image(model, P, sample.image)
     fused = encoder.dual_encode(seq, model.adjacency, P, model.config.encoder)[0].data
 
     def reference(weight_b):

@@ -1,29 +1,24 @@
-"""The op kinds one wired training step records, pinned, the bytes its tape keeps,
-bounded, and every parameter live.
+"""The op kinds one training step of `meshcontact.model` records, pinned, the bytes
+its tape keeps, bounded, and every parameter live.
 
 A change to what the model records shows up here as a count or a size, not only
-as a slower benchmark.  The wiring is imported from meshbench/ as
-meshbench/test_meshbench.py imports it.  A change that moves these counts on
+as a slower benchmark.  A change that moves these counts on
 purpose updates the pin and names the change in CHANGES.md; ROADMAP item 26,
 which fuses the contact loss on logits, expects 385 entries.
 """
 
 import collections
 import contextlib
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from meshcontact import autodiff as ad
+from meshcontact import model as mc
 from meshcontact import scenes
 from meshcontact.mesh import MeshConfig
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "meshbench"))
-
-import wiring  # noqa: E402
-from test_autodiff import kept_bytes  # noqa: E402
+from meshcontact.multipath import PathConfig
+from test_autodiff import kept_bytes
 
 TRAIN_STEP_OPS = {
     "linear": 92, "add": 70, "matmul": 57, "gelu": 38, "layer_norm": 32, "mul": 26,
@@ -38,11 +33,16 @@ MESH_IDS = ["386-98", "98-26"]
 
 
 def _setup(mesh_config):
-    """The wired model, its parameters from seed 3, and sample `default_rng([9, 0])`."""
-    model = wiring.Model(wiring.ModelConfig(mesh=mesh_config))
-    params = wiring.init_params(model, np.random.default_rng(3))
-    sample = scenes.generate_sample(wiring.SCENE, model.template, np.random.default_rng([9, 0]))
+    """The model, its parameters from seed 3, and sample `default_rng([9, 0])`."""
+    model = mc.Model(mc.ModelConfig(mesh=mesh_config))
+    params = mc.init_params(model, np.random.default_rng(3))
+    sample = scenes.generate_sample(model.scene, model.template, np.random.default_rng([9, 0]))
     return model, params, sample
+
+
+def _step(model, params, adam, sample):
+    """One default training step with perturbations from `default_rng([1, 0])`."""
+    return mc.train_step(model, params, adam, sample, PathConfig(), np.random.default_rng([1, 0]))
 
 
 def test_train_step_op_kinds_pinned(monkeypatch):
@@ -57,8 +57,7 @@ def test_train_step_op_kinds_pinned(monkeypatch):
 
     monkeypatch.setattr(ad, "tape_scope", recording_scope)
     model, params, sample = _setup(MeshConfig())
-    _, entries = wiring.train_step(model, params, wiring.Adam(params), sample,
-                                   np.random.default_rng([1, 0]))
+    _, entries = _step(model, params, mc.Adam(params), sample)
     (tape,) = tapes
     assert entries == len(tape.entries) == sum(TRAIN_STEP_OPS.values()) == 393
     assert collections.Counter(e.op for e in tape.entries) == TRAIN_STEP_OPS
@@ -80,7 +79,7 @@ def test_train_step_tape_within_its_memory_bound(monkeypatch):
 
     monkeypatch.setattr(ad, "backward", measuring_backward)
     model, params, sample = _setup(MeshConfig())
-    wiring.train_step(model, params, wiring.Adam(params), sample, np.random.default_rng([1, 0]))
+    _step(model, params, mc.Adam(params), sample)
     (kept,) = held
     assert kept <= STEP_KEPT_BYTES
 
@@ -92,13 +91,13 @@ LIVE_GRADIENT = 1e-10
 
 @pytest.mark.parametrize("mesh_config", MESH_CONFIGS, ids=MESH_IDS)
 def test_every_parameter_has_a_live_gradient(mesh_config):
-    class RecordingAdam(wiring.Adam):
+    class RecordingAdam(mc.Adam):
         def step(self, params, grads):
             self.grads = {k: np.abs(g.data).max() for k, g in grads.items()}
             super().step(params, grads)
 
     model, params, sample = _setup(mesh_config)
     adam = RecordingAdam(params)
-    wiring.train_step(model, params, adam, sample, np.random.default_rng([1, 0]))
+    _step(model, params, adam, sample)
     assert adam.grads.keys() == params.keys()
     assert {k for k, g in adam.grads.items() if not g > LIVE_GRADIENT} == set()

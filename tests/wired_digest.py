@@ -1,15 +1,16 @@
-"""Print a digest of the wired model's training and inference, to compare two trees bit for bit.
+"""Print a digest of the model's training and inference, to compare two trees bit for bit.
 
 Run from the repository root, in each tree, and diff the outputs:
 
     python3 tests/wired_digest.py
 
-For `MeshConfig()` and `MeshConfig(98, 26)` it runs 6 `train_step`s of the model that
-meshbench/wiring.py wires (parameters from seed 3, sample i from `default_rng([9, i])`,
+For `MeshConfig()` and `MeshConfig(98, 26)` it runs 6 `train_step`s of `meshcontact.model`
+at the default `PathConfig()` (parameters from seed 3, sample i from `default_rng([9, i])`,
 step i's perturbations from `default_rng([1, i])`), then `infer` on sample 0's image. It
 prints each step's loss as `float.hex` with its tape-entry count, one SHA-256 over the
 trained parameter arrays (name, dtype, shape and bytes) and one over `infer`'s outputs.
 It writes no file.  Pytest does not collect it: its name does not start with `test_`.
+`meshbench/wiring.py`'s copy of the model computes the same bits (`tests/test_model.py`).
 """
 
 import hashlib
@@ -19,11 +20,12 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "meshbench")]
+sys.path.insert(0, str(ROOT / "src"))
 
-import wiring  # noqa: E402
+from meshcontact import model as mc  # noqa: E402
 from meshcontact import scenes  # noqa: E402
 from meshcontact.mesh import MeshConfig  # noqa: E402
+from meshcontact.multipath import PathConfig  # noqa: E402
 
 STEPS = 6
 
@@ -38,19 +40,18 @@ def _sha256(arrays):
 
 def digest(mesh_config):
     """The lines this script prints for one mesh config."""
-    model = wiring.Model(wiring.ModelConfig(mesh=mesh_config))
-    params = wiring.init_params(model, np.random.default_rng(3))
-    adam = wiring.Adam(params)
-    samples = [scenes.generate_sample(wiring.SCENE, model.template, np.random.default_rng([9, i]))
+    model = mc.Model(mc.ModelConfig(mesh=mesh_config))
+    params = mc.init_params(model, np.random.default_rng(3))
+    adam = mc.Adam(params)
+    samples = [scenes.generate_sample(model.scene, model.template, np.random.default_rng([9, i]))
                for i in range(STEPS)]
     lines = [str(mesh_config)]
     for i, sample in enumerate(samples):
-        loss, entries = wiring.train_step(model, params, adam, sample,
-                                          np.random.default_rng([1, i]))
+        loss, entries = mc.train_step(model, params, adam, sample, PathConfig(),
+                                      np.random.default_rng([1, i]))
         lines.append(f"  step {i}: loss {loss.hex()}, {entries} tape entries")
-    lines.append(f"  params {_sha256(sorted(params.items()))}")
-    P = wiring.as_tensors(params, requires_grad=False)
-    outputs = wiring.infer(model, P, samples[0].image)
+    lines.append(f"  params {_sha256(sorted((k, p.data) for k, p in params.items()))}")
+    outputs = mc.infer(model, params, samples[0].image)
     lines.append(f"  infer  {_sha256(zip(('contact', 'vertices'), outputs))}")
     return lines
 
