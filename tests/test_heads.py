@@ -202,13 +202,16 @@ class TestLosses:
         ops = [e.op for e in tape.entries]
         assert len(ops) == 5 and ops.count("log") == 1 and "clip" not in ops
 
-    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, 1.5],
-                             ids=["0", "1", "negative", "above-1"])
-    def test_contact_loss_rejects_probabilities_outside_unit_interval(self, bad):
+    @pytest.mark.parametrize("bad, error", [(0.0, ContractError), (1.0, ContractError),
+                                            (np.nan, NumericsError), (-0.1, ContractError),
+                                            (1.5, ContractError)],
+                             ids=["0", "1", "nan", "negative", "above-1"])
+    def test_contact_loss_rejects_probabilities_outside_unit_interval(self, bad, error):
         # The loss clipped 0 and 1 to the head's range in silence, and 1.5 and -0.1 with them.
+        # A NaN is rejected too, as the non-finite NumericsError.
         probs = ad.Tensor(np.array([0.25, bad, 0.5, 0.75]), requires_grad=True)
         with ad.tape_scope() as tape:
-            with pytest.raises(ContractError, match=r"strictly inside \(0, 1\), got " +
+            with pytest.raises(error, match=r"strictly inside \(0, 1\), got " +
                                re.escape(str(np.array([bad])))):
                 heads.loss_contact(probs, np.array([0, 1, 0, 1]))
         assert tape.entries == []
