@@ -27,6 +27,7 @@ from .multipath import PathConfig, RoutingParams
 from .scenes import SceneConfig
 
 TEMPLATE_SEED = 0
+PATHS = PathConfig()
 LOSS = LossWeights()
 LR = 1e-3
 ADAM_B1, ADAM_B2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -90,15 +91,15 @@ def infer(model: Model, P: dict, image: np.ndarray):
     return contact.probs.data, vertices.data
 
 
-def train_loss(model: Model, P: dict, sample, paths: PathConfig, rng) -> Tensor:
-    """Total weighted training loss of one sample over `paths.n_paths` routed paths."""
+def train_loss(model: Model, P: dict, sample, rng) -> Tensor:
+    """Total weighted training loss of one sample over PATHS.n_paths routed paths."""
     grid, seq = tokenize_image(model, P, sample.image)
 
     def forward(tokens):
         return encoder.dual_encode(TokenSequence(tokens, seq.layout), model.adjacency, P,
                                    model.config.encoder)
 
-    per_path = multipath.make_paths(seq.tokens, paths, rng, forward)
+    per_path = multipath.make_paths(seq.tokens, PATHS, rng, forward)
     routing = RoutingParams(P["route.w"], P["route.phi.w"], P["route.phi.b"])
     fused, alpha = multipath.fuse_paths([p[0] for p in per_path], routing)
     m_a = multipath.weighted_path_sum([p[1] for p in per_path], alpha)
@@ -140,10 +141,10 @@ class Adam:
             p.data -= LR * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
-def train_step(model: Model, P: dict, adam: Adam, sample, paths: PathConfig, rng):
+def train_step(model: Model, P: dict, adam: Adam, sample, rng):
     """One forward, backward and Adam update; returns (total loss, tape entries)."""
     with ad.tape_scope() as tape:
-        loss = train_loss(model, P, sample, paths, rng)
+        loss = train_loss(model, P, sample, rng)
         grads = ad.backward(loss, params=P)
     adam.step(P, grads)
     return loss.item(), len(tape.entries)

@@ -18,9 +18,7 @@ from meshcontact import autodiff as ad
 from meshcontact import model as mc
 from meshcontact import scenes
 from meshcontact.backbone import BackboneConfig
-from meshcontact.multipath import PathConfig
-from test_wired_tape import MESH_CONFIGS, MESH_IDS
-from wired_digest import _sha256
+from test_wired_tape import MESH_CONFIGS, MESH_IDS, TRAIN_STEP_OPS
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "meshbench"))
 
@@ -63,7 +61,7 @@ def test_first_loss_and_gradients_match_wiring(mesh_config):
         w_loss = wiring.train_loss(w_model, w_P, sample, np.random.default_rng([1, 0]))
         w_grads = ad.backward(w_loss, w_P)
     with ad.tape_scope():
-        loss = mc.train_loss(model, P, sample, PathConfig(), np.random.default_rng([1, 0]))
+        loss = mc.train_loss(model, P, sample, np.random.default_rng([1, 0]))
         grads = ad.backward(loss, P)
     assert loss.item().hex() == w_loss.item().hex()
     assert (_bytes((k, g.data) for k, g in grads.items())
@@ -79,12 +77,11 @@ def test_trained_parameters_and_losses_match_wiring(mesh_config):
         sample = _sample(model, i)
         w_loss, _ = wiring.train_step(w_model, w_params, w_adam, sample,
                                       np.random.default_rng([1, i]))
-        loss, _ = mc.train_step(model, P, adam, sample, PathConfig(),
-                                np.random.default_rng([1, i]))
+        loss, _ = mc.train_step(model, P, adam, sample, np.random.default_rng([1, i]))
         w_losses.append(w_loss.hex())
         losses.append(loss.hex())
     assert losses == w_losses
-    assert _sha256((k, p.data) for k, p in P.items()) == _sha256(w_params.items())
+    assert _bytes((k, p.data) for k, p in P.items()) == _bytes(w_params.items())
 
 
 @pytest.mark.parametrize("mesh_config", MESH_CONFIGS, ids=MESH_IDS)
@@ -103,6 +100,5 @@ def test_one_image_extent_trains_at_128_px():
     P = mc.init_params(model, np.random.default_rng(3))
     sample = _sample(model, 0)
     assert sample.image.shape == (3, 128, 128)
-    loss, entries = mc.train_step(model, P, mc.Adam(P), sample, PathConfig(),
-                                  np.random.default_rng([1, 0]))
-    assert np.isfinite(loss) and entries == 393
+    loss, entries = mc.train_step(model, P, mc.Adam(P), sample, np.random.default_rng([1, 0]))
+    assert np.isfinite(loss) and entries == sum(TRAIN_STEP_OPS.values())

@@ -17,7 +17,6 @@ from meshcontact import autodiff as ad
 from meshcontact import model as mc
 from meshcontact import scenes
 from meshcontact.mesh import MeshConfig
-from meshcontact.multipath import PathConfig
 from test_autodiff import kept_bytes
 
 TRAIN_STEP_OPS = {
@@ -42,7 +41,7 @@ def _setup(mesh_config):
 
 def _step(model, params, adam, sample):
     """One default training step with perturbations from `default_rng([1, 0])`."""
-    return mc.train_step(model, params, adam, sample, PathConfig(), np.random.default_rng([1, 0]))
+    return mc.train_step(model, params, adam, sample, np.random.default_rng([1, 0]))
 
 
 def test_train_step_op_kinds_pinned(monkeypatch):

@@ -5,7 +5,7 @@ Run from the repository root, in each tree, and diff the outputs:
     python3 tests/wired_digest.py
 
 For `MeshConfig()` and `MeshConfig(98, 26)` it runs 6 `train_step`s of `meshcontact.model`
-at the default `PathConfig()` (parameters from seed 3, sample i from `default_rng([9, i])`,
+(at its `PATHS`; parameters from seed 3, sample i from `default_rng([9, i])`,
 step i's perturbations from `default_rng([1, i])`), then `infer` on sample 0's image. It
 prints each step's loss as `float.hex` with its tape-entry count, one SHA-256 over the
 trained parameter arrays (name, dtype, shape and bytes) and one over `infer`'s outputs.
@@ -25,7 +25,6 @@ sys.path.insert(0, str(ROOT / "src"))
 from meshcontact import model as mc  # noqa: E402
 from meshcontact import scenes  # noqa: E402
 from meshcontact.mesh import MeshConfig  # noqa: E402
-from meshcontact.multipath import PathConfig  # noqa: E402
 
 STEPS = 6
 
@@ -47,8 +46,7 @@ def digest(mesh_config):
                for i in range(STEPS)]
     lines = [str(mesh_config)]
     for i, sample in enumerate(samples):
-        loss, entries = mc.train_step(model, params, adam, sample, PathConfig(),
-                                      np.random.default_rng([1, i]))
+        loss, entries = mc.train_step(model, params, adam, sample, np.random.default_rng([1, i]))
         lines.append(f"  step {i}: loss {loss.hex()}, {entries} tape entries")
     lines.append(f"  params {_sha256(sorted((k, p.data) for k, p in params.items()))}")
     outputs = mc.infer(model, params, samples[0].image)
